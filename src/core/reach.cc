@@ -1,6 +1,7 @@
 #include "core/reach.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <deque>
 #include <unordered_map>
@@ -15,61 +16,99 @@
 namespace paxml {
 namespace {
 
-/// One partially evaluated entry vertex, as decoded at the coordinator.
-struct ReachRow {
-  NodeId vertex = kNullNode;  ///< global id; the row's boolean variable
-  bool direct = false;        ///< target reached without leaving the fragment
-  std::vector<NodeId> deps;   ///< sorted global heads of crossed cut edges
+/// Scratch of the kernel, sized to one fragment and reused across its
+/// batches: every word is zero again when a batch ends.
+struct ReachScratch {
+  explicit ReachScratch(size_t vertices)
+      : reached(vertices), queued(vertices), queue(vertices) {}
+
+  std::vector<uint64_t> reached;  ///< bit b: entry b reaches the vertex
+  std::vector<uint8_t> queued;    ///< the vertex waits in `queue`
+  std::vector<int32_t> queue;     ///< FIFO ring; a vertex is queued at most once
+  std::vector<int32_t> touched;   ///< vertices whose word is non-zero
 };
 
-/// The per-entry traversal of one fragment's kReachRequest: local BFS from
-/// `entry` over the fragment-internal edges, then the row's (direct, deps)
-/// result. Shared by the serial handler and the split task — one entry's
-/// traversal never reads another's state, which is exactly why the request
-/// splits cleanly (Fan, Wang & Wu: per-site parallelism must go *inside*
-/// the fragment's local traversal).
-struct ReachRowResult {
-  bool direct = false;
-  std::vector<NodeId> deps;
-};
+/// The one traversal routine: the rows of up to 64 entries, written into
+/// the empty rows[0, entries.size()).
+void TraverseBatch(const GraphFragment& frag, std::span<const int32_t> entries,
+                   int32_t local_target, ReachScratch* scratch,
+                   ReachEntryRow* rows) {
+  PAXML_CHECK_LE(entries.size(), kReachBatchEntries);
+  std::vector<uint64_t>& reached = scratch->reached;
+  std::vector<int32_t>& queue = scratch->queue;
+  size_t head = 0;
+  size_t queued = 0;
+  // ORs `add` into v's word and queues v when the word grew. A successor
+  // already holds every bit its predecessor pushed before, so pushing a
+  // whole word again brings it exactly the bits it lacks.
+  auto reach = [&](int32_t v, uint64_t add) {
+    uint64_t& word = reached[static_cast<size_t>(v)];
+    if ((add & ~word) == 0) return;
+    if (word == 0) scratch->touched.push_back(v);
+    word |= add;
+    uint8_t& waiting = scratch->queued[static_cast<size_t>(v)];
+    if (waiting) return;
+    waiting = 1;
+    size_t tail = head + queued++;
+    if (tail >= queue.size()) tail -= queue.size();
+    queue[tail] = v;
+  };
 
-ReachRowResult TraverseEntry(const GraphFragment& frag, int32_t entry,
-                             int32_t local_target, std::vector<bool>* visited,
-                             std::vector<int32_t>* visited_scratch) {
-  visited_scratch->clear();
-  std::deque<int32_t> queue;
-  (*visited)[static_cast<size_t>(entry)] = true;
-  visited_scratch->push_back(entry);
-  queue.push_back(entry);
-  while (!queue.empty()) {
-    const int32_t u = queue.front();
-    queue.pop_front();
-    for (int32_t v : frag.local_out[static_cast<size_t>(u)]) {
-      if ((*visited)[static_cast<size_t>(v)]) continue;
-      (*visited)[static_cast<size_t>(v)] = true;
-      visited_scratch->push_back(v);
-      queue.push_back(v);
+  for (size_t b = 0; b < entries.size(); ++b) {
+    reach(entries[b], uint64_t{1} << b);
+  }
+  while (queued > 0) {
+    const int32_t u = queue[head];
+    if (++head == queue.size()) head = 0;
+    --queued;
+    scratch->queued[static_cast<size_t>(u)] = 0;
+    const uint64_t push = reached[static_cast<size_t>(u)];
+    for (int32_t v : frag.local_out[static_cast<size_t>(u)]) reach(v, push);
+  }
+
+  const uint64_t at_target =
+      local_target >= 0 ? reached[static_cast<size_t>(local_target)] : 0;
+  for (size_t b = 0; b < entries.size(); ++b) {
+    rows[b].direct = (at_target >> b) & 1;
+  }
+  // Each touched vertex's cut edges belong to every entry that reaches it;
+  // the sweep also zeroes the words for the next batch.
+  for (int32_t u : scratch->touched) {
+    uint64_t& word = reached[static_cast<size_t>(u)];
+    const std::vector<NodeId>& heads = frag.cut_out[static_cast<size_t>(u)];
+    if (!heads.empty()) {
+      for (uint64_t w = word; w != 0; w &= w - 1) {
+        std::vector<NodeId>& deps = rows[std::countr_zero(w)].deps;
+        deps.insert(deps.end(), heads.begin(), heads.end());
+      }
     }
+    word = 0;
   }
-  ReachRowResult result;
-  result.direct = local_target >= 0 &&
-                  (*visited)[static_cast<size_t>(local_target)];
-  for (int32_t u : *visited_scratch) {
-    const auto& heads = frag.cut_out[static_cast<size_t>(u)];
-    result.deps.insert(result.deps.end(), heads.begin(), heads.end());
+  scratch->touched.clear();
+  for (size_t b = 0; b < entries.size(); ++b) {
+    std::vector<NodeId>& deps = rows[b].deps;
+    std::sort(deps.begin(), deps.end());
+    deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
   }
-  std::sort(result.deps.begin(), result.deps.end());
-  result.deps.erase(std::unique(result.deps.begin(), result.deps.end()),
-                    result.deps.end());
-  for (int32_t u : *visited_scratch) (*visited)[static_cast<size_t>(u)] = false;
-  return result;
 }
 
-/// Entry vertices of fragment f under `query`: the in-boundary, plus the
-/// source when it lives here (nothing enters the source "from outside" but
-/// the query does). Sorted ascending local index == ascending global id.
-std::vector<int32_t> EntryVertices(const GraphFragmentStore& store,
-                                   const ReachQuery& query, FragmentId f) {
+}  // namespace
+
+std::vector<ReachEntryRow> PartiallyEvaluateEntries(
+    const GraphFragment& frag, std::span<const int32_t> entries,
+    int32_t local_target) {
+  std::vector<ReachEntryRow> rows(entries.size());
+  ReachScratch scratch(frag.vertices.size());
+  for (size_t begin = 0; begin < entries.size(); begin += kReachBatchEntries) {
+    const size_t count = std::min(kReachBatchEntries, entries.size() - begin);
+    TraverseBatch(frag, entries.subspan(begin, count), local_target, &scratch,
+                  rows.data() + begin);
+  }
+  return rows;
+}
+
+std::vector<int32_t> ReachEntryVertices(const GraphFragmentStore& store,
+                                        const ReachQuery& query, FragmentId f) {
   const GraphFragment& frag = store.fragment(f);
   std::vector<int32_t> entries = frag.in_boundary;
   if (query.source >= 0 && query.source < store.vertex_count() &&
@@ -81,96 +120,118 @@ std::vector<int32_t> EntryVertices(const GraphFragmentStore& store,
   return entries;
 }
 
-int32_t LocalTarget(const GraphFragmentStore& store, const ReachQuery& query,
-                    FragmentId f) {
+int32_t ReachLocalTarget(const GraphFragmentStore& store,
+                         const ReachQuery& query, FragmentId f) {
   return (query.target >= 0 && query.target < store.vertex_count() &&
           store.fragment_of(query.target) == f)
              ? store.fragment(f).LocalIndex(query.target)
              : -1;
 }
 
-/// One row's encoding, detached from the report stream: `bytes` starts
-/// with the row's *cross-row* vertex delta — computable per item because
-/// the delta base is simply the previous entry's global id, known up
-/// front. Concatenating the rows after the varint(count) header reproduces
-/// the serial encoding byte for byte.
-struct EncodedReachRow {
-  std::string bytes;
-  uint64_t logical = 0;
+namespace {
+
+/// One partially evaluated entry vertex, as decoded at the coordinator.
+struct ReachRow : ReachEntryRow {
+  NodeId vertex = kNullNode;  ///< global id; the row's boolean variable
 };
 
-EncodedReachRow EncodeReachRow(uint64_t vertex, uint64_t prev_vertex,
-                               const ReachRowResult& row) {
+/// A run of consecutive rows of one kReachUp payload, detached from the
+/// report stream.
+struct EncodedReachRows {
+  std::string bytes;
+  uint64_t logical = 0;  ///< what the absolute id coding would cost
+};
+
+/// The rows of entries[begin, end), evaluated by the kernel and encoded as
+/// they appear in the payload: in entry order (ascending global id), deps
+/// sorted — canonical bytes, so remote peers reproduce the in-process wire
+/// exactly. Ids are delta+varint coded (vertices across rows, deps within a
+/// row); `logical` tracks what the absolute coding would cost, which is
+/// what the paper-model counters keep pricing. The first row's vertex
+/// delta is against entries[begin - 1], known up front, so consecutive
+/// ranges concatenate into the whole payload byte for byte.
+EncodedReachRows EncodeReachRows(const GraphFragment& frag,
+                                 std::span<const int32_t> entries,
+                                 size_t begin, size_t end,
+                                 int32_t local_target) {
+  const std::vector<ReachEntryRow> rows = PartiallyEvaluateEntries(
+      frag, entries.subspan(begin, end - begin), local_target);
+  auto global = [&](size_t i) {
+    return static_cast<uint64_t>(
+        frag.vertices[static_cast<size_t>(entries[i])]);
+  };
   ByteWriter writer;
-  writer.PutVarint(vertex - prev_vertex);  // wraps, as DeltaIdEncoder does
-  EncodedReachRow out;
-  out.logical = VarintSize(vertex);
-  writer.PutU8(row.direct ? 1 : 0);
-  writer.PutVarint(row.deps.size());
-  out.logical += 1 + VarintSize(row.deps.size());
-  DeltaIdEncoder dep_delta;  // deps restart per row (each list is sorted)
-  for (NodeId d : row.deps) {
-    dep_delta.Append(static_cast<uint64_t>(d), &writer);
-    out.logical += VarintSize(static_cast<uint64_t>(d));
+  EncodedReachRows out;
+  uint64_t prev_vertex = begin == 0 ? 0 : global(begin - 1);
+  for (size_t i = begin; i < end; ++i) {
+    const ReachEntryRow& row = rows[i - begin];
+    writer.PutVarint(global(i) - prev_vertex);  // wraps, as DeltaIdEncoder does
+    prev_vertex = global(i);
+    writer.PutU8(row.direct ? 1 : 0);
+    writer.PutVarint(row.deps.size());
+    out.logical += VarintSize(global(i)) + 1 + VarintSize(row.deps.size());
+    DeltaIdEncoder dep_delta;  // deps restart per row (each list is sorted)
+    for (NodeId d : row.deps) {
+      dep_delta.Append(static_cast<uint64_t>(d), &writer);
+      out.logical += VarintSize(static_cast<uint64_t>(d));
+    }
   }
   out.bytes = std::move(writer).Take();
   return out;
 }
 
-/// The split form of one fragment's kReachRequest: items are the entries,
-/// each traversed into a privately encoded row; Finish concatenates the
-/// rows under the count header and ships the one kReachUp the serial
-/// handler would have.
+/// Ships fragment f's one kReachUp: the row count, then the row runs.
+void SendReachUp(SiteContext& ctx, FragmentId f, size_t row_count,
+                 std::span<const EncodedReachRows> runs) {
+  ByteWriter writer;
+  writer.PutVarint(row_count);
+  uint64_t logical = VarintSize(row_count);
+  for (const EncodedReachRows& run : runs) {
+    writer.PutBytes(run.bytes.data(), run.bytes.size());
+    logical += run.logical;
+  }
+  Envelope env;
+  env.to = ctx.query_site();
+  env.parts.push_back(
+      {MessageKind::kReachUp, f, std::move(writer).Take(), true, logical});
+  ctx.Send(std::move(env));
+}
+
+/// The split form of one fragment's kReachRequest: each item is one
+/// 64-entry batch, traversed and encoded into a private slot; Finish
+/// concatenates the slots into the one kReachUp the serial handler would
+/// have shipped.
 class ReachSplitTask : public SplitTask {
  public:
-  ReachSplitTask(const GraphFragmentStore* store, FragmentId f,
+  ReachSplitTask(const GraphFragment* frag, FragmentId f,
                  std::vector<int32_t> entries, int32_t local_target)
-      : store_(store),
+      : frag_(frag),
         f_(f),
         entries_(std::move(entries)),
         local_target_(local_target),
-        rows_(entries_.size()) {}
+        runs_(item_count()) {}
 
-  size_t item_count() const override { return entries_.size(); }
+  size_t item_count() const override {
+    return (entries_.size() + kReachBatchEntries - 1) / kReachBatchEntries;
+  }
 
   void RunItem(size_t item) override {
-    const GraphFragment& frag = store_->fragment(f_);
-    std::vector<bool> visited(frag.vertices.size(), false);
-    std::vector<int32_t> scratch;
-    const int32_t entry = entries_[item];
-    const ReachRowResult row =
-        TraverseEntry(frag, entry, local_target_, &visited, &scratch);
-    const uint64_t vertex =
-        static_cast<uint64_t>(frag.vertices[static_cast<size_t>(entry)]);
-    const uint64_t prev =
-        item == 0 ? 0
-                  : static_cast<uint64_t>(frag.vertices[static_cast<size_t>(
-                        entries_[item - 1])]);
-    rows_[item] = EncodeReachRow(vertex, prev, row);
+    const size_t begin = item * kReachBatchEntries;
+    const size_t end = std::min(begin + kReachBatchEntries, entries_.size());
+    runs_[item] = EncodeReachRows(*frag_, entries_, begin, end, local_target_);
   }
 
   Status Finish(SiteContext& ctx) override {
-    ByteWriter writer;
-    writer.PutVarint(entries_.size());
-    uint64_t logical = VarintSize(entries_.size());
-    for (const EncodedReachRow& row : rows_) {
-      writer.PutBytes(row.bytes.data(), row.bytes.size());
-      logical += row.logical;
-    }
-    Envelope env;
-    env.to = ctx.query_site();
-    env.parts.push_back(
-        {MessageKind::kReachUp, f_, std::move(writer).Take(), true, logical});
-    ctx.Send(std::move(env));
+    SendReachUp(ctx, f_, entries_.size(), runs_);
     return Status::OK();
   }
 
  private:
-  const GraphFragmentStore* store_;
+  const GraphFragment* frag_;
   const FragmentId f_;
   const std::vector<int32_t> entries_;
   const int32_t local_target_;
-  std::vector<EncodedReachRow> rows_;  ///< one slot per item
+  std::vector<EncodedReachRows> runs_;  ///< one slot per item
 };
 
 /// Reachability as runtime handlers. Site side (kReachRequest) is
@@ -208,10 +269,12 @@ class ReachProgram : public MessageHandlers {
     if (f < 0 || static_cast<size_t>(f) >= store_->fragment_count()) {
       return nullptr;
     }
-    std::vector<int32_t> entries = EntryVertices(*store_, query_, f);
-    if (entries.size() < 2) return nullptr;  // nothing to fan out
-    return std::make_unique<ReachSplitTask>(store_, f, std::move(entries),
-                                            LocalTarget(*store_, query_, f));
+    std::vector<int32_t> entries = ReachEntryVertices(*store_, query_, f);
+    // One batch is one traversal already: nothing to fan out.
+    if (entries.size() <= kReachBatchEntries) return nullptr;
+    return std::make_unique<ReachSplitTask>(
+        &store_->fragment(f), f, std::move(entries),
+        ReachLocalTarget(*store_, query_, f));
   }
 
   bool AllReported() const {
@@ -236,39 +299,11 @@ class ReachProgram : public MessageHandlers {
 };
 
 Status ReachProgram::OnReachRequest(SiteContext& ctx, FragmentId f) {
-  const GraphFragment& frag = store_->fragment(f);
-
-  const std::vector<int32_t> entries = EntryVertices(*store_, query_, f);
-  const int32_t local_target = LocalTarget(*store_, query_, f);
-
-  // One local traversal per entry; rows encode in entry order (ascending
-  // global id), deps sorted — canonical bytes, so remote peers reproduce
-  // the in-process wire exactly. Ids are delta+varint coded (vertices
-  // across rows, deps within a row); `logical` tracks what the absolute
-  // coding would cost, which is what the paper-model counters keep
-  // pricing (the frame ships the delta bytes).
-  ByteWriter writer;
-  writer.PutVarint(entries.size());
-  uint64_t logical = VarintSize(entries.size());
-  uint64_t prev_vertex = 0;
-  std::vector<int32_t> visited_scratch;
-  std::vector<bool> visited(frag.vertices.size(), false);
-  for (int32_t entry : entries) {
-    const ReachRowResult row =
-        TraverseEntry(frag, entry, local_target, &visited, &visited_scratch);
-    const uint64_t vertex =
-        static_cast<uint64_t>(frag.vertices[static_cast<size_t>(entry)]);
-    const EncodedReachRow encoded = EncodeReachRow(vertex, prev_vertex, row);
-    prev_vertex = vertex;
-    writer.PutBytes(encoded.bytes.data(), encoded.bytes.size());
-    logical += encoded.logical;
-  }
-
-  Envelope env;
-  env.to = ctx.query_site();
-  env.parts.push_back(
-      {MessageKind::kReachUp, f, std::move(writer).Take(), true, logical});
-  ctx.Send(std::move(env));
+  const std::vector<int32_t> entries = ReachEntryVertices(*store_, query_, f);
+  const EncodedReachRows rows =
+      EncodeReachRows(store_->fragment(f), entries, 0, entries.size(),
+                      ReachLocalTarget(*store_, query_, f));
+  SendReachUp(ctx, f, entries.size(), {&rows, 1});
   return Status::OK();
 }
 

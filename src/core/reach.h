@@ -3,11 +3,13 @@
 // serves the XML algorithms).
 //
 // Each site partially evaluates its fragment: for every *entry* vertex (an
-// in-boundary node, plus the source when it lives here) one local
-// traversal settles what can be known locally — whether the target is
-// reached without leaving the fragment (`direct`), and which remote
-// boundary vertices the traversal escapes to (`deps`, the heads of
-// crossed cut edges). Those per-entry rows are boolean equations
+// in-boundary node, plus the source when it lives here) it settles what
+// can be known locally — whether the target is reached without leaving the
+// fragment (`direct`), and which remote boundary vertices the entry
+// escapes to (`deps`, the heads of crossed cut edges). One bit-parallel
+// traversal settles 64 entries at once (PartiallyEvaluateEntries), so a
+// fragment costs ⌈entries/64⌉ traversals. The per-entry rows are boolean
+// equations
 //
 //   X_v = direct(v) ∨ ⋁_{w ∈ deps(v)} X_w
 //
@@ -23,8 +25,12 @@
 #ifndef PAXML_CORE_REACH_H_
 #define PAXML_CORE_REACH_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "core/distributed_result.h"
@@ -47,6 +53,39 @@ struct ReachQuery {
 /// carries for XML.
 std::string FormatReachQuery(const ReachQuery& query);
 Result<ReachQuery> ParseReachQuery(const std::string& text);
+
+/// One entry vertex's partially evaluated row.
+struct ReachEntryRow {
+  bool direct = false;       ///< target reached without leaving the fragment
+  std::vector<NodeId> deps;  ///< sorted, deduped heads of crossed cut edges
+};
+
+/// Entries settled by one traversal: one bit of a uint64_t word each. It is
+/// also the size of a split item, so a fragment with at most this many
+/// entries never splits.
+inline constexpr size_t kReachBatchEntries = 64;
+
+/// The site-side kernel (MS-BFS): the rows of `entries` (local indices of
+/// `frag`, no duplicates) against `local_target` (-1 when the target lives
+/// elsewhere); rows[i] belongs to entries[i]. Each batch of up to 64
+/// entries is one traversal in which every vertex holds a word whose bit b
+/// says "entry b reaches me": a FIFO worklist ORs new bits into successors
+/// until nothing changes, so cycles need no SCC pass. A fragment costs
+/// O((|F| + |E_F|) · ⌈entries/64⌉) word operations.
+std::vector<ReachEntryRow> PartiallyEvaluateEntries(
+    const GraphFragment& frag, std::span<const int32_t> entries,
+    int32_t local_target);
+
+/// Entry vertices of fragment `f` under `query`: the in-boundary, plus the
+/// source when it lives in `f`. Ascending local index, which is ascending
+/// global id.
+std::vector<int32_t> ReachEntryVertices(const GraphFragmentStore& store,
+                                        const ReachQuery& query, FragmentId f);
+
+/// Local index of the query's target in fragment `f`, or -1 when another
+/// fragment owns it.
+int32_t ReachLocalTarget(const GraphFragmentStore& store,
+                         const ReachQuery& query, FragmentId f);
 
 /// The cluster's graph store, or an error when it holds another workload.
 Result<const GraphFragmentStore*> GraphOf(const Cluster& cluster);

@@ -8,8 +8,9 @@
 // Those two tables are exactly the coupling interface of the paper's
 // partial-evaluation scheme carried over to reachability (Fan et al.): a
 // site can evaluate everything about its fragment except which boundary
-// entries are reachable from outside, and the per-entry dependencies it
-// reports are O(cut edges) in total.
+// entries are reachable from outside. One bit-parallel traversal settles
+// 64 entries' dependencies at once (core/reach.h), and what a fragment
+// reports is O(cut edges) in total.
 //
 // Every construction path funnels through BuildGraphStore, so a store
 // built by the in-process partitioner and one loaded from disk at a peer

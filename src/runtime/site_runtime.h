@@ -138,7 +138,7 @@ class EnvelopeStream {
 /// One splittable request, produced by MessageHandlers::MakeSplitTask: the
 /// paratreet visitor/interact idiom (DESIGN.md §14). Construction is the
 /// cheap visitor pass — it builds `item_count()` *independent* work items
-/// (per-entry local traversals for the graph family, per-root-child
+/// (64-entry bit-parallel traversals for the graph family, per-root-child
 /// qualifier/selection subtrees for the XML family). RunItem is the
 /// interact pass: the driver calls it once per item, concurrently for
 /// distinct items, on the site worker pool — items must not share mutable

@@ -5,6 +5,8 @@
 //  * correctness — randomized digraphs under random partitionings agree
 //    with single-site BFS ground truth on every query, in exactly one
 //    delivery round however many fragments there are;
+//  * the site kernel — the bit-parallel batch traversal's rows equal one
+//    BFS per entry, across the 64-entry word boundary;
 //  * determinism — sync, pooled and intra-site-parallel (site_threads = 4)
 //    evaluations produce bit-identical RunStats;
 //  * deployment — a four-process socket run (three real paxml_site peers
@@ -21,8 +23,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -272,16 +276,191 @@ TEST(ReachCorrectnessTest, QueryTextRoundTrips) {
   EXPECT_FALSE(ParseReachQuery("//stock/code").ok());
 }
 
+// ---- The site kernel against one BFS per entry ------------------------------
+
+/// Test-local reference row: a single-source BFS from `entry` over the
+/// fragment's local edges, collecting the cut-edge heads of every vertex it
+/// visits.
+ReachEntryRow ReferenceRow(const GraphFragment& frag, int32_t entry,
+                           int32_t local_target) {
+  std::vector<bool> seen(frag.vertices.size(), false);
+  std::deque<int32_t> queue{entry};
+  seen[static_cast<size_t>(entry)] = true;
+  ReachEntryRow row;
+  while (!queue.empty()) {
+    const int32_t u = queue.front();
+    queue.pop_front();
+    row.direct = row.direct || u == local_target;
+    const std::vector<NodeId>& heads = frag.cut_out[static_cast<size_t>(u)];
+    row.deps.insert(row.deps.end(), heads.begin(), heads.end());
+    for (int32_t v : frag.local_out[static_cast<size_t>(u)]) {
+      if (seen[static_cast<size_t>(v)]) continue;
+      seen[static_cast<size_t>(v)] = true;
+      queue.push_back(v);
+    }
+  }
+  std::sort(row.deps.begin(), row.deps.end());
+  row.deps.erase(std::unique(row.deps.begin(), row.deps.end()),
+                 row.deps.end());
+  return row;
+}
+
+void ExpectKernelMatchesReference(const GraphFragment& frag,
+                                  const std::vector<int32_t>& entries,
+                                  int32_t local_target,
+                                  const std::string& label) {
+  const std::vector<ReachEntryRow> rows =
+      PartiallyEvaluateEntries(frag, entries, local_target);
+  ASSERT_EQ(rows.size(), entries.size()) << label;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const ReachEntryRow want = ReferenceRow(frag, entries[i], local_target);
+    const std::string where =
+        label + " entry #" + std::to_string(i) + " (local " +
+        std::to_string(entries[i]) + ")";
+    EXPECT_EQ(rows[i].direct, want.direct) << where;
+    EXPECT_EQ(rows[i].deps, want.deps) << where;
+  }
+}
+
+/// A random store whose fragments hold self-loops and short directed
+/// cycles besides sparse random edges; vertices are owned at random.
+std::shared_ptr<const GraphFragmentStore> KernelStore(int32_t n,
+                                                      size_t fragments,
+                                                      uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId v = 0; v < n; ++v) {
+    if (rng.NextBool(0.1)) edges.push_back({v, v});
+    for (int e = 0; e < 2; ++e) {
+      if (rng.NextBool(0.7)) {
+        edges.push_back({v, static_cast<NodeId>(rng.NextBounded(n))});
+      }
+    }
+  }
+  for (int c = 0; c < n / 8; ++c) {
+    const size_t length = 2 + rng.NextBounded(5);
+    std::vector<NodeId> cycle;
+    for (size_t i = 0; i < length; ++i) {
+      cycle.push_back(static_cast<NodeId>(rng.NextBounded(n)));
+    }
+    for (size_t i = 0; i < length; ++i) {
+      edges.push_back({cycle[i], cycle[(i + 1) % length]});
+    }
+  }
+  std::vector<FragmentId> owner(static_cast<size_t>(n));
+  for (FragmentId& f : owner) {
+    f = static_cast<FragmentId>(rng.NextBounded(fragments));
+  }
+  auto store = BuildGraphStore(n, std::move(owner), std::move(edges));
+  PAXML_CHECK(store.ok());
+  return std::move(store).ValueOrDie();
+}
+
+// Entry counts on both sides of the 64-entry word boundary: every batch
+// row equals the single-source reference, with the target local and
+// reached, an entry itself, or owned by another fragment.
+TEST(ReachKernelTest, BatchRowsMatchPerEntryBFSAcrossTheWordBoundary) {
+  size_t direct_rows = 0;
+  size_t dep_rows = 0;
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    auto store = KernelStore(900, 3, seed);
+    const GraphFragment& frag = store->fragment(0);
+    const int32_t size = static_cast<int32_t>(frag.vertices.size());
+    ASSERT_GE(size, 130);
+    Rng rng(seed * 31 + 7);
+    for (size_t count : {1, 63, 64, 65, 130}) {
+      std::vector<int32_t> entries;
+      for (int32_t v = 0; v < size; ++v) entries.push_back(v);
+      for (size_t i = 0; i < count; ++i) {
+        std::swap(entries[i], entries[i + rng.NextBounded(entries.size() - i)]);
+      }
+      entries.resize(count);
+      std::sort(entries.begin(), entries.end());
+
+      const int32_t local_targets[] = {
+          static_cast<int32_t>(rng.NextBounded(size)),
+          entries[rng.NextBounded(count)], -1};
+      for (int32_t local_target : local_targets) {
+        const std::string label = "seed " + std::to_string(seed) +
+                                  " entries " + std::to_string(count) +
+                                  " target " + std::to_string(local_target);
+        ExpectKernelMatchesReference(frag, entries, local_target, label);
+        for (const ReachEntryRow& row :
+             PartiallyEvaluateEntries(frag, entries, local_target)) {
+          direct_rows += row.direct;
+          dep_rows += !row.deps.empty();
+        }
+      }
+    }
+  }
+  // Both halves of a row were exercised, not just their empty defaults.
+  EXPECT_GT(direct_rows, 0u);
+  EXPECT_GT(dep_rows, 0u);
+}
+
+// The kernel's inputs as the handler derives them from a query: a source
+// on the in-boundary is one entry, not two; a target that is an entry is
+// reached directly by that entry; a target owned elsewhere is no local
+// target at all.
+TEST(ReachKernelTest, QueryShapedEntriesAndTargets) {
+  auto store = KernelStore(600, 4, 11);
+  for (size_t fi = 0; fi < store->fragment_count(); ++fi) {
+    const FragmentId f = static_cast<FragmentId>(fi);
+    const GraphFragment& frag = store->fragment(f);
+    ASSERT_GE(frag.in_boundary.size(), 2u) << "fragment " << f;
+    const std::string label = "fragment " + std::to_string(f);
+
+    const int32_t boundary_entry = frag.in_boundary.front();
+    const int32_t target_entry = frag.in_boundary.back();
+    ReachQuery q{frag.vertices[static_cast<size_t>(boundary_entry)],
+                 frag.vertices[static_cast<size_t>(target_entry)]};
+    const std::vector<int32_t> entries = ReachEntryVertices(*store, q, f);
+    EXPECT_EQ(entries, frag.in_boundary) << label;
+    ASSERT_EQ(ReachLocalTarget(*store, q, f), target_entry) << label;
+    ExpectKernelMatchesReference(frag, entries, target_entry,
+                                 label + " target-is-entry");
+    EXPECT_TRUE(
+        PartiallyEvaluateEntries(frag, entries, target_entry).back().direct)
+        << label;
+
+    const FragmentId other = static_cast<FragmentId>((fi + 1) %
+                                                     store->fragment_count());
+    q.target = store->fragment(other).vertices.front();
+    EXPECT_EQ(ReachLocalTarget(*store, q, f), -1) << label;
+    ExpectKernelMatchesReference(frag, entries, -1, label + " remote-target");
+    for (const ReachEntryRow& row :
+         PartiallyEvaluateEntries(frag, entries, -1)) {
+      EXPECT_FALSE(row.direct) << label;
+    }
+  }
+}
+
 // ---- Determinism: sync vs pooled vs intra-site parallel ---------------------
 
+/// True when some fragment has more entries than one batch holds, so a
+/// forced split of its request actually fans out.
+bool HasSplittableFragment(const GraphFragmentStore& store) {
+  for (size_t f = 0; f < store.fragment_count(); ++f) {
+    if (store.fragment(static_cast<FragmentId>(f)).in_boundary.size() >
+        kReachBatchEntries) {
+      return true;
+    }
+  }
+  return false;
+}
+
 TEST(ReachDeterminismTest, SyncPooledAndThreadedAreBitIdentical) {
-  GraphWorld w = MakeWorld(90, 1.8, 7, 4, 3);
+  // Big enough that fragments hold several 64-entry batches.
+  const int32_t n = 2000;
+  GraphWorld w = MakeWorld(n, 1.8, 7, 4, 3);
+  ASSERT_TRUE(HasSplittableFragment(*w.store));
   Rng rng(77);
+  uint64_t threaded_pool_tasks = 0;
   uint64_t split_pool_tasks = 0;
   for (int i = 0; i < 10; ++i) {
     ReachQuery q;
-    q.source = static_cast<NodeId>(rng.NextBounded(90));
-    q.target = static_cast<NodeId>(rng.NextBounded(90));
+    q.source = static_cast<NodeId>(rng.NextBounded(n));
+    q.target = static_cast<NodeId>(rng.NextBounded(n));
     const std::string label = FormatReachQuery(q);
 
     SyncTransport sync;
@@ -295,7 +474,7 @@ TEST(ReachDeterminismTest, SyncPooledAndThreadedAreBitIdentical) {
     SyncTransport threaded(threaded_opts);
     auto t = EvaluateReachability(*w.cluster, q, &threaded);
 
-    // Intra-fragment splitting forced on (threshold 1%): per-entry BFS
+    // Intra-fragment splitting forced on (threshold 1%): 64-entry batch
     // sub-items fan out, yet the dep/answer streams must re-encode
     // byte-identically (DESIGN.md §14).
     TransportOptions split_opts;
@@ -314,11 +493,13 @@ TEST(ReachDeterminismTest, SyncPooledAndThreadedAreBitIdentical) {
     ExpectStatsEqual(p->stats, s->stats, "pooled|" + label);
     ExpectStatsEqual(t->stats, s->stats, "threads=4|" + label);
     ExpectStatsEqual(sp->stats, s->stats, "split|" + label);
+    threaded_pool_tasks += t->stats.pool_tasks;
     split_pool_tasks += sp->stats.pool_tasks;
   }
-  // The split runs actually fanned out (multi-entry fragments exist in
-  // this world), so the equality above is not vacuous.
-  EXPECT_GT(split_pool_tasks, 0u);
+  // The split runs actually fanned out: a split lane becomes two or more
+  // pool tasks, so they ran more tasks than the lanes alone did, and the
+  // equality above is not vacuous.
+  EXPECT_GT(split_pool_tasks, threaded_pool_tasks);
 }
 
 // ---- The acceptance bar: four processes over sockets ------------------------
@@ -327,16 +508,21 @@ TEST(ReachDeterminismTest, SyncPooledAndThreadedAreBitIdentical) {
 // processes plus the client) reproduces SyncTransport's exact RunStats —
 // the same guarantee the XML family makes, now workload-agnostic.
 TEST(ReachSocketTest, FourProcessDeploymentReproducesSyncExactly) {
-  GraphWorld w = MakeWorld(120, 1.7, 6, 4, 9);
+  // Big enough that the forced split has fragments of several batches.
+  const int32_t n = 2000;
+  GraphWorld w = MakeWorld(n, 1.7, 6, 4, 9);
+  ASSERT_TRUE(HasSplittableFragment(*w.store));
   const std::string dir = MakeTempDir();
   ASSERT_TRUE(SaveGraph(*w.store, dir).ok());
   Deployment deployment(dir, *w.cluster);
 
   Rng rng(5);
+  // Pool tasks the peers report per (threads, split) config.
+  std::map<std::pair<size_t, uint64_t>, uint64_t> pool_tasks;
   for (int i = 0; i < 8; ++i) {
     ReachQuery q;
-    q.source = static_cast<NodeId>(rng.NextBounded(120));
-    q.target = static_cast<NodeId>(rng.NextBounded(120));
+    q.source = static_cast<NodeId>(rng.NextBounded(n));
+    q.target = static_cast<NodeId>(rng.NextBounded(n));
     const std::string label = FormatReachQuery(q);
 
     auto sync = EvaluateReachability(*w.cluster, q);
@@ -359,8 +545,11 @@ TEST(ReachSocketTest, FourProcessDeploymentReproducesSyncExactly) {
       ASSERT_TRUE(remote.ok()) << tlabel << ": " << remote.status();
       EXPECT_EQ(remote->answers, sync->answers) << tlabel;
       ExpectStatsEqual(remote->stats, sync->stats, tlabel);
+      pool_tasks[{threads, split_pct}] += remote->stats.pool_tasks;
     }
   }
+  // The peers' forced split fanned out beyond their lanes.
+  EXPECT_GT((pool_tasks[{4, 1}]), (pool_tasks[{4, 0}]));
 }
 
 // Engine::Submit drives the graph family through the same session API as

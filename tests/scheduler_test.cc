@@ -91,6 +91,9 @@ TEST(WorkerPoolTest, ServesConcurrentBatchesRoundRobin) {
     });
   }
   std::thread caller_a([&] { pool.RunAll(std::move(batch_a)); });
+  // Queue B only after A: were B queued first, it would drain alone and
+  // leave A's first task waiting for a second batch that never comes.
+  while (pool.queued_batch_count() < 1) std::this_thread::yield();
 
   std::vector<std::function<void()>> batch_b;
   for (int i = 0; i < 3; ++i) {
