@@ -40,13 +40,14 @@
 // measured wall speedup, the modeled max-over-sub-tasks speedup and the
 // advisory pool_tasks counter; RunStats are asserted bit-identical in
 // every cell, and CI quick mode gates that the split cell ran pool tasks.
-// Speedups are reported only: a quick-mode cell is too short for a
-// wall-clock gate to clear the host's noise.
+// The split speedups are reported only: a quick-mode cell is too short for
+// a wall-clock gate to clear the host's noise.
 //
 // A sixth table measures cross-run fan-out on the peer plane: two
 // independent runs over one socket connection per peer, back-to-back vs
 // concurrent with peer_concurrent_rounds = 2. Each concurrent run must
-// reproduce its solo sync RunStats; the speedup is reported, not gated.
+// reproduce its solo sync RunStats; on a multi-core host the pair must
+// finish faster than the serial schedule.
 //
 // Correctness is asserted, not assumed: every depth must produce answer
 // sets identical to the sequential run's, batching must not change any
@@ -370,7 +371,9 @@ struct ConcurrentRunsMeasurement {
 
 /// Two independent runs against ONE in-process socket peer serving the
 /// crammed site: back-to-back vs concurrent with peer_concurrent_rounds=2.
-/// Each concurrent run must reproduce its solo sync RunStats exactly.
+/// Each concurrent run must reproduce its solo sync RunStats exactly; on a
+/// host with cores to spare the pair must also finish faster than the
+/// serial schedule.
 ConcurrentRunsMeasurement RunConcurrentRunsTable(const SplitWorkload& sw) {
   const Cluster& cluster = *sw.cluster;
 
@@ -474,6 +477,11 @@ ConcurrentRunsMeasurement RunConcurrentRunsTable(const SplitWorkload& sw) {
   std::printf(
       "(each concurrent run's RunStats are asserted equal to its solo sync "
       "run's)\n");
+  // Overlapping two runs' rounds must beat the serial schedule when the
+  // host can actually run them side by side.
+  if (std::thread::hardware_concurrency() >= 4) {
+    PAXML_CHECK_GT(m.speedup, 1.0);
+  }
   return m;
 }
 

@@ -92,19 +92,36 @@ void TraverseBatch(const GraphFragment& frag, std::span<const int32_t> entries,
   }
 }
 
+/// Runs the kernel over `entries` one 64-entry batch at a time with one
+/// scratch, handing each batch to `emit(offset, rows)`: rows[i] belongs to
+/// entries[offset + i]. The rows are reused by the next batch, so at most
+/// 64 of them are live at once.
+template <typename Emit>
+void ForEachBatch(const GraphFragment& frag, std::span<const int32_t> entries,
+                  int32_t local_target, Emit emit) {
+  ReachScratch scratch(frag.vertices.size());
+  std::vector<ReachEntryRow> rows(
+      std::min(kReachBatchEntries, entries.size()));
+  for (size_t begin = 0; begin < entries.size(); begin += kReachBatchEntries) {
+    const size_t count = std::min(kReachBatchEntries, entries.size() - begin);
+    for (size_t b = 0; b < count; ++b) rows[b].deps.clear();
+    TraverseBatch(frag, entries.subspan(begin, count), local_target, &scratch,
+                  rows.data());
+    emit(begin, std::span<ReachEntryRow>(rows.data(), count));
+  }
+}
+
 }  // namespace
 
 std::vector<ReachEntryRow> PartiallyEvaluateEntries(
     const GraphFragment& frag, std::span<const int32_t> entries,
     int32_t local_target) {
-  std::vector<ReachEntryRow> rows(entries.size());
-  ReachScratch scratch(frag.vertices.size());
-  for (size_t begin = 0; begin < entries.size(); begin += kReachBatchEntries) {
-    const size_t count = std::min(kReachBatchEntries, entries.size() - begin);
-    TraverseBatch(frag, entries.subspan(begin, count), local_target, &scratch,
-                  rows.data() + begin);
-  }
-  return rows;
+  std::vector<ReachEntryRow> out(entries.size());
+  ForEachBatch(frag, entries, local_target,
+               [&](size_t offset, std::span<ReachEntryRow> rows) {
+                 std::move(rows.begin(), rows.end(), out.begin() + offset);
+               });
+  return out;
 }
 
 std::vector<int32_t> ReachEntryVertices(const GraphFragmentStore& store,
@@ -142,10 +159,10 @@ struct EncodedReachRows {
   uint64_t logical = 0;  ///< what the absolute id coding would cost
 };
 
-/// The rows of entries[begin, end), evaluated by the kernel and encoded as
-/// they appear in the payload: in entry order (ascending global id), deps
-/// sorted — canonical bytes, so remote peers reproduce the in-process wire
-/// exactly. Ids are delta+varint coded (vertices across rows, deps within a
+/// The rows of entries[begin, end), evaluated by the kernel one batch at a
+/// time and encoded as they appear in the payload: in entry order
+/// (ascending global id), deps sorted — canonical bytes, so remote peers
+/// reproduce the in-process wire exactly. Ids are delta+varint coded (vertices across rows, deps within a
 /// row); `logical` tracks what the absolute coding would cost, which is
 /// what the paper-model counters keep pricing. The first row's vertex
 /// delta is against entries[begin - 1], known up front, so consecutive
@@ -154,8 +171,6 @@ EncodedReachRows EncodeReachRows(const GraphFragment& frag,
                                  std::span<const int32_t> entries,
                                  size_t begin, size_t end,
                                  int32_t local_target) {
-  const std::vector<ReachEntryRow> rows = PartiallyEvaluateEntries(
-      frag, entries.subspan(begin, end - begin), local_target);
   auto global = [&](size_t i) {
     return static_cast<uint64_t>(
         frag.vertices[static_cast<size_t>(entries[i])]);
@@ -163,19 +178,23 @@ EncodedReachRows EncodeReachRows(const GraphFragment& frag,
   ByteWriter writer;
   EncodedReachRows out;
   uint64_t prev_vertex = begin == 0 ? 0 : global(begin - 1);
-  for (size_t i = begin; i < end; ++i) {
-    const ReachEntryRow& row = rows[i - begin];
-    writer.PutVarint(global(i) - prev_vertex);  // wraps, as DeltaIdEncoder does
-    prev_vertex = global(i);
-    writer.PutU8(row.direct ? 1 : 0);
-    writer.PutVarint(row.deps.size());
-    out.logical += VarintSize(global(i)) + 1 + VarintSize(row.deps.size());
-    DeltaIdEncoder dep_delta;  // deps restart per row (each list is sorted)
-    for (NodeId d : row.deps) {
-      dep_delta.Append(static_cast<uint64_t>(d), &writer);
-      out.logical += VarintSize(static_cast<uint64_t>(d));
+  ForEachBatch(frag, entries.subspan(begin, end - begin), local_target,
+               [&](size_t offset, std::span<ReachEntryRow> rows) {
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const ReachEntryRow& row = rows[r];
+      const uint64_t vertex = global(begin + offset + r);
+      writer.PutVarint(vertex - prev_vertex);  // wraps, as DeltaIdEncoder does
+      prev_vertex = vertex;
+      writer.PutU8(row.direct ? 1 : 0);
+      writer.PutVarint(row.deps.size());
+      out.logical += VarintSize(vertex) + 1 + VarintSize(row.deps.size());
+      DeltaIdEncoder dep_delta;  // deps restart per row (each list is sorted)
+      for (NodeId d : row.deps) {
+        dep_delta.Append(static_cast<uint64_t>(d), &writer);
+        out.logical += VarintSize(static_cast<uint64_t>(d));
+      }
     }
-  }
+  });
   out.bytes = std::move(writer).Take();
   return out;
 }

@@ -70,8 +70,10 @@ inline constexpr size_t kReachBatchEntries = 64;
 /// elsewhere); rows[i] belongs to entries[i]. Each batch of up to 64
 /// entries is one traversal in which every vertex holds a word whose bit b
 /// says "entry b reaches me": a FIFO worklist ORs new bits into successors
-/// until nothing changes, so cycles need no SCC pass. A fragment costs
-/// O((|F| + |E_F|) · ⌈entries/64⌉) word operations.
+/// until nothing changes, so cycles need no SCC pass. A fragment typically
+/// costs O((|F| + |E_F|) · ⌈entries/64⌉) word operations; in the worst case
+/// a vertex is re-scanned once per wave that brings it a new bit, which is
+/// no worse than one BFS per entry.
 std::vector<ReachEntryRow> PartiallyEvaluateEntries(
     const GraphFragment& frag, std::span<const int32_t> entries,
     int32_t local_target);
