@@ -65,6 +65,28 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   return true;
 }
 
+size_t XmlEscapedSize(std::string_view s) {
+  size_t size = s.size();
+  for (char c : s) {
+    switch (c) {
+      case '&':
+        size += 4;  // &amp;
+        break;
+      case '<':
+      case '>':
+        size += 3;  // &lt; &gt;
+        break;
+      case '"':
+      case '\'':
+        size += 5;  // &quot; &apos;
+        break;
+      default:
+        break;
+    }
+  }
+  return size;
+}
+
 std::string XmlEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());

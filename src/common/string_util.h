@@ -31,6 +31,9 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 /// Escapes &, <, >, ", ' for embedding in XML text/attributes.
 std::string XmlEscape(std::string_view s);
 
+/// XmlEscape(s).size(), counted without building the escaped copy.
+size_t XmlEscapedSize(std::string_view s);
+
 /// printf-style formatting into a std::string.
 std::string StringFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

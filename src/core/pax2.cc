@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "core/answer_stream.h"
 #include "core/eval_ft.h"
@@ -19,7 +20,11 @@ namespace {
 /// Result of the combined (single-traversal) pass over one fragment.
 struct Pax2FragmentState {
   std::unique_ptr<FormulaArena> arena;
-  QualVectors<FormulaDomain> qual_vectors;  // residuals over x variables
+
+  /// The fragment root's qualifier rows (residuals over x variables): the
+  /// only rows the pass keeps, shipped in the QualUp reply.
+  std::vector<Formula> root_qv;
+  std::vector<Formula> root_qdv;
 
   /// Nodes whose final selection entry did not collapse to false, with their
   /// residuals over x (qualifiers) and z (ancestors) variables; qz locals
@@ -36,11 +41,98 @@ struct Pax2FragmentState {
   /// answer request in the same envelope).
   std::optional<SelDownMessage> sel_down;
   std::optional<QualDownMessage> qual_down;
+};
 
-  uint64_t ops = 0;
+/// One node's pre-order selection step (Procedure topDown, Fig. 4): writes
+/// SV_v into `vec` from its parent's `parent_vec`, m entries each.
+/// `qual_var(qual_id)` supplies the placeholder conjoined wherever a
+/// qualifier applies to a live value — a fresh qz local in the combined
+/// pass. The one selection step of both the combined pass and the split
+/// walk, so the two cannot compute different vectors.
+template <typename QualVar>
+void SelStep(const Tree& tree, const CompiledQuery& query,
+             FormulaDomain* domain, NodeId v, const Formula* parent_vec,
+             Formula* vec, const QualVar& qual_var) {
+  const auto& sel = query.selection();
+  const size_t m = sel.size();
+  vec[0] = kFalseFormula;  // the document-node entry is false at real nodes
+  for (size_t i = 1; i < m; ++i) {
+    const CompiledQuery::SelEntry& e = sel[i];
+    switch (e.kind) {
+      case SelKind::kLabel:
+      case SelKind::kWildcard: {
+        const bool term =
+            tree.IsElement(v) &&
+            (e.kind == SelKind::kWildcard || tree.label(v) == e.label);
+        Formula val = term ? parent_vec[i - 1] : kFalseFormula;
+        if (term && e.qual >= 0 && !domain->IsFalse(val)) {
+          val = domain->And(val, qual_var(e.qual));
+        }
+        vec[i] = val;
+        break;
+      }
+      case SelKind::kDescend:
+        vec[i] = domain->Or(vec[i - 1], parent_vec[i]);
+        break;
+      case SelKind::kSelfFilter: {
+        Formula val = vec[i - 1];
+        if (e.qual >= 0 && !domain->IsFalse(val)) {
+          val = domain->And(val, qual_var(e.qual));
+        }
+        vec[i] = val;
+        break;
+      }
+      case SelKind::kRoot:
+        PAXML_CHECK(false);
+        break;
+    }
+  }
+}
+
+/// The pre-order selection stack, flat: level d holds the selection vector
+/// of a depth-d node's parent (level 0 is the fragment's init vector). A
+/// node at depth d reads level d and writes its own vector in place at
+/// level d+1, so a walk allocates only when it first reaches a new depth.
+class SelLevels {
+ public:
+  explicit SelLevels(std::vector<Formula> init)
+      : m_(init.size()), levels_(std::move(init)) {}
+
+  /// The parent vector of a depth-`depth` node.
+  const Formula* Parent(uint32_t depth) const {
+    return levels_.data() + depth * m_;
+  }
+
+  /// The slot of a depth-`depth` node's own vector. Call before Parent:
+  /// growing the stack moves it.
+  Formula* Own(uint32_t depth) {
+    const size_t end = (static_cast<size_t>(depth) + 2) * m_;
+    if (levels_.size() < end) levels_.resize(end);
+    return levels_.data() + (depth + 1) * m_;
+  }
+
+ private:
+  size_t m_;
+  std::vector<Formula> levels_;
 };
 
 /// The combined pre/post-order traversal (Procedure evalXPath of Fig. 5).
+///
+/// Working memory is three stacks, so the pass allocates nothing per node
+/// once they have reached their peak size:
+///  * SelLevels, the selection vectors of the current ancestor path;
+///  * `pending`, the qz locals not yet resolved. A node's locals are pushed
+///    in its pre-order step above the height recorded in its work item, and
+///    resolved (in creation order) and popped in its post-order step. The
+///    root's recorded height is 0, below the leading-qualifier local;
+///  * `rows`, the [QV | QDV] rows of finished nodes whose parent is still
+///    open. The work list pops children last-first, so a node's children
+///    leave their rows on top in reverse document order; its post-order
+///    step folds them (in document order) into the aggregates, replaces
+///    them with its own row, and the root's row is all that remains.
+/// Every formula is interned in the same order as a pass over full QV/QDV
+/// matrices would, so the handles — and the wire bytes — do not depend on
+/// where the rows live.
 Pax2FragmentState RunCombinedPass(const Fragment& frag,
                                   const CompiledQuery& query,
                                   const std::vector<uint8_t>* concrete_init) {
@@ -50,13 +142,9 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
   FormulaDomain domain(arena);
   const Tree& tree = frag.tree;
   const auto& sel = query.selection();
-  const size_t m = sel.size();
-  const size_t last = m - 1;
-
+  const size_t last = sel.size() - 1;
   const size_t ec = query.entries().size();
-  st.qual_vectors.entry_count = ec;
-  st.qual_vectors.qv.assign(tree.size() * ec, kFalseFormula);
-  st.qual_vectors.qdv.assign(tree.size() * ec, kFalseFormula);
+  const size_t row_width = 2 * ec;
 
   VirtualQualHook<Formula> virtual_hook = [&](NodeId v, int entry) {
     const FragmentId child = tree.fragment_ref(v);
@@ -64,12 +152,24 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
                           arena->Var(MakeQDVVar(child, entry)));
   };
 
-  // Local qz variables: fresh per (node, qualifier) use; resolved at the
-  // node's post-order step once its subtree's qualifier rows exist.
-  uint32_t local_counter = 0;
-  Binding qz_bindings;
-  // Pending qz resolutions per node: (qual_id, var).
-  std::unordered_map<NodeId, std::vector<std::pair<int, VarId>>> pending;
+  // Local qz variables: fresh per (node, qualifier) use, numbered in
+  // creation order; resolved at the node's post-order step once its
+  // subtree's qualifier rows exist. qz_values[n] is local n's value.
+  constexpr Formula kUnbound = -1;
+  const VarId first_local = MakeLocalVar(0);
+  std::vector<Formula> qz_values;
+  auto new_local = [&] {
+    qz_values.push_back(kUnbound);
+    return MakeLocalVar(static_cast<uint32_t>(qz_values.size() - 1));
+  };
+  auto qz_binding = [&](VarId var) -> std::optional<Formula> {
+    if (KindOfVar(var) != VarKind::kLocal) return std::nullopt;
+    const Formula value = qz_values[var - first_local];
+    if (value == kUnbound) return std::nullopt;
+    return value;
+  };
+  // Pending qz resolutions, (qual_id, var), innermost node's on top.
+  std::vector<std::pair<int, VarId>> pending;
 
   // Traversal-scoped list of document-node qualifier placeholders (the
   // corner case of a self-filter right after a leading '//'). Lives on this
@@ -77,9 +177,9 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
   // threads cannot observe each other's entries.
   std::vector<std::pair<int, VarId>> doc_quals;
 
-  auto fresh_qual_var = [&](NodeId v, int qual_id) {
-    const VarId var = MakeLocalVar(local_counter++);
-    pending[v].emplace_back(qual_id, var);
+  auto fresh_qual_var = [&](int qual_id) {
+    const VarId var = new_local();
+    pending.emplace_back(qual_id, var);
     return arena->Var(var);
   };
 
@@ -90,14 +190,13 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
     if (sel[0].qual >= 0) {
       // Unknown until the root's post-order step: a local variable, bound
       // against the root element (the paper's convention for leading
-      // qualifiers).
-      root_qual = fresh_qual_var(tree.root(), sel[0].qual);
+      // qualifiers). It sits at the bottom of the pending stack.
+      root_qual = fresh_qual_var(sel[0].qual);
     }
     auto qual_at_doc = [&](int qual_id) {
-      // Resolved after the traversal via EvalQualAtDoc (bound on the root's
-      // pending list so substitution picks it up; axis handling differs from
-      // node-anchored qualifiers, so mark with the dedicated list below).
-      const VarId var = MakeLocalVar(local_counter++);
+      // Resolved after the traversal via EvalQualAtDoc (axis handling
+      // differs from node-anchored qualifiers, hence the dedicated list).
+      const VarId var = new_local();
       doc_quals.emplace_back(qual_id, var);
       return arena->Var(var);
     };
@@ -114,96 +213,98 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
   // ---- Combined DFS ----------------------------------------------------------
   struct Item {
     NodeId v;
+    uint32_t depth;    ///< pre-order: the node's depth in the fragment
+    uint32_t pending;  ///< pending-stack height below this node's locals
+    uint32_t rows;     ///< post-order: row-stack height below its children
     bool expanded;
   };
-  std::vector<Item> work = {{tree.root(), false}};
-  std::vector<std::vector<Formula>> stack;
-  stack.push_back(std::move(init));
+  std::vector<Item> work = {{tree.root(), 0, 0, 0, false}};
+  SelLevels levels(std::move(init));
+  std::vector<Formula> rows;
+  QualScratch<FormulaDomain> scratch;
+  // Pushes v's row, computed from its children's rows: the top ones, the
+  // first child's topmost.
+  auto push_row = [&](NodeId v) {
+    const size_t at = rows.size();
+    rows.resize(at + row_width);
+    Formula* own = rows.data() + at;
+    ComputeQualRowsAtNode(
+        tree, query, &domain, v, virtual_hook,
+        [own, ec](size_t k, NodeId) {
+          const Formula* row = own - (k + 1) * 2 * ec;
+          return std::make_pair(row, row + ec);
+        },
+        own, own + ec, &scratch);
+    return own;
+  };
 
   while (!work.empty()) {
-    Item item = work.back();
+    const Item item = work.back();
     work.pop_back();
     const NodeId v = item.v;
 
     if (item.expanded) {
-      // Post-order: qualifier rows, then resolve this node's qz variables.
-      ComputeQualRowsAtNode(tree, query, &domain, v, virtual_hook,
-                            &st.qual_vectors, &st.ops);
-      auto it = pending.find(v);
-      if (it != pending.end()) {
-        for (auto [qual_id, var] : it->second) {
-          qz_bindings.Bind(var, EvalQualAtNode(tree, query, &domain,
-                                               st.qual_vectors, v, qual_id));
-        }
+      // Post-order: this node's rows from its children's (the rows above
+      // item.rows), then resolve its qz locals.
+      const size_t children_end = rows.size();
+      const Formula* own = push_row(v);
+      for (size_t p = item.pending; p < pending.size(); ++p) {
+        qz_values[pending[p].second - first_local] = EvalQualFromRows(
+            query, &domain, scratch, own, own + ec, pending[p].first);
       }
-      if (tree.first_child(v) != kNullNode) stack.pop_back();
+      pending.resize(item.pending);
+      if (children_end > item.rows) {  // replace the children's rows
+        std::copy(own, own + row_width, rows.begin() + item.rows);
+        rows.resize(item.rows + row_width);
+      }
       continue;
     }
 
-    const std::vector<Formula>& parent_vec = stack.back();
-
     if (tree.IsVirtual(v)) {
-      st.virtual_tops.push_back(
-          SelUpMessage::VirtualTop{tree.fragment_ref(v), parent_vec});
-      // Virtual nodes still need their qualifier rows (variables).
-      ComputeQualRowsAtNode(tree, query, &domain, v, virtual_hook,
-                            &st.qual_vectors, &st.ops);
+      const Formula* parent_vec = levels.Parent(item.depth);
+      st.virtual_tops.push_back(SelUpMessage::VirtualTop{
+          tree.fragment_ref(v),
+          std::vector<Formula>(parent_vec, parent_vec + sel.size())});
+      push_row(v);  // virtual nodes still need their rows (variables)
       continue;
     }
 
     // Pre-order: selection vector with qz placeholders for qualifiers.
-    std::vector<Formula> vec(m, kFalseFormula);
-    for (size_t i = 1; i < m; ++i) {
-      const CompiledQuery::SelEntry& e = sel[i];
-      switch (e.kind) {
-        case SelKind::kLabel:
-        case SelKind::kWildcard: {
-          const bool term =
-              tree.IsElement(v) &&
-              (e.kind == SelKind::kWildcard || tree.label(v) == e.label);
-          Formula val = term ? parent_vec[i - 1] : kFalseFormula;
-          if (term && e.qual >= 0 && !domain.IsFalse(val)) {
-            val = domain.And(val, fresh_qual_var(v, e.qual));
-          }
-          vec[i] = val;
-          break;
-        }
-        case SelKind::kDescend:
-          vec[i] = domain.Or(vec[i - 1], parent_vec[i]);
-          break;
-        case SelKind::kSelfFilter: {
-          Formula val = vec[i - 1];
-          if (e.qual >= 0 && !domain.IsFalse(val)) {
-            val = domain.And(val, fresh_qual_var(v, e.qual));
-          }
-          vec[i] = val;
-          break;
-        }
-        case SelKind::kRoot:
-          PAXML_CHECK(false);
-          break;
-      }
-      ++st.ops;
-    }
-
+    Formula* vec = levels.Own(item.depth);
+    SelStep(tree, query, &domain, v, levels.Parent(item.depth), vec,
+            fresh_qual_var);
     if (!domain.IsFalse(vec[last])) st.finals.emplace_back(v, vec[last]);
 
-    work.push_back({v, true});
-    if (tree.first_child(v) != kNullNode) {
-      for (NodeId c : tree.children(v)) work.push_back({c, false});
-      stack.push_back(std::move(vec));
+    const auto height = static_cast<uint32_t>(pending.size());
+    work.push_back(
+        {v, 0, item.pending, static_cast<uint32_t>(rows.size()), true});
+    for (NodeId c : tree.children(v)) {
+      work.push_back({c, item.depth + 1, height, 0, false});
     }
   }
+
+  // The root's rows are all that is left on the row stack.
+  PAXML_CHECK_EQ(rows.size(), row_width);
+  st.root_qv.assign(rows.begin(), rows.begin() + ec);
+  st.root_qdv.assign(rows.begin() + ec, rows.begin() + row_width);
 
   // ---- Resolve document-node qualifiers (leading '//ε[q]' corner) ----------
   for (auto [qual_id, var] : doc_quals) {
-    qz_bindings.Bind(var, EvalQualAtDoc(query, &domain, st.qual_vectors,
-                                        tree.root(), qual_id));
+    qz_values[var - first_local] = EvalQualAtDoc(
+        query, &domain, st.root_qv.data(), st.root_qdv.data(), qual_id);
   }
 
   // ---- Substitute qz locals; classify finals --------------------------------
+  // Substitution cannot change a constant, and without locals (every
+  // qualifier-free query) it rebuilds the same hash-consed nodes; both
+  // cases skip it.
+  auto resolve = [&](Formula f) {
+    return qz_values.empty() || arena->IsConst(f)
+               ? f
+               : arena->Substitute(f, qz_binding);
+  };
   for (auto& [node, formula] : st.finals) {
-    formula = qz_bindings.Apply(arena, formula);
+    formula = resolve(formula);
     auto c = arena->ConstValue(formula);
     if (!c) {
       st.candidates.emplace_back(node, formula);
@@ -213,7 +314,7 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
   }
   st.finals.clear();
   for (auto& top : st.virtual_tops) {
-    for (Formula& f : top.stack_top) f = qz_bindings.Apply(arena, f);
+    for (Formula& f : top.stack_top) f = resolve(f);
   }
   return st;
 }
@@ -230,44 +331,21 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
 struct ConstSubtreeResult {
   std::vector<NodeId> answers;  ///< finals that folded to true, in order
   std::vector<SelUpMessage::VirtualTop> virtual_tops;
-  uint64_t ops = 0;
 };
 
-/// One node's pre-order selection vector from its parent's, constants
-/// only. The gate's invariant is enforced loudly: a non-constant value
-/// would mean the split produced different bytes than the serial pass.
-std::vector<Formula> ConstSelStep(const Tree& tree, const CompiledQuery& query,
-                                  FormulaDomain* domain, NodeId v,
-                                  const std::vector<Formula>& parent_vec,
-                                  uint64_t* ops) {
-  const auto& sel = query.selection();
-  const size_t m = sel.size();
-  std::vector<Formula> vec(m, kFalseFormula);
-  for (size_t i = 1; i < m; ++i) {
-    const CompiledQuery::SelEntry& e = sel[i];
-    switch (e.kind) {
-      case SelKind::kLabel:
-      case SelKind::kWildcard: {
-        const bool term =
-            tree.IsElement(v) &&
-            (e.kind == SelKind::kWildcard || tree.label(v) == e.label);
-        vec[i] = term ? parent_vec[i - 1] : kFalseFormula;
-        break;
-      }
-      case SelKind::kDescend:
-        vec[i] = domain->Or(vec[i - 1], parent_vec[i]);
-        break;
-      case SelKind::kSelfFilter:
-        vec[i] = vec[i - 1];
-        break;
-      case SelKind::kRoot:
-        PAXML_CHECK(false);
-        break;
-    }
-    ++*ops;
-  }
-  PAXML_CHECK(vec[m - 1] == kFalseFormula || vec[m - 1] == kTrueFormula);
-  return vec;
+/// SelStep under the split gate: no qualifier can apply, and the gate's
+/// invariant is enforced loudly — a non-constant value would mean the
+/// split produced different bytes than the serial pass.
+void ConstSelStep(const Tree& tree, const CompiledQuery& query,
+                  FormulaDomain* domain, NodeId v, const Formula* parent_vec,
+                  Formula* vec) {
+  SelStep(tree, query, domain, v, parent_vec, vec,
+          [](int) -> Formula {
+            PAXML_CHECK(false);  // the gate excludes qualifiers
+            return kFalseFormula;
+          });
+  const Formula final_value = vec[query.selection().size() - 1];
+  PAXML_CHECK(final_value == kFalseFormula || final_value == kTrueFormula);
 }
 
 void WalkConstSubtree(const Tree& tree, const CompiledQuery& query,
@@ -275,44 +353,35 @@ void WalkConstSubtree(const Tree& tree, const CompiledQuery& query,
                       ConstSubtreeResult* out) {
   FormulaArena arena;  // never interns: all values are kFalse/kTrue
   FormulaDomain domain(&arena);
-  const size_t last = query.selection().size() - 1;
+  const size_t m = query.selection().size();
 
+  // Pre-order only: with no qualifiers the post-order step is inert, and
+  // the flat stack needs no popping.
   struct Item {
     NodeId v;
-    bool expanded;
+    uint32_t depth;
   };
-  std::vector<Item> work = {{start, false}};
-  std::vector<std::vector<Formula>> stack;
-  stack.push_back(parent_init);
+  std::vector<Item> work = {{start, 0}};
+  SelLevels levels(parent_init);
 
   while (!work.empty()) {
-    Item item = work.back();
+    const Item item = work.back();
     work.pop_back();
     const NodeId v = item.v;
 
-    if (item.expanded) {
-      // Post-order is inert here: no qualifier entries, no qz locals.
-      if (tree.first_child(v) != kNullNode) stack.pop_back();
-      continue;
-    }
-
-    const std::vector<Formula>& parent_vec = stack.back();
-
     if (tree.IsVirtual(v)) {
-      out->virtual_tops.push_back(
-          SelUpMessage::VirtualTop{tree.fragment_ref(v), parent_vec});
+      const Formula* parent_vec = levels.Parent(item.depth);
+      out->virtual_tops.push_back(SelUpMessage::VirtualTop{
+          tree.fragment_ref(v),
+          std::vector<Formula>(parent_vec, parent_vec + m)});
       continue;
     }
 
-    std::vector<Formula> vec =
-        ConstSelStep(tree, query, &domain, v, parent_vec, &out->ops);
-    if (vec[last] == kTrueFormula) out->answers.push_back(v);
+    Formula* vec = levels.Own(item.depth);
+    ConstSelStep(tree, query, &domain, v, levels.Parent(item.depth), vec);
+    if (vec[m - 1] == kTrueFormula) out->answers.push_back(v);
 
-    work.push_back({v, true});
-    if (tree.first_child(v) != kNullNode) {
-      for (NodeId c : tree.children(v)) work.push_back({c, false});
-      stack.push_back(std::move(vec));
-    }
+    for (NodeId c : tree.children(v)) work.push_back({c, item.depth + 1});
   }
 }
 
@@ -451,17 +520,12 @@ class Pax2Program : public XmlMessageHandlers {
   /// serial handler and the split join, so the wire bytes cannot drift
   /// between the two paths.
   Status SendCombinedReply(SiteContext& ctx, FragmentId f) {
-    const Fragment& frag = doc_.fragment(f);
     Pax2FragmentState& st = *state_[static_cast<size_t>(f)];
 
     QualUpMessage qual_reply;
     qual_reply.fragment = f;
-    const size_t ec = query_.entries().size();
-    const NodeId root = frag.tree.root();
-    qual_reply.root_qv.assign(st.qual_vectors.QVRow(root),
-                              st.qual_vectors.QVRow(root) + ec);
-    qual_reply.root_qdv.assign(st.qual_vectors.QDVRow(root),
-                               st.qual_vectors.QDVRow(root) + ec);
+    qual_reply.root_qv = st.root_qv;
+    qual_reply.root_qdv = st.root_qdv;
     SelUpMessage sel_reply;
     sel_reply.fragment = f;
     sel_reply.virtual_tops = st.virtual_tops;
@@ -550,10 +614,10 @@ class Pax2SplitTask : public SplitTask {
       init = ConstStackInit(
           program->prune_.parent_vector[static_cast<size_t>(f)]);
     }
-    task->vec_root_ =
-        ConstSelStep(tree, query, &domain, root, init, &task->root_ops_);
-    task->root_answer_ =
-        task->vec_root_[query.selection().size() - 1] == kTrueFormula;
+    task->vec_root_.resize(init.size());
+    ConstSelStep(tree, query, &domain, root, init.data(),
+                 task->vec_root_.data());
+    task->root_answer_ = task->vec_root_.back() == kTrueFormula;
     return task;
   }
 
@@ -568,12 +632,8 @@ class Pax2SplitTask : public SplitTask {
   Status Finish(SiteContext& ctx) override {
     const Tree& tree = program_->doc_.fragment(f_).tree;
     auto st = std::make_unique<Pax2FragmentState>();
-    st->arena = std::make_unique<FormulaArena>();
-    const size_t ec = program_->query_.entries().size();  // 0 by the gate
-    st->qual_vectors.entry_count = ec;
-    st->qual_vectors.qv.assign(tree.size() * ec, kFalseFormula);
-    st->qual_vectors.qdv.assign(tree.size() * ec, kFalseFormula);
-    st->ops = root_ops_;
+    st->arena = std::make_unique<FormulaArena>();  // root rows empty: no
+                                                   // entries, by the gate
     if (root_answer_) st->answers.push_back(tree.root());
     for (ConstSubtreeResult& slot : slots_) {
       st->answers.insert(st->answers.end(), slot.answers.begin(),
@@ -582,7 +642,6 @@ class Pax2SplitTask : public SplitTask {
           st->virtual_tops.end(),
           std::make_move_iterator(slot.virtual_tops.begin()),
           std::make_move_iterator(slot.virtual_tops.end()));
-      st->ops += slot.ops;
     }
     return program_->CompleteSplit(ctx, f_, std::move(st));
   }
@@ -594,7 +653,6 @@ class Pax2SplitTask : public SplitTask {
   FragmentId f_ = kNullFragment;
   std::vector<Formula> vec_root_;  ///< constants: valid in every arena
   bool root_answer_ = false;
-  uint64_t root_ops_ = 0;
   std::vector<NodeId> items_;  ///< root children, serial traversal order
   std::vector<ConstSubtreeResult> slots_;  ///< one slot per item
 };

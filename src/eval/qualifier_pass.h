@@ -8,6 +8,15 @@
 // partial evaluation possible). Virtual nodes take their (QV, QDV) rows from
 // a hook — constants in a centralized run, fresh variables in a partial run.
 //
+// The per-node step, ComputeQualRowsAtNode, is the one place this work is
+// done. It reads the children's rows through a callback and writes the
+// node's rows to caller-given storage, so callers choose where rows live:
+// RunQualifierPass (PaX3, ParBoX, the centralized evaluator) keeps a full
+// |T| x |E| matrix, PaX2's combined pass (core/pax2.cc) a stack holding only
+// the rows of finished nodes whose parent is still open. The children
+// aggregates go to caller-owned QualScratch, reused from node to node, so
+// the step itself never allocates.
+//
 // Cost: O(|E| * |T|) domain operations, |E| = number of QVect entries.
 
 #ifndef PAXML_EVAL_QUALIFIER_PASS_H_
@@ -80,21 +89,86 @@ inline bool EntryTestMatches(const Tree& tree, NodeId v,
 
 }  // namespace eval_internal
 
+/// Caller-owned scratch of the per-node qualifier step: the children
+/// aggregates it computes before the node's own rows,
+///   qcv[e]  = OR_child QV_child(e)      (some child matches)
+///   qadv[e] = OR_child QDV_child(e)     (some proper descendant matches).
+/// One scratch reused across a traversal keeps the step allocation-free.
+template <typename D>
+struct QualScratch {
+  std::vector<typename D::Value> qcv;
+  std::vector<typename D::Value> qadv;
+};
+
+/// Evaluates qualifier expression `qual_id` at a node from its children
+/// aggregates (`agg`, filled by ComputeQualRowsAtNode) and its own rows.
+/// Atom lookups on the self/descendant-or-self axes read `qv_row` and
+/// `qdv_row`; ComputeQualRowsAtNode calls this while filling them, which is
+/// sound because an entry's qualifier only names entries with smaller
+/// indices (topological order), already final by then.
+template <typename D>
+typename D::Value EvalQualFromRows(const CompiledQuery& query, D* domain,
+                                   const QualScratch<D>& agg,
+                                   const typename D::Value* qv_row,
+                                   const typename D::Value* qdv_row,
+                                   int qual_id) {
+  const CompiledQuery::QualNode& n =
+      query.qual_nodes()[static_cast<size_t>(qual_id)];
+  switch (n.kind) {
+    case QualNodeKind::kTrue:
+      return domain->True();
+    case QualNodeKind::kAtom:
+      switch (n.axis) {
+        case Axis::kChild:
+          return agg.qcv[static_cast<size_t>(n.entry)];
+        case Axis::kProperDescendant:
+          return agg.qadv[static_cast<size_t>(n.entry)];
+        case Axis::kDescendantOrSelf:
+          return qdv_row[static_cast<size_t>(n.entry)];
+        case Axis::kSelf:
+          return qv_row[static_cast<size_t>(n.entry)];
+        case Axis::kNone:
+          break;
+      }
+      PAXML_CHECK(false);
+      return domain->False();
+    case QualNodeKind::kAnd:
+      return domain->And(
+          EvalQualFromRows(query, domain, agg, qv_row, qdv_row, n.left),
+          EvalQualFromRows(query, domain, agg, qv_row, qdv_row, n.right));
+    case QualNodeKind::kOr:
+      return domain->Or(
+          EvalQualFromRows(query, domain, agg, qv_row, qdv_row, n.left),
+          EvalQualFromRows(query, domain, agg, qv_row, qdv_row, n.right));
+    case QualNodeKind::kNot:
+      return domain->Not(
+          EvalQualFromRows(query, domain, agg, qv_row, qdv_row, n.left));
+  }
+  PAXML_CHECK(false);
+  return domain->False();
+}
+
 /// Computes the QV/QDV rows of a single node from its (already computed)
 /// children rows: the post-order step of the bottom-up pass, exposed so that
 /// PaX2 can interleave it with its pre-order selection computation.
-template <typename D>
+///
+/// `child_rows(k, c)` returns the (QV, QDV) row pointers of `c`, the k-th
+/// child of `v` in document order; RunQualifierPass reads them from its
+/// per-node matrix, PaX2 from its stack of finished rows. The node's rows
+/// are written to `qv_row` / `qdv_row` (entry_count values each), which
+/// must not alias a child's rows. `scratch` is sized here and holds the
+/// children aggregates on return (see QualScratch).
+template <typename D, typename ChildRows>
 void ComputeQualRowsAtNode(
     const Tree& tree, const CompiledQuery& query, D* domain, NodeId v,
     const VirtualQualHook<typename D::Value>& virtual_hook,
-    QualVectors<D>* vectors, uint64_t* counter = nullptr) {
+    const ChildRows& child_rows, typename D::Value* qv_row,
+    typename D::Value* qdv_row, QualScratch<D>* scratch,
+    uint64_t* counter = nullptr) {
   using Value = typename D::Value;
   const std::vector<CompiledQuery::Entry>& entries = query.entries();
   const size_t ec = entries.size();
   if (ec == 0) return;
-
-  Value* qv_row = vectors->QVRow(v);
-  Value* qdv_row = vectors->QDVRow(v);
 
   if (tree.IsVirtual(v)) {
     for (size_t e = 0; e < ec; ++e) {
@@ -102,60 +176,28 @@ void ComputeQualRowsAtNode(
         auto [qv, qdv] = virtual_hook(v, static_cast<int>(e));
         qv_row[e] = qv;
         qdv_row[e] = qdv;
+      } else {
+        qv_row[e] = domain->False();
+        qdv_row[e] = domain->False();
       }
       if (counter) ++*counter;
     }
     return;
   }
 
-  // Aggregates over children, shared by all entries of this node:
-  //   qcv[e]  = OR_child QV_child(e)      (some child matches)
-  //   qadv[e] = OR_child QDV_child(e)     (some proper descendant matches)
-  std::vector<Value> qcv(ec, domain->False());
-  std::vector<Value> qadv(ec, domain->False());
+  // Aggregates over children, shared by all entries of this node.
+  std::vector<Value>& qcv = scratch->qcv;
+  std::vector<Value>& qadv = scratch->qadv;
+  qcv.assign(ec, domain->False());
+  qadv.assign(ec, domain->False());
+  size_t k = 0;
   for (NodeId c : tree.children(v)) {
-    const Value* cqv = vectors->QVRow(c);
-    const Value* cqdv = vectors->QDVRow(c);
+    const auto [cqv, cqdv] = child_rows(k++, c);
     for (size_t e = 0; e < ec; ++e) {
       qcv[e] = domain->Or(qcv[e], cqv[e]);
       qadv[e] = domain->Or(qadv[e], cqdv[e]);
     }
   }
-
-  // Evaluates a qualifier expression at v. Atom lookups only touch entries
-  // with smaller indices (topological order), which are already final in
-  // qv_row/qdv_row for the self/descendant-or-self axes.
-  auto eval_qual = [&](int qual_id, auto&& self) -> Value {
-    const CompiledQuery::QualNode& n =
-        query.qual_nodes()[static_cast<size_t>(qual_id)];
-    switch (n.kind) {
-      case QualNodeKind::kTrue:
-        return domain->True();
-      case QualNodeKind::kAtom:
-        switch (n.axis) {
-          case Axis::kChild:
-            return qcv[static_cast<size_t>(n.entry)];
-          case Axis::kProperDescendant:
-            return qadv[static_cast<size_t>(n.entry)];
-          case Axis::kDescendantOrSelf:
-            return qdv_row[static_cast<size_t>(n.entry)];
-          case Axis::kSelf:
-            return qv_row[static_cast<size_t>(n.entry)];
-          case Axis::kNone:
-            break;
-        }
-        PAXML_CHECK(false);
-        return domain->False();
-      case QualNodeKind::kAnd:
-        return domain->And(self(n.left, self), self(n.right, self));
-      case QualNodeKind::kOr:
-        return domain->Or(self(n.left, self), self(n.right, self));
-      case QualNodeKind::kNot:
-        return domain->Not(self(n.left, self));
-    }
-    PAXML_CHECK(false);
-    return domain->False();
-  };
 
   for (size_t e = 0; e < ec; ++e) {
     const CompiledQuery::Entry& entry = entries[e];
@@ -163,7 +205,9 @@ void ComputeQualRowsAtNode(
         domain->FromBool(eval_internal::EntryTestMatches(tree, v, entry));
     if (!domain->IsFalse(value)) {
       if (entry.qual >= 0) {
-        value = domain->And(value, eval_qual(entry.qual, eval_qual));
+        value = domain->And(value, EvalQualFromRows(query, domain, *scratch,
+                                                    qv_row, qdv_row,
+                                                    entry.qual));
       }
       switch (entry.rest_axis) {
         case Axis::kNone:
@@ -207,6 +251,11 @@ QualVectors<D> RunQualifierPass(
   out.qdv.assign(tree.size() * ec, domain->False());
   if (tree.empty() || ec == 0) return out;
 
+  const auto child_rows = [&out](size_t, NodeId c) {
+    return std::make_pair(out.QVRow(c), out.QDVRow(c));
+  };
+  QualScratch<D> scratch;
+
   // Post-order traversal: children are fully processed before their parent.
   struct Item {
     NodeId v;
@@ -221,8 +270,9 @@ QualVectors<D> RunQualifierPass(
       for (NodeId c : tree.children(item.v)) stack.push_back({c, false});
       continue;
     }
-    ComputeQualRowsAtNode(tree, query, domain, item.v, virtual_hook, &out,
-                          counter);
+    ComputeQualRowsAtNode(tree, query, domain, item.v, virtual_hook,
+                          child_rows, out.QVRow(item.v), out.QDVRow(item.v),
+                          &scratch, counter);
   }
   return out;
 }
@@ -281,12 +331,13 @@ typename D::Value EvalQualAtNode(const Tree& tree, const CompiledQuery& query,
 }
 
 /// Evaluates qualifier expression `qual_id` at the *document node* whose only
-/// child is `root`. Child atoms look at the root element itself; descendant
-/// atoms at its descendant-or-self closure; self atoms are false (the
-/// document node is not a real node).
+/// child is the root, given the root's final rows. Child atoms look at the
+/// root element itself; descendant atoms at its descendant-or-self closure;
+/// self atoms are false (the document node is not a real node).
 template <typename D>
 typename D::Value EvalQualAtDoc(const CompiledQuery& query, D* domain,
-                                const QualVectors<D>& vectors, NodeId root,
+                                const typename D::Value* root_qv,
+                                const typename D::Value* root_qdv,
                                 int qual_id) {
   const CompiledQuery::QualNode& n = query.qual_nodes()[static_cast<size_t>(qual_id)];
   switch (n.kind) {
@@ -295,10 +346,10 @@ typename D::Value EvalQualAtDoc(const CompiledQuery& query, D* domain,
     case QualNodeKind::kAtom:
       switch (n.axis) {
         case Axis::kChild:
-          return vectors.QV(root, n.entry);
+          return root_qv[static_cast<size_t>(n.entry)];
         case Axis::kProperDescendant:
         case Axis::kDescendantOrSelf:
-          return vectors.QDV(root, n.entry);
+          return root_qdv[static_cast<size_t>(n.entry)];
         case Axis::kSelf:
           return domain->False();
         case Axis::kNone:
@@ -307,16 +358,28 @@ typename D::Value EvalQualAtDoc(const CompiledQuery& query, D* domain,
       PAXML_CHECK(false);
       return domain->False();
     case QualNodeKind::kAnd:
-      return domain->And(EvalQualAtDoc(query, domain, vectors, root, n.left),
-                         EvalQualAtDoc(query, domain, vectors, root, n.right));
+      return domain->And(
+          EvalQualAtDoc(query, domain, root_qv, root_qdv, n.left),
+          EvalQualAtDoc(query, domain, root_qv, root_qdv, n.right));
     case QualNodeKind::kOr:
-      return domain->Or(EvalQualAtDoc(query, domain, vectors, root, n.left),
-                        EvalQualAtDoc(query, domain, vectors, root, n.right));
+      return domain->Or(
+          EvalQualAtDoc(query, domain, root_qv, root_qdv, n.left),
+          EvalQualAtDoc(query, domain, root_qv, root_qdv, n.right));
     case QualNodeKind::kNot:
-      return domain->Not(EvalQualAtDoc(query, domain, vectors, root, n.left));
+      return domain->Not(
+          EvalQualAtDoc(query, domain, root_qv, root_qdv, n.left));
   }
   PAXML_CHECK(false);
   return domain->False();
+}
+
+/// EvalQualAtDoc over full vectors, `root` being the tree's root.
+template <typename D>
+typename D::Value EvalQualAtDoc(const CompiledQuery& query, D* domain,
+                                const QualVectors<D>& vectors, NodeId root,
+                                int qual_id) {
+  return EvalQualAtDoc(query, domain, vectors.QVRow(root),
+                       vectors.QDVRow(root), qual_id);
 }
 
 }  // namespace paxml

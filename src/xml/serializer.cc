@@ -91,16 +91,13 @@ size_t SerializedSize(const Tree& tree, NodeId node) {
   if (node == kNullNode) node = tree.root();
   size_t total = 0;
   // Iterative traversal; accounts for tags, attributes and escaped text.
-  struct Item {
-    NodeId id;
-  };
   std::vector<NodeId> stack = {node};
   while (!stack.empty()) {
     NodeId v = stack.back();
     stack.pop_back();
     switch (tree.kind(v)) {
       case NodeKind::kText:
-        total += XmlEscape(tree.text(v)).size();
+        total += XmlEscapedSize(tree.text(v));
         break;
       case NodeKind::kVirtual:
         // <paxml-virtual ref="N"/>
@@ -112,8 +109,8 @@ size_t SerializedSize(const Tree& tree, NodeId node) {
         const std::string& label = tree.LabelName(v);
         size_t attr_bytes = 0;
         for (const Attribute& a : tree.attributes(v)) {
-          attr_bytes +=
-              1 + tree.symbols()->Name(a.name).size() + 2 + XmlEscape(a.value).size() + 1;
+          attr_bytes += 1 + tree.symbols()->Name(a.name).size() + 2 +
+                        XmlEscapedSize(a.value) + 1;
         }
         if (tree.first_child(v) == kNullNode) {
           total += 1 + label.size() + attr_bytes + 2;  // <label/>

@@ -195,6 +195,10 @@ TEST(StringUtilTest, EqualsIgnoreCase) {
 TEST(StringUtilTest, XmlEscape) {
   EXPECT_EQ(XmlEscape("a<b>&'\"c"), "a&lt;b&gt;&amp;&apos;&quot;c");
   EXPECT_EQ(XmlEscape("plain"), "plain");
+  for (const char* s : {"", "plain", "&", "<", ">", "\"", "'",
+                        "a<b>&'\"c", "&&<<>>\"\"''"}) {
+    EXPECT_EQ(XmlEscapedSize(s), XmlEscape(s).size()) << s;
+  }
 }
 
 TEST(StringUtilTest, StringFormat) {

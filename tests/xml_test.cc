@@ -196,6 +196,25 @@ TEST(XmlSerializerTest, SerializedSizeMatchesDefaultOutput) {
   EXPECT_EQ(SerializedSize(t2), SerializeXml(t2).size());
 }
 
+TEST(XmlSerializerTest, SerializedSizeCountsEveryEscape) {
+  // All five escapable characters, in text and in attribute values, alone,
+  // repeated and mixed with plain characters; every subtree is measured.
+  TreeBuilder b;
+  b.Open("r").Attr("all", "&<>\"'").Attr("plain", "v");
+  b.Open("s").Attr("q", "\"\"x''").Text("a & b < c > d \"e\" 'f'");
+  b.Close();
+  b.LeafText("t", "&&&").LeafText("u", "<<>>").LeafText("w", "no escapes");
+  b.Open("x").Attr("amp", "&amp;").Leaf("y").Close();
+  b.Close();
+  Tree t = std::move(b).Finish();
+  EXPECT_EQ(SerializedSize(t), SerializeXml(t).size());
+  for (NodeId v = 0; v < static_cast<NodeId>(t.size()); ++v) {
+    if (t.IsText(v)) continue;  // not serializable standalone
+    EXPECT_EQ(SerializedSize(t, v), SerializeXml(t, v).size())
+        << t.LabelPath(v);
+  }
+}
+
 TEST(XmlSerializerTest, IndentedOutputReparses) {
   Tree t = testing::BuildClienteleTree();
   std::string pretty = SerializeXml(t, kNullNode, {.indent = true});
