@@ -10,6 +10,12 @@
 // compares the FNV-1a digest with the value the pass produced when the
 // digests were recorded. A digest mismatch means the shipped bytes changed;
 // if that is intended, the change must say so and re-record the values.
+//
+// The digests were recorded with GCC (12.2, x86-64). C++ leaves the order in
+// which a call's arguments are evaluated unspecified, and the passes build
+// And/Or operands as call arguments, so a compiler that picks the other
+// order interns formulas in another order and ships other (equally valid)
+// bytes; such a toolchain needs its own recorded values.
 
 #include <gtest/gtest.h>
 
