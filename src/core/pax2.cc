@@ -116,7 +116,30 @@ class SelLevels {
   std::vector<Formula> levels_;
 };
 
+/// True iff every entry of an `m`-entry selection vector is false. Every
+/// vector below such a node is then all false too (SelStep only carries or
+/// ORs its parent's entries, and conjoins a qualifier only onto a live
+/// value), so its subtree holds no final and creates no qz local.
+bool AllFalse(const Formula* vec, size_t m) {
+  return std::all_of(vec, vec + m,
+                     [](Formula f) { return f == kFalseFormula; });
+}
+
 /// The combined pre/post-order traversal (Procedure evalXPath of Fig. 5).
+///
+/// It skips the work whose result is already a constant:
+///  * with no QVect entries, a node whose selection vector is all false
+///    enters only the children with a virtual node below them
+///    (Tree::HasVirtualBelow), so each virtual top is still reported, all
+///    false and in order, and nothing else below it is visited;
+///  * a node gets a post-order step only when the query has QVect entries
+///    (it owes its parent a row) or the node created qz locals;
+///  * below a node with no virtual node under it every QV/QDV value, and
+///    every qz local resolved from them, is a constant, computed in
+///    ConstDomain rather than through the arena.
+/// None of these interns a formula: the arena folds constants without
+/// interning, so every handle is created in the same order as by the full
+/// walk, and the shipped bytes are the same.
 ///
 /// Working memory is three stacks, so the pass allocates nothing per node
 /// once they have reached their peak size:
@@ -221,20 +244,28 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
   std::vector<Item> work = {{tree.root(), 0, 0, 0, false}};
   SelLevels levels(std::move(init));
   std::vector<Formula> rows;
+  ConstDomain const_domain;
   QualScratch<FormulaDomain> scratch;
-  // Pushes v's row, computed from its children's rows: the top ones, the
-  // first child's topmost.
-  auto push_row = [&](NodeId v) {
+  QualScratch<ConstDomain> const_scratch;
+  // v's post-order step in domain `d`: pushes v's row, computed from its
+  // children's rows (the top ones, the first child's topmost), and
+  // resolves the qz locals above pending height `locals` from it.
+  auto finish_node = [&](auto* d, auto* d_scratch, NodeId v, size_t locals) {
     const size_t at = rows.size();
     rows.resize(at + row_width);
     Formula* own = rows.data() + at;
     ComputeQualRowsAtNode(
-        tree, query, &domain, v, virtual_hook,
+        tree, query, d, v, virtual_hook,
         [own, ec](size_t k, NodeId) {
           const Formula* row = own - (k + 1) * 2 * ec;
           return std::make_pair(row, row + ec);
         },
-        own, own + ec, &scratch);
+        own, own + ec, d_scratch);
+    for (size_t p = locals; p < pending.size(); ++p) {
+      qz_values[pending[p].second - first_local] = EvalQualFromRows(
+          query, d, *d_scratch, own, own + ec, pending[p].first);
+    }
+    pending.resize(locals);
     return own;
   };
 
@@ -247,12 +278,10 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
       // Post-order: this node's rows from its children's (the rows above
       // item.rows), then resolve its qz locals.
       const size_t children_end = rows.size();
-      const Formula* own = push_row(v);
-      for (size_t p = item.pending; p < pending.size(); ++p) {
-        qz_values[pending[p].second - first_local] = EvalQualFromRows(
-            query, &domain, scratch, own, own + ec, pending[p].first);
-      }
-      pending.resize(item.pending);
+      const Formula* own =
+          tree.HasVirtualBelow(v)
+              ? finish_node(&domain, &scratch, v, item.pending)
+              : finish_node(&const_domain, &const_scratch, v, item.pending);
       if (children_end > item.rows) {  // replace the children's rows
         std::copy(own, own + row_width, rows.begin() + item.rows);
         rows.resize(item.rows + row_width);
@@ -265,7 +294,8 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
       st.virtual_tops.push_back(SelUpMessage::VirtualTop{
           tree.fragment_ref(v),
           std::vector<Formula>(parent_vec, parent_vec + sel.size())});
-      push_row(v);  // virtual nodes still need their rows (variables)
+      // Virtual nodes still need their rows (variables).
+      finish_node(&domain, &scratch, v, pending.size());
       continue;
     }
 
@@ -276,9 +306,13 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
     if (!domain.IsFalse(vec[last])) st.finals.emplace_back(v, vec[last]);
 
     const auto height = static_cast<uint32_t>(pending.size());
-    work.push_back(
-        {v, 0, item.pending, static_cast<uint32_t>(rows.size()), true});
+    if (ec > 0 || height > item.pending) {
+      work.push_back(
+          {v, 0, item.pending, static_cast<uint32_t>(rows.size()), true});
+    }
+    const bool dead = ec == 0 && AllFalse(vec, sel.size());
     for (NodeId c : tree.children(v)) {
+      if (dead && !tree.HasVirtualBelow(c)) continue;
       work.push_back({c, item.depth + 1, height, 0, false});
     }
   }
@@ -381,7 +415,14 @@ void WalkConstSubtree(const Tree& tree, const CompiledQuery& query,
     ConstSelStep(tree, query, &domain, v, levels.Parent(item.depth), vec);
     if (vec[m - 1] == kTrueFormula) out->answers.push_back(v);
 
-    for (NodeId c : tree.children(v)) work.push_back({c, item.depth + 1});
+    // As in the combined pass: below an all-false vector only the virtual
+    // tops still report.
+    const bool dead = AllFalse(vec, m);
+    for (NodeId c : tree.children(v)) {
+      if (!dead || tree.HasVirtualBelow(c)) {
+        work.push_back({c, item.depth + 1});
+      }
+    }
   }
 }
 

@@ -15,7 +15,10 @@
 // |T| x |E| matrix, PaX2's combined pass (core/pax2.cc) a stack holding only
 // the rows of finished nodes whose parent is still open. The children
 // aggregates go to caller-owned QualScratch, reused from node to node, so
-// the step itself never allocates.
+// the step itself never allocates. The domain can change from node to node
+// when the values agree: PaX2 computes the rows of a subtree with no
+// virtual node in ConstDomain and the rest in FormulaDomain (both hold
+// Formula handles).
 //
 // Cost: O(|E| * |T|) domain operations, |E| = number of QVect entries.
 

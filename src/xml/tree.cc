@@ -64,6 +64,13 @@ NodeId Tree::AddVirtual(NodeId parent, FragmentId ref) {
   PAXML_CHECK_NE(parent, kNullNode);
   const NodeId id = NewNode(parent, NodeKind::kVirtual);
   nodes_[static_cast<size_t>(id)].fragment_ref = ref;
+  // Up to the first ancestor already marked: its own ancestors are too.
+  for (NodeId v = id; v != kNullNode;) {
+    Node& n = nodes_[static_cast<size_t>(v)];
+    if (n.virtual_below) break;
+    n.virtual_below = true;
+    v = n.parent;
+  }
   return id;
 }
 

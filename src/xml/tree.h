@@ -44,7 +44,7 @@ struct Attribute {
   std::string value;
 };
 
-/// POD node record. 40 bytes; members ordered to avoid padding waste.
+/// POD node record. 32 bytes; members ordered to avoid padding waste.
 struct Node {
   NodeId parent = kNullNode;
   NodeId first_child = kNullNode;
@@ -54,7 +54,11 @@ struct Node {
   int32_t text_index = -1;             ///< text pool index for text nodes
   FragmentId fragment_ref = kNullFragment;  ///< for virtual nodes
   NodeKind kind = NodeKind::kElement;
+  /// The node or one of its descendants is virtual. Kept by AddVirtual,
+  /// the only way a virtual node enters a tree.
+  bool virtual_below = false;
 };
+static_assert(sizeof(Node) == 32, "Node must stay 32 bytes");
 
 /// A rooted ordered tree of elements, text and virtual nodes.
 class Tree {
@@ -80,7 +84,8 @@ class Tree {
   /// Appends a new text node under `parent` (must not be kNullNode).
   NodeId AddText(NodeId parent, std::string_view text);
 
-  /// Appends a virtual node standing for fragment `ref` under `parent`.
+  /// Appends a virtual node standing for fragment `ref` under `parent`,
+  /// marking it and its ancestors HasVirtualBelow.
   NodeId AddVirtual(NodeId parent, FragmentId ref);
 
   /// Adds an attribute to element `node`.
@@ -100,6 +105,10 @@ class Tree {
   bool IsElement(NodeId id) const { return kind(id) == NodeKind::kElement; }
   bool IsText(NodeId id) const { return kind(id) == NodeKind::kText; }
   bool IsVirtual(NodeId id) const { return kind(id) == NodeKind::kVirtual; }
+
+  /// True iff `id` or one of its descendants is virtual: below a node
+  /// without it, partial evaluation has no unknowns.
+  bool HasVirtualBelow(NodeId id) const { return node(id).virtual_below; }
 
   NodeId parent(NodeId id) const { return node(id).parent; }
   NodeId first_child(NodeId id) const { return node(id).first_child; }

@@ -7,6 +7,7 @@
 #include "eval/centralized.h"
 #include "fragment/fragmenter.h"
 #include "test_util.h"
+#include "xmark/generator.h"
 
 namespace paxml {
 namespace {
@@ -283,6 +284,55 @@ TEST_P(DistributedPropertyTest, AllAlgorithmsMatchCentralized) {
             << GetParam().seed << " on " << query;
         EXPECT_LE(r->stats.max_visits(),
                   algo == DistributedAlgorithm::kPaX3 ? 3 : 2);
+      }
+    }
+  }
+}
+
+// `[.]` compiles to a constant-true qualifier with no QVect entry: PaX2's
+// combined pass creates qz locals for it but builds no qualifier row, so
+// such a query depends on the post-order step that resolves the locals. The
+// battery has no such qualifier, so these queries run here, over an
+// XMark-shaped document and over the battery's random trees.
+TEST_P(DistributedPropertyTest, EntrylessQualifiersMatchCentralized) {
+  Rng rng(GetParam().seed);
+  XMarkOptions xopts;
+  xopts.seed = GetParam().seed;
+  const Tree xmark = GenerateUniformSitesTree(30000, 2, xopts);
+  const Tree random = RandomTree(&rng, 60 + rng.NextBounded(240));
+  const struct {
+    const Tree* tree;
+    std::vector<std::string> queries;
+  } cases[] = {
+      {&xmark,
+       {"//item[.]/name", "/sites/site/people/person[.]/name",
+        "/sites/site/regions/*/item[.]"}},
+      {&random, {"//a[.]/b", "root/a[.]/b", "root/*/a[.]", "//.[.]/c"}},
+  };
+  for (const auto& c : cases) {
+    auto doc_r = FragmentRandomly(*c.tree, 1 + rng.NextBounded(9), &rng);
+    ASSERT_TRUE(doc_r.ok());
+    auto doc =
+        std::make_shared<FragmentedDocument>(std::move(doc_r).ValueOrDie());
+    Cluster cluster(doc, 1 + rng.NextBounded(5));
+    cluster.PlaceRootAndSpread();
+    for (const std::string& query : c.queries) {
+      auto compiled = CompileXPath(query, c.tree->symbols());
+      ASSERT_TRUE(compiled.ok()) << query;
+      ASSERT_TRUE(compiled->has_qualifiers()) << query;
+      ASSERT_TRUE(compiled->entries().empty()) << query;
+      const auto centralized = EvaluateCentralized(*c.tree, *compiled);
+      if (c.tree == &xmark) {
+        EXPECT_FALSE(centralized.answers.empty()) << query;
+      }
+      for (bool xa : {false, true}) {
+        PaxOptions options;
+        options.use_annotations = xa;
+        auto r = EvaluatePaX2(cluster, *compiled, options);
+        ASSERT_TRUE(r.ok()) << query << ": " << r.status();
+        EXPECT_EQ(r->ToSourceIds(*doc), centralized.answers)
+            << (xa ? "PaX2-XA" : "PaX2-NA") << " seed " << GetParam().seed
+            << " on " << query;
       }
     }
   }

@@ -108,6 +108,14 @@ std::vector<std::string> Ft2Mix() {
           "/sites/site/people/person/address/country"};
 }
 
+/// Qualifiers with no QVect entry: `[.]` compiles to a constant-true
+/// qualifier, so the pass creates qz locals and resolves them without a
+/// single qualifier row.
+std::vector<std::string> Ft2EntrylessQualifiers() {
+  return {"//item[.]/name", "/sites/site/people/person[.]/name",
+          "/sites/site/regions/*/item[.]"};
+}
+
 /// The property battery plus leading qualifiers on selecting queries (the
 /// battery's `.[q]` queries are Boolean and go to ParBoX).
 std::vector<std::string> BatteryWithLeadingQualifiers() {
@@ -124,6 +132,16 @@ TEST(Pax2WireDigestTest, Ft2MixMatchesRecordedDigest) {
             0x8bdac4ea24ccf56fULL);
   EXPECT_EQ(DigestOf(*w.cluster, Ft2Mix(), /*annotations=*/true),
             0x34498022d89c242eULL);
+}
+
+TEST(Pax2WireDigestTest, EntrylessQualifiersMatchRecordedDigest) {
+  bench::Workload w = bench::MakeFT2Paper(0.05);
+  EXPECT_EQ(DigestOf(*w.cluster, Ft2EntrylessQualifiers(),
+                     /*annotations=*/false),
+            0x5360eea6d66c74b2ULL);
+  EXPECT_EQ(DigestOf(*w.cluster, Ft2EntrylessQualifiers(),
+                     /*annotations=*/true),
+            0x7fc9453207c70a46ULL);
 }
 
 TEST(Pax2WireDigestTest, QueryBatteryMatchesRecordedDigests) {

@@ -167,6 +167,45 @@ TEST(SplitDeliveryTest, OneFragmentPerSiteSplitsAndMatchesSerial) {
   EXPECT_GT(split_pool_tasks, 0u);
 }
 
+// A splitting fragment whose answers sit under one root child while a
+// sibling's subtree is dead for the query yet holds a virtual node. The
+// walk skips the dead subtree except the path to that virtual node, whose
+// top (all false) must still ship, in order, exactly as the serial pass
+// ships it. Random fragmentations rarely produce this shape on a fragment
+// that annotations keep in the round, so it is built by hand.
+TEST(SplitDeliveryTest, DeadSubtreeStillReportsItsVirtualTop) {
+  Tree tree;
+  const NodeId root = tree.AddElement(kNullNode, "root");
+  const NodeId x = tree.AddElement(root, "x");
+  tree.AddElement(root, "y");
+  for (int i = 0; i < 3; ++i) tree.AddElement(tree.AddElement(x, "a"), "b");
+  const NodeId d = tree.AddElement(tree.AddElement(x, "c"), "d");
+  const NodeId e = tree.AddElement(d, "e");
+  tree.AddElement(tree.AddElement(e, "a"), "b");
+  tree.AddElement(x, "a");
+  auto doc_r = FragmentByCuts(tree, {x, e});
+  ASSERT_TRUE(doc_r.ok());
+  auto doc = std::make_shared<FragmentedDocument>(std::move(doc_r).ValueOrDie());
+  Cluster cluster(doc, 3);
+  cluster.PlaceRootAndSpread();
+
+  uint64_t split_pool_tasks = 0;
+  for (const std::string& query :
+       {std::string("root/x/a/b"), std::string("root/x/a")}) {
+    auto serial = EvaluateDistributed(
+        cluster, query, Options(DistributedAlgorithm::kPaX2, true, 1, 0));
+    auto split = EvaluateDistributed(
+        cluster, query, Options(DistributedAlgorithm::kPaX2, true, 4, 1));
+    ASSERT_TRUE(serial.ok()) << query << ": " << serial.status();
+    ASSERT_TRUE(split.ok()) << query << ": " << split.status();
+    EXPECT_FALSE(serial->answers.empty()) << query;
+    EXPECT_EQ(split->answers, serial->answers) << query;
+    ExpectStatsEqual(split->stats, serial->stats, query);
+    split_pool_tasks += split->stats.pool_tasks;
+  }
+  EXPECT_GT(split_pool_tasks, 0u);
+}
+
 // ---- Fast-path pins ---------------------------------------------------------
 
 // site_threads == 1 with the threshold set: there is no pool, so the split

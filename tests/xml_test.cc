@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+#include <vector>
+
+#include "fragment/storage.h"
+#include "harness.h"
 #include "test_util.h"
 #include "xml/builder.h"
 #include "xml/parser.h"
@@ -75,6 +81,83 @@ TEST(TreeTest, VirtualNodes) {
   EXPECT_TRUE(t.IsVirtual(virtuals[0]));
   EXPECT_EQ(t.fragment_ref(virtuals[0]), 7);
   EXPECT_TRUE(t.Validate().ok());
+}
+
+// ---- Virtual-below bit ------------------------------------------------------
+
+/// Checks HasVirtualBelow against a brute-force recomputation: every
+/// ancestor-or-self of every virtual node, walked up to the root, and no
+/// other node.
+void ExpectVirtualBelowExact(const Tree& t, const std::string& what) {
+  std::vector<bool> expected(t.size(), false);
+  for (NodeId v : t.VirtualNodes()) {
+    for (NodeId a = v; a != kNullNode; a = t.parent(a)) {
+      expected[static_cast<size_t>(a)] = true;
+    }
+  }
+  for (NodeId v = 0; v < static_cast<NodeId>(t.size()); ++v) {
+    ASSERT_EQ(t.HasVirtualBelow(v), expected[static_cast<size_t>(v)])
+        << what << ", node " << v;
+  }
+}
+
+TEST(TreeTest, VirtualBelowMarksVirtualNodesAndTheirAncestors) {
+  TreeBuilder b;
+  b.Open("root").Open("a").Open("b").Virtual(1).Close();
+  b.Open("c").Virtual(2).Virtual(3).Close().Close();
+  b.Open("d").LeafText("x", "1").Close().Close();
+  Tree t = std::move(b).Finish();
+  ExpectVirtualBelowExact(t, "built");
+  EXPECT_TRUE(t.HasVirtualBelow(t.root()));
+  const NodeId d = t.node(t.root()).last_child;
+  EXPECT_FALSE(t.HasVirtualBelow(d));
+  ExpectVirtualBelowExact(t.Clone(), "clone");
+
+  auto parsed = ParseXml(SerializeXml(t));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ASSERT_EQ(parsed->VirtualNodes().size(), 3u);
+  ExpectVirtualBelowExact(*parsed, "parsed");
+
+  auto plain = ParseXml("<a><b><c/></b>text</a>");
+  ASSERT_TRUE(plain.ok());
+  ExpectVirtualBelowExact(*plain, "virtual-free");
+  EXPECT_FALSE(plain->HasVirtualBelow(plain->root()));
+}
+
+TEST(TreeTest, VirtualBelowOnFt2FragmentsAndAfterStorage) {
+  bench::Workload w = bench::MakeFT2Paper(0.05);
+  const FragmentedDocument& doc = *w.doc;
+  size_t marked = 0;
+  for (size_t f = 0; f < doc.size(); ++f) {
+    const Tree& t = doc.fragment(static_cast<FragmentId>(f)).tree;
+    ExpectVirtualBelowExact(t, "FT2 fragment " + std::to_string(f));
+    ExpectVirtualBelowExact(t.Clone(), "clone of FT2 fragment " +
+                                           std::to_string(f));
+    for (NodeId v = 0; v < static_cast<NodeId>(t.size()); ++v) {
+      marked += t.HasVirtualBelow(v);
+    }
+  }
+  // One virtual node per non-root fragment, plus at least one ancestor.
+  EXPECT_GT(marked, doc.size() - 1);
+
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("paxml_xml_test_" +
+       std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  fs::remove_all(dir);
+  ASSERT_TRUE(SaveDocument(doc, dir.string()).ok());
+  auto loaded = LoadDocument(dir.string(), doc.symbols());
+  fs::remove_all(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(loaded->size(), doc.size());
+  for (size_t f = 0; f < loaded->size(); ++f) {
+    const Tree& t = loaded->fragment(static_cast<FragmentId>(f)).tree;
+    EXPECT_EQ(t.VirtualNodes().size(),
+              doc.fragment(static_cast<FragmentId>(f)).tree.VirtualNodes()
+                  .size());
+    ExpectVirtualBelowExact(t, "loaded FT2 fragment " + std::to_string(f));
+  }
 }
 
 TEST(TreeTest, SubtreeAndLabelPath) {
