@@ -152,37 +152,30 @@ struct ReachRow : ReachEntryRow {
   NodeId vertex = kNullNode;  ///< global id; the row's boolean variable
 };
 
-/// A run of consecutive rows of one kReachUp payload, detached from the
-/// report stream.
+/// One fragment's kReachUp rows, encoded.
 struct EncodedReachRows {
   std::string bytes;
   uint64_t logical = 0;  ///< what the absolute id coding would cost
 };
 
-/// The rows of entries[begin, end), evaluated by the kernel one batch at a
-/// time and encoded as they appear in the payload: in entry order
-/// (ascending global id), deps sorted — canonical bytes, so remote peers
-/// reproduce the in-process wire exactly. Ids are delta+varint coded (vertices across rows, deps within a
-/// row); `logical` tracks what the absolute coding would cost, which is
-/// what the paper-model counters keep pricing. The first row's vertex
-/// delta is against entries[begin - 1], known up front, so consecutive
-/// ranges concatenate into the whole payload byte for byte.
+/// The rows of `entries`, evaluated by the kernel one batch at a time and
+/// encoded as they appear in the payload: in entry order (ascending global
+/// id), deps sorted — canonical bytes, so remote peers reproduce the
+/// in-process wire exactly. Ids are delta+varint coded (vertices across
+/// rows, deps within a row); `logical` tracks what the absolute coding
+/// would cost, which is what the paper-model counters keep pricing.
 EncodedReachRows EncodeReachRows(const GraphFragment& frag,
                                  std::span<const int32_t> entries,
-                                 size_t begin, size_t end,
                                  int32_t local_target) {
-  auto global = [&](size_t i) {
-    return static_cast<uint64_t>(
-        frag.vertices[static_cast<size_t>(entries[i])]);
-  };
   ByteWriter writer;
   EncodedReachRows out;
-  uint64_t prev_vertex = begin == 0 ? 0 : global(begin - 1);
-  ForEachBatch(frag, entries.subspan(begin, end - begin), local_target,
+  uint64_t prev_vertex = 0;
+  ForEachBatch(frag, entries, local_target,
                [&](size_t offset, std::span<ReachEntryRow> rows) {
     for (size_t r = 0; r < rows.size(); ++r) {
       const ReachEntryRow& row = rows[r];
-      const uint64_t vertex = global(begin + offset + r);
+      const uint64_t vertex = static_cast<uint64_t>(
+          frag.vertices[static_cast<size_t>(entries[offset + r])]);
       writer.PutVarint(vertex - prev_vertex);  // wraps, as DeltaIdEncoder does
       prev_vertex = vertex;
       writer.PutU8(row.direct ? 1 : 0);
@@ -198,60 +191,6 @@ EncodedReachRows EncodeReachRows(const GraphFragment& frag,
   out.bytes = std::move(writer).Take();
   return out;
 }
-
-/// Ships fragment f's one kReachUp: the row count, then the row runs.
-void SendReachUp(SiteContext& ctx, FragmentId f, size_t row_count,
-                 std::span<const EncodedReachRows> runs) {
-  ByteWriter writer;
-  writer.PutVarint(row_count);
-  uint64_t logical = VarintSize(row_count);
-  for (const EncodedReachRows& run : runs) {
-    writer.PutBytes(run.bytes.data(), run.bytes.size());
-    logical += run.logical;
-  }
-  Envelope env;
-  env.to = ctx.query_site();
-  env.parts.push_back(
-      {MessageKind::kReachUp, f, std::move(writer).Take(), true, logical});
-  ctx.Send(std::move(env));
-}
-
-/// The split form of one fragment's kReachRequest: each item is one
-/// 64-entry batch, traversed and encoded into a private slot; Finish
-/// concatenates the slots into the one kReachUp the serial handler would
-/// have shipped.
-class ReachSplitTask : public SplitTask {
- public:
-  ReachSplitTask(const GraphFragment* frag, FragmentId f,
-                 std::vector<int32_t> entries, int32_t local_target)
-      : frag_(frag),
-        f_(f),
-        entries_(std::move(entries)),
-        local_target_(local_target),
-        runs_(item_count()) {}
-
-  size_t item_count() const override {
-    return (entries_.size() + kReachBatchEntries - 1) / kReachBatchEntries;
-  }
-
-  void RunItem(size_t item) override {
-    const size_t begin = item * kReachBatchEntries;
-    const size_t end = std::min(begin + kReachBatchEntries, entries_.size());
-    runs_[item] = EncodeReachRows(*frag_, entries_, begin, end, local_target_);
-  }
-
-  Status Finish(SiteContext& ctx) override {
-    SendReachUp(ctx, f_, entries_.size(), runs_);
-    return Status::OK();
-  }
-
- private:
-  const GraphFragment* frag_;
-  const FragmentId f_;
-  const std::vector<int32_t> entries_;
-  const int32_t local_target_;
-  std::vector<EncodedReachRows> runs_;  ///< one slot per item
-};
 
 /// Reachability as runtime handlers. Site side (kReachRequest) is
 /// stateless — it reads the const store and query only, so per-fragment
@@ -281,21 +220,6 @@ class ReachProgram : public MessageHandlers {
     }
   }
 
-  std::unique_ptr<SplitTask> MakeSplitTask(const Envelope&,
-                                           const WirePart& part) override {
-    if (part.kind != MessageKind::kReachRequest) return nullptr;
-    const FragmentId f = part.fragment;
-    if (f < 0 || static_cast<size_t>(f) >= store_->fragment_count()) {
-      return nullptr;
-    }
-    std::vector<int32_t> entries = ReachEntryVertices(*store_, query_, f);
-    // One batch is one traversal already: nothing to fan out.
-    if (entries.size() <= kReachBatchEntries) return nullptr;
-    return std::make_unique<ReachSplitTask>(
-        &store_->fragment(f), f, std::move(entries),
-        ReachLocalTarget(*store_, query_, f));
-  }
-
   bool AllReported() const {
     return std::all_of(reported_.begin(), reported_.end(),
                        [](bool b) { return b; });
@@ -319,10 +243,17 @@ class ReachProgram : public MessageHandlers {
 
 Status ReachProgram::OnReachRequest(SiteContext& ctx, FragmentId f) {
   const std::vector<int32_t> entries = ReachEntryVertices(*store_, query_, f);
-  const EncodedReachRows rows =
-      EncodeReachRows(store_->fragment(f), entries, 0, entries.size(),
-                      ReachLocalTarget(*store_, query_, f));
-  SendReachUp(ctx, f, entries.size(), {&rows, 1});
+  const EncodedReachRows rows = EncodeReachRows(
+      store_->fragment(f), entries, ReachLocalTarget(*store_, query_, f));
+  // The one kReachUp: the row count, then the rows.
+  ByteWriter writer;
+  writer.PutVarint(entries.size());
+  writer.PutBytes(rows.bytes.data(), rows.bytes.size());
+  Envelope env;
+  env.to = ctx.query_site();
+  env.parts.push_back({MessageKind::kReachUp, f, std::move(writer).Take(),
+                       true, VarintSize(entries.size()) + rows.logical});
+  ctx.Send(std::move(env));
   return Status::OK();
 }
 

@@ -60,9 +60,7 @@ struct ReachEntryRow {
   std::vector<NodeId> deps;  ///< sorted, deduped heads of crossed cut edges
 };
 
-/// Entries settled by one traversal: one bit of a uint64_t word each. It is
-/// also the size of a split item, so a fragment with at most this many
-/// entries never splits.
+/// Entries settled by one traversal: one bit of a uint64_t word each.
 inline constexpr size_t kReachBatchEntries = 64;
 
 /// The site-side kernel (MS-BFS): the rows of `entries` (local indices of

@@ -23,7 +23,7 @@ Coordinator::Coordinator(const Cluster* cluster, Transport* transport,
   // pooled backend's per-site round tasks (nesting one pool's RunAll inside
   // its own workers would deadlock; WorkerPool checks for it).
   const size_t site_threads = transport->options().site_threads;
-  // A fragment memo on the transport turns on the memoized delivery path:
+  // A fragment memo on the transport gives the driver a memo session:
   // the session pins this run's (fingerprint, epoch) so entries recorded
   // under other queries or older data are never replayed into it. Needs a
   // spec — an anonymous run has no fingerprint to share under.
@@ -115,7 +115,7 @@ Status Coordinator::RunRound(const std::string& label,
   stats_.memo_saved_seconds += saved.saved_seconds;
 
   // Likewise pool saturation: local fan-out drains here, a remote peer's
-  // arrives through its RoundDone record (wire protocol v6).
+  // arrives through its RoundDone record.
   const PoolStats pool = driver_->TakePoolStats();
   stats_.pool_tasks += pool.tasks;
   stats_.pool_busy_peak = std::max(stats_.pool_busy_peak, pool.busy_peak);

@@ -3,10 +3,10 @@
 #include <time.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -104,20 +104,37 @@ double ThreadCpuSeconds() {
          static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-/// CPU time of `fn` on the calling thread, added to *seconds when it is
-/// non-null. CPU (not wall) everywhere keeps the serial and parallel
-/// measurements comparable: on a host where concurrent site deliveries
-/// interleave on few cores, wall time would charge a site for time it
-/// spent descheduled.
-Status Timed(double* seconds, const std::function<Status()>& fn) {
-  if (seconds == nullptr) return fn();
+/// CPU time of `fn` on the calling thread, added to *seconds. CPU (not
+/// wall) everywhere keeps the serial and parallel measurements comparable:
+/// on a host where concurrent site deliveries interleave on few cores,
+/// wall time would charge a site for time it spent descheduled.
+template <typename Fn>
+Status Timed(double* seconds, Fn&& fn) {
   const double start = ThreadCpuSeconds();
   Status status = fn();
   *seconds += ThreadCpuSeconds() - start;
   return status;
 }
 
+/// Dispatches the first `count` parts of `env` into `handlers`, in order.
+Status DispatchParts(MessageHandlers* handlers, SiteContext& ctx,
+                     const Envelope& env, size_t count) {
+  for (size_t p = 0; p < count; ++p) {
+    PAXML_RETURN_NOT_OK(handlers->OnPart(ctx, env, env.parts[p]));
+  }
+  return Status::OK();
+}
+
 }  // namespace
+
+/// One lane segment in delivery: its mail and, indexed like the mail, each
+/// envelope's status and the sends to replay for it. Each slot is written
+/// by exactly one task.
+struct SiteDriver::Segment {
+  std::vector<Envelope>* mail;
+  std::vector<Status> statuses;
+  std::vector<std::vector<Envelope>> sends;
+};
 
 SiteDriver::SiteDriver(const Cluster* cluster, Transport* transport, RunId run,
                        MessageHandlers* handlers,
@@ -142,25 +159,23 @@ Status SiteDriver::Deliver(SiteId site, std::vector<Envelope> mail) {
   return sites_[static_cast<size_t>(site)].Deliver(std::move(mail));
 }
 
-Status SiteDriver::DeliverParallel(SiteId site, std::vector<Envelope> mail) {
-  return DeliverParallelImpl(site, std::move(mail), nullptr);
-}
-
-Status SiteDriver::DeliverParallelImpl(SiteId site, std::vector<Envelope> mail,
-                                       double* seconds) {
+Status SiteDriver::DeliverTimed(SiteId site, std::vector<Envelope> mail,
+                                double* seconds) {
   PAXML_CHECK_LT(static_cast<size_t>(site), sites_.size());
-  if (memo_ != nullptr) return DeliverMemoized(site, std::move(mail), seconds);
-  // A single envelope is still worth walking when splitting is on — the
+  *seconds = 0;
+  // The serial fast path: no memo to consult and nothing to fan out. A
+  // single envelope is still worth walking when splitting is on — the
   // one-hot-fragment round is exactly one big request envelope.
+  const bool fan_out = pool_ != nullptr && site_threads_ > 1;
   const size_t min_mail =
       transport_->options().split_threshold_pct > 0 ? 1 : 2;
-  if (!parallel_enabled() || mail.size() < min_mail) {
+  if (memo_ == nullptr && (!fan_out || mail.size() < min_mail)) {
     return Timed(seconds, [&] {
       return sites_[static_cast<size_t>(site)].Deliver(std::move(mail));
     });
   }
-  // Walk the mail in order: maximal runs of lane-keyed envelopes fan out
-  // as parallel segments; barriers split them and run serially in place.
+  // Walk the mail in order: maximal runs of lane-keyed envelopes are
+  // segments; barriers split them and run serially in place.
   size_t i = 0;
   while (i < mail.size()) {
     if (EnvelopeLane(mail[i]) == kNullFragment) {
@@ -176,42 +191,45 @@ Status SiteDriver::DeliverParallelImpl(SiteId site, std::vector<Envelope> mail,
     while (j < mail.size() && EnvelopeLane(mail[j]) != kNullFragment) ++j;
     std::vector<Envelope> segment(std::make_move_iterator(mail.begin() + i),
                                   std::make_move_iterator(mail.begin() + j));
-    PAXML_RETURN_NOT_OK(DeliverSegmentParallel(site, &segment, seconds));
+    PAXML_RETURN_NOT_OK(DeliverSegment(site, &segment, seconds));
     i = j;
   }
   return Status::OK();
 }
 
-Status SiteDriver::DeliverSegmentParallel(SiteId site,
-                                          std::vector<Envelope>* segment,
-                                          double* seconds) {
-  const size_t n = segment->size();
-  // Group the segment's envelope indices by lane, lanes in order of first
-  // appearance (deterministic, so the lane -> task assignment is too).
-  std::map<FragmentId, size_t> lane_of;
+Status SiteDriver::DeliverSegment(SiteId site, std::vector<Envelope>* mail,
+                                  double* seconds) {
+  const size_t n = mail->size();
+  // Group the envelope indices by lane, lanes in order of first appearance
+  // (deterministic, so the lane -> task assignment is too). Only a segment
+  // that may fan out needs the lanes.
   std::vector<std::vector<size_t>> lanes;
-  for (size_t k = 0; k < n; ++k) {
-    auto [it, inserted] = lane_of.emplace(EnvelopeLane((*segment)[k]),
-                                          lanes.size());
-    if (inserted) lanes.emplace_back();
-    lanes[it->second].push_back(k);
+  if (pool_ != nullptr && site_threads_ > 1) {
+    std::map<FragmentId, size_t> lane_of;
+    for (size_t k = 0; k < n; ++k) {
+      auto [it, inserted] = lane_of.emplace(EnvelopeLane((*mail)[k]),
+                                            lanes.size());
+      if (inserted) lanes.emplace_back();
+      lanes[it->second].push_back(k);
+    }
   }
 
   // Split heuristic (DESIGN.md §14): the largest lane by byte weight
   // splits when it carries at least split_threshold_pct of the segment,
   // holds a single envelope, and the algorithm can actually split its
   // request (MakeSplitTask non-null with >= 2 items). Building the task is
-  // the visitor pass — serial work, measured as such.
+  // the visitor pass — serial work, measured as such. A memo entry is one
+  // whole lane delivery, so a run with a memo session never splits.
   std::unique_ptr<SplitTask> split;
   size_t hot_index = n;
   const uint64_t split_pct = transport_->options().split_threshold_pct;
-  if (split_pct > 0) {
+  if (memo_ == nullptr && split_pct > 0 && !lanes.empty()) {
     std::vector<uint64_t> weight(lanes.size(), 0);
     uint64_t total = 0;
     for (size_t l = 0; l < lanes.size(); ++l) {
       for (size_t k : lanes[l]) {
         // +64 per envelope keeps tiny request lanes comparable by count.
-        weight[l] += (*segment)[k].WireBytes() + 64;
+        weight[l] += (*mail)[k].WireBytes() + 64;
       }
       total += weight[l];
     }
@@ -219,7 +237,7 @@ Status SiteDriver::DeliverSegmentParallel(SiteId site,
         std::max_element(weight.begin(), weight.end()) - weight.begin());
     if (weight[hot] * 100 >= split_pct * total && lanes[hot].size() == 1) {
       const size_t k = lanes[hot][0];
-      const Envelope& env = (*segment)[k];
+      const Envelope& env = (*mail)[k];
       (void)Timed(seconds, [&] {
         if (!env.parts.empty()) {
           split = handlers_->MakeSplitTask(env, env.parts.back());
@@ -230,109 +248,103 @@ Status SiteDriver::DeliverSegmentParallel(SiteId site,
         hot_index = k;
         lanes.erase(lanes.begin() + static_cast<ptrdiff_t>(hot));
       } else {
-        split.reset();  // the serial lane path evaluates it like any other
+        split.reset();  // the lane path evaluates it like any other
       }
     }
   }
 
-  if (split == nullptr && lanes.size() < 2) {
-    // One fragment, nothing to split: the serial fast path (no capture).
+  if (memo_ == nullptr && split == nullptr && lanes.size() < 2) {
+    // One fragment, no memo, nothing to split: the serial walk straight
+    // into the real plane (no capture, no replay).
     return Timed(seconds, [&] {
-      return sites_[static_cast<size_t>(site)].Deliver(std::move(*segment));
+      return sites_[static_cast<size_t>(site)].Deliver(std::move(*mail));
     });
   }
-  if (split != nullptr && lanes.empty()) {
-    // The split lane IS the segment (a single envelope): there is no
-    // interleaving to reproduce, so bypass the capture plane entirely.
-    return DeliverSplitDirect(site, std::move((*segment)[hot_index]),
-                              std::move(split), seconds);
+
+  // The lane tasks: lanes merged round-robin to at most site_threads;
+  // sorting each task's indices restores mail order, so same-lane
+  // envelopes still mutate their fragment's state in serial order. A
+  // segment that was not grouped (no fan-out) is one task.
+  std::vector<std::vector<size_t>> assignment;
+  if (!lanes.empty()) {
+    assignment.resize(std::min(site_threads_, lanes.size()));
+    for (size_t l = 0; l < lanes.size(); ++l) {
+      auto& dst = assignment[l % assignment.size()];
+      dst.insert(dst.end(), lanes[l].begin(), lanes[l].end());
+    }
+    for (auto& indices : assignment) std::sort(indices.begin(), indices.end());
+  } else if (split == nullptr) {
+    assignment.emplace_back(n);
+    std::iota(assignment[0].begin(), assignment[0].end(), size_t{0});
   }
 
-  // Cap the lane fan-out at site_threads by merging lanes round-robin;
-  // sorting each task's indices restores original order, so same-lane
-  // envelopes still mutate their fragment's state in serial order.
-  const size_t lane_task_count = std::min(site_threads_, lanes.size());
-  std::vector<std::vector<size_t>> assignment(lane_task_count);
-  for (size_t l = 0; l < lanes.size(); ++l) {
-    auto& dst = assignment[l % lane_task_count];
-    dst.insert(dst.end(), lanes[l].begin(), lanes[l].end());
-  }
-  for (auto& indices : assignment) std::sort(indices.begin(), indices.end());
+  Segment segment{mail, std::vector<Status>(n),
+                  std::vector<std::vector<Envelope>>(n)};
 
-  // Each slot is written by exactly one task (indices partition [0, n),
-  // minus the hot envelope's slot, which the caller thread owns).
-  std::vector<Status> statuses(n);
-  std::vector<std::vector<Envelope>> sends(n);
-
-  // The hot lane's capture context: pre-parts (down-messages riding ahead
-  // of the request in its envelope) dispatch into it serially before the
-  // batch; Finish() emits into it after the batch joins; TakeSent() then
-  // yields the lane's sends in exactly the serial part order.
+  // The hot lane's context: pre-parts (down-messages riding ahead of the
+  // request in its envelope) dispatch into it serially before the batch,
+  // Finish() emits into it after the batch joins. With cold lanes beside
+  // it, it captures like they do; as the whole segment it sends straight
+  // into the real plane.
   std::optional<CaptureTransport> hot_capture;
   std::optional<SiteContext> hot_ctx;
   size_t chunk_count = 0;
   if (split != nullptr) {
-    hot_capture.emplace(transport_->options());
-    hot_ctx.emplace(site, cluster_, &*hot_capture, run_);
-    const Envelope& env = (*segment)[hot_index];
-    statuses[hot_index] = Timed(seconds, [&] {
-      for (size_t p = 0; p + 1 < env.parts.size(); ++p) {
-        PAXML_RETURN_NOT_OK(handlers_->OnPart(*hot_ctx, env, env.parts[p]));
-      }
-      return Status::OK();
+    Transport* sink = transport_;
+    if (!assignment.empty()) sink = &hot_capture.emplace(transport_->options());
+    hot_ctx.emplace(site, cluster_, sink, run_);
+    const Envelope& env = (*mail)[hot_index];
+    segment.statuses[hot_index] = Timed(seconds, [&] {
+      return DispatchParts(handlers_, *hot_ctx, env, env.parts.size() - 1);
     });
-    if (statuses[hot_index].ok()) {
+    if (segment.statuses[hot_index].ok()) {
       chunk_count = std::min(site_threads_, split->item_count());
     }
   }
 
-  // One batch for everything: the cold lanes' tasks and the hot lane's
-  // item chunks run interleaved on the same pool, so the segment costs
-  // max-over-all-tasks, not lanes-then-split.
-  const size_t task_count = lane_task_count + chunk_count;
+  // One batch for everything: the lane tasks and the hot lane's item
+  // chunks run interleaved on the same pool, so the segment costs
+  // max-over-all-tasks, not lanes-then-split. A single task runs inline.
+  const size_t task_count = assignment.size() + chunk_count;
   std::vector<double> task_seconds(task_count, 0);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(task_count);
-  for (size_t t = 0; t < lane_task_count; ++t) {
-    tasks.push_back([this, site, segment, &statuses, &sends, &task_seconds, t,
-                     indices = std::move(assignment[t])] {
-      const double cpu_start = ThreadCpuSeconds();
-      CaptureTransport capture(transport_->options());
-      SiteRuntime runtime(site, cluster_, &capture, run_, handlers_);
-      for (size_t k : indices) {
-        std::vector<Envelope> one;
-        one.push_back(std::move((*segment)[k]));
-        statuses[k] = runtime.Deliver(std::move(one));
-        sends[k] = capture.TakeSent();
-        if (!statuses[k].ok()) break;  // a failed lane stops, like serial
-      }
-      task_seconds[t] = ThreadCpuSeconds() - cpu_start;
-    });
+  auto run_lane = [&](size_t t) {
+    const double start = ThreadCpuSeconds();
+    DeliverLane(site, assignment[t], &segment);
+    task_seconds[t] = ThreadCpuSeconds() - start;
+  };
+  if (task_count == 1 && chunk_count == 0) {
+    run_lane(0);
+  } else if (task_count > 0) {
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(task_count);
+    for (size_t t = 0; t < assignment.size(); ++t) {
+      tasks.push_back([&run_lane, t] { run_lane(t); });
+    }
+    SplitTask* split_raw = split.get();
+    for (size_t c = 0; c < chunk_count; ++c) {
+      tasks.push_back([split_raw, c, chunk_count, slot = assignment.size() + c,
+                       &task_seconds] {
+        const double start = ThreadCpuSeconds();
+        const size_t items = split_raw->item_count();
+        for (size_t item = c; item < items; item += chunk_count) {
+          split_raw->RunItem(item);
+        }
+        task_seconds[slot] = ThreadCpuSeconds() - start;
+      });
+    }
+    pool_->RunAll(std::move(tasks));
+    AccountBatch(task_count);
   }
-  SplitTask* split_raw = split.get();
-  for (size_t c = 0; c < chunk_count; ++c) {
-    tasks.push_back(
-        [split_raw, c, chunk_count, lane_task_count, &task_seconds] {
-          const double cpu_start = ThreadCpuSeconds();
-          const size_t items = split_raw->item_count();
-          for (size_t item = c; item < items; item += chunk_count) {
-            split_raw->RunItem(item);
-          }
-          task_seconds[lane_task_count + c] = ThreadCpuSeconds() - cpu_start;
-        });
-  }
-  pool_->RunAll(std::move(tasks));
-  AccountBatch(task_count);
-  if (seconds != nullptr) {
+  if (task_count > 0) {
     // The segment costs what its slowest task costs — measured as that
     // task's own CPU time, so the metric holds on oversubscribed hosts.
     *seconds += *std::max_element(task_seconds.begin(), task_seconds.end());
   }
-  if (split != nullptr && statuses[hot_index].ok()) {
-    statuses[hot_index] =
+  if (split != nullptr && segment.statuses[hot_index].ok()) {
+    segment.statuses[hot_index] =
         Timed(seconds, [&] { return split->Finish(*hot_ctx); });
   }
-  if (split != nullptr) sends[hot_index] = hot_capture->TakeSent();
+  if (hot_capture) segment.sends[hot_index] = hot_capture->TakeSent();
 
   // Replay into the real plane in serial mail order: staging order, seal
   // points and frame sequences come out bit-identical to the serial
@@ -340,55 +352,72 @@ Status SiteDriver::DeliverSegmentParallel(SiteId site,
   // partial sends — exactly what the serial order would have sent.
   size_t stop = n;
   for (size_t k = 0; k < n; ++k) {
-    if (!statuses[k].ok()) {
+    if (!segment.statuses[k].ok()) {
       stop = k;
       break;
     }
   }
-  Status replayed = Timed(seconds, [&] {
+  (void)Timed(seconds, [&] {
     for (size_t k = 0; k < n && k <= stop; ++k) {
-      for (Envelope& env : sends[k]) transport_->Send(std::move(env));
+      for (Envelope& env : segment.sends[k]) transport_->Send(std::move(env));
     }
     return Status::OK();
   });
-  (void)replayed;
-  return stop == n ? Status::OK() : statuses[stop];
+  return stop == n ? Status::OK() : segment.statuses[stop];
 }
 
-Status SiteDriver::DeliverSplitDirect(SiteId site, Envelope env,
-                                      std::unique_ptr<SplitTask> split,
-                                      double* seconds) {
-  // With the whole segment split, the serial order IS the pre-parts'
-  // sends followed by Finish()'s — which is exactly how they are emitted
-  // here, straight into the real plane: no capture, no replay.
-  SiteContext ctx(site, cluster_, transport_, run_);
-  PAXML_RETURN_NOT_OK(Timed(seconds, [&] {
-    for (size_t p = 0; p + 1 < env.parts.size(); ++p) {
-      PAXML_RETURN_NOT_OK(handlers_->OnPart(ctx, env, env.parts[p]));
+void SiteDriver::DeliverLane(SiteId site, const std::vector<size_t>& indices,
+                             Segment* segment) {
+  // The lane's capture plane, built on its first evaluation: a lane the
+  // memo serves in full builds none.
+  std::optional<CaptureTransport> capture;
+  std::optional<SiteContext> ctx;
+  auto evaluate = [&](const Envelope& env) {
+    if (!capture) {
+      capture.emplace(transport_->options());
+      ctx.emplace(site, cluster_, &*capture, run_);
     }
-    return Status::OK();
-  }));
-  const size_t items = split->item_count();
-  const size_t chunk_count = std::min(site_threads_, items);
-  std::vector<double> task_seconds(chunk_count, 0);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(chunk_count);
-  SplitTask* split_raw = split.get();
-  for (size_t c = 0; c < chunk_count; ++c) {
-    tasks.push_back([split_raw, c, chunk_count, items, &task_seconds] {
-      const double cpu_start = ThreadCpuSeconds();
-      for (size_t item = c; item < items; item += chunk_count) {
-        split_raw->RunItem(item);
-      }
-      task_seconds[c] = ThreadCpuSeconds() - cpu_start;
-    });
+    return DispatchParts(handlers_, *ctx, env, env.parts.size());
+  };
+  for (size_t k : indices) {
+    const Envelope& env = (*segment->mail)[k];
+    Status& status = segment->statuses[k];
+    std::vector<Envelope>& sends = segment->sends[k];
+    if (memo_ == nullptr) {
+      status = evaluate(env);
+      sends = capture->TakeSent();
+      if (!status.ok()) break;  // a failed lane stops, like serial
+      continue;
+    }
+    const FragmentId fragment = EnvelopeLane(env);
+    std::vector<Envelope> recover;
+    if (memo_->Lookup(fragment, env, &sends, &recover)) {
+      // Hit: the recorded replies are this envelope's sends, so staging
+      // order, seal points and every accounted counter come out
+      // bit-identical to an evaluated delivery.
+      for (Envelope& reply : sends) reply.run = run_;
+      continue;
+    }
+    // First divergence of this fragment after memo-served steps: its
+    // handler state was never built this run. Re-deliver the served
+    // request prefix to rebuild it, discarding the sends — the replies
+    // were already replayed at the hits.
+    for (Envelope& request : recover) {
+      request.run = run_;
+      status = evaluate(request);
+      (void)capture->TakeSent();
+      if (!status.ok()) break;
+    }
+    if (!status.ok()) break;
+    // Evaluate and record, measuring the handler's own CPU as the entry's
+    // cost.
+    const double start = ThreadCpuSeconds();
+    status = evaluate(env);
+    const double cost = ThreadCpuSeconds() - start;
+    sends = capture->TakeSent();
+    if (!status.ok()) break;
+    memo_->Record(fragment, env, sends, cost);
   }
-  pool_->RunAll(std::move(tasks));
-  AccountBatch(chunk_count);
-  if (seconds != nullptr) {
-    *seconds += *std::max_element(task_seconds.begin(), task_seconds.end());
-  }
-  return Timed(seconds, [&] { return split->Finish(ctx); });
 }
 
 void SiteDriver::AccountBatch(size_t tasks_submitted) {
@@ -408,84 +437,6 @@ PoolStats SiteDriver::TakePoolStats() {
   PoolStats out = pool_stats_;
   pool_stats_ = PoolStats{};
   return out;
-}
-
-Status SiteDriver::DeliverMemoized(SiteId site, std::vector<Envelope> mail,
-                                   double* seconds) {
-  for (Envelope& env : mail) {
-    const FragmentId lane = EnvelopeLane(env);
-    if (lane == kNullFragment) {
-      // Barriers (query ship, up-mail, mixed-fragment envelopes) always
-      // evaluate: their handlers touch cross-fragment state the memo does
-      // not model.
-      std::vector<Envelope> one;
-      one.push_back(std::move(env));
-      PAXML_RETURN_NOT_OK(Timed(seconds, [&] {
-        return sites_[static_cast<size_t>(site)].Deliver(std::move(one));
-      }));
-      continue;
-    }
-    std::vector<Envelope> replies;
-    std::vector<Envelope> recover;
-    if (memo_->Lookup(lane, env, &replies, &recover)) {
-      // Hit: the recorded replies go through the real plane exactly where
-      // the handler's sends would have — staging order, seal points and all
-      // accounted counters come out bit-identical to an evaluated delivery.
-      PAXML_RETURN_NOT_OK(Timed(seconds, [&] {
-        for (Envelope& r : replies) {
-          r.run = run_;
-          transport_->Send(std::move(r));
-        }
-        return Status::OK();
-      }));
-      continue;
-    }
-    if (!recover.empty()) {
-      // First divergence of this fragment after memo-served steps: its
-      // handler state was never built this run. Re-deliver the served
-      // request prefix through a discard plane to rebuild it — the replies
-      // were already replayed at the hits, so these sends must not reach
-      // the wire a second time.
-      CaptureTransport discard(transport_->options());
-      SiteRuntime rebuild(site, cluster_, &discard, run_, handlers_);
-      for (Envelope& r : recover) {
-        r.run = run_;
-        std::vector<Envelope> one;
-        one.push_back(std::move(r));
-        PAXML_RETURN_NOT_OK(Timed(seconds, [&] {
-          return rebuild.Deliver(std::move(one));
-        }));
-        (void)discard.TakeSent();
-      }
-    }
-    // Evaluate through a capture plane so the reply set can be recorded,
-    // measuring the handler's own CPU as the entry's cost.
-    CaptureTransport capture(transport_->options());
-    SiteRuntime runtime(site, cluster_, &capture, run_, handlers_);
-    const Envelope request = env;  // the memo keeps the request's identity
-    const double cpu_start = ThreadCpuSeconds();
-    std::vector<Envelope> one;
-    one.push_back(std::move(env));
-    const Status status = runtime.Deliver(std::move(one));
-    const double eval_seconds = ThreadCpuSeconds() - cpu_start;
-    if (seconds != nullptr) *seconds += eval_seconds;
-    std::vector<Envelope> sends = capture.TakeSent();
-    // Replay even on error: the serial order would have sent the failing
-    // envelope's partial output too.
-    PAXML_RETURN_NOT_OK(Timed(seconds, [&] {
-      for (const Envelope& s : sends) transport_->Send(Envelope(s));
-      return Status::OK();
-    }));
-    PAXML_RETURN_NOT_OK(status);
-    memo_->Record(lane, request, std::move(sends), eval_seconds);
-  }
-  return Status::OK();
-}
-
-Status SiteDriver::DeliverTimed(SiteId site, std::vector<Envelope> mail,
-                                double* seconds) {
-  *seconds = 0;
-  return DeliverParallelImpl(site, std::move(mail), seconds);
 }
 
 }  // namespace paxml

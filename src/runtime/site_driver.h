@@ -9,48 +9,44 @@
 // delivery decodes the envelopes in order into the algorithm's
 // MessageHandlers via one SiteRuntime per site.
 //
-// Intra-site parallelism (DESIGN.md §10): when the driver is built with a
-// WorkerPool and site_threads > 1, DeliverParallel() partitions a site's
-// round mail into per-fragment *lanes* — an envelope whose parts all
-// address one fragment with site-side kinds keys its fragment's lane;
-// anything else (query ship, up-messages, data ship, mixed-fragment
-// envelopes) is a barrier delivered serially in place — and evaluates the
-// lanes concurrently. Determinism is preserved by capture-and-replay:
-// each lane's handlers send through a private capture plane, and after the
-// lanes join, the captured envelopes are replayed into the real transport
-// in the original serial mail order, so staging order, adaptive-flush
-// points, frame sequences and every per-edge byte/message/envelope count
-// are bit-identical to the serial delivery (tested property). This is safe
-// because every algorithm's site-side state is confined to per-fragment
-// slots (the MessageHandlers threading contract, runtime/site_runtime.h).
+// One delivery walk (DESIGN.md §10). DeliverTimed() delivers a site's
+// round mail in order. With no memo and nothing to fan out it is the serial
+// walk straight into the transport. Otherwise the mail splits into
+// *barriers* — query ship, up-messages, data ship, mixed-fragment
+// envelopes — each delivered serially in place, and *lane segments*:
+// maximal runs of envelopes whose parts all address one fragment with
+// site-side kinds. A segment's envelopes group into per-fragment lanes,
+// merged into at most site_threads lane tasks on the driver's pool; one
+// task runs inline on the calling thread. A lane task delivers its
+// envelopes in mail order through a private capture plane, built on its
+// first evaluation, and after the tasks join the captured sends replay
+// into the real transport in the serial mail order. So staging order,
+// adaptive-flush points, frame sequences and every per-edge
+// byte/message/envelope count are bit-identical to the serial delivery
+// (tested property). This is safe because every algorithm's site-side
+// state is confined to per-fragment slots (the MessageHandlers threading
+// contract, runtime/site_runtime.h), and a fragment stays in one lane.
 //
-// Intra-fragment splitting (DESIGN.md §14): lanes cannot help a site whose
-// round is dominated by ONE large fragment. With
-// TransportOptions::split_threshold_pct set, a segment whose largest lane
-// carries at least that percentage of the segment's byte weight (and holds
-// a single envelope) is offered to the algorithm via
-// MessageHandlers::MakeSplitTask — the paratreet visitor/interact idiom:
-// the evaluator builds independent sub-items, the driver runs them as item
-// chunks in the SAME pool batch as the other lanes' tasks, and the
-// evaluator's Finish() emits byte-identical sends in the serial order.
-// When the split lane is the whole segment there is no interleaving to
-// reproduce, so the capture plane is bypassed and Finish() sends straight
-// into the real transport. `parallel_seconds` is max over every task of
-// the batch (lanes and chunks alike), so the metric reflects the finer
-// fan-out.
+// Fragment-stage memoization (DESIGN.md §12) is the per-envelope step of a
+// lane task. On a hit, the recorded replies become the envelope's sends.
+// On the first miss of a fragment after hits, the task rebuilds that
+// fragment's handler state by re-delivering the memo-served request prefix
+// with its sends discarded, then evaluates and records from there. Replayed
+// replies go through Transport::Send like computed ones, so RunStats'
+// accounted counters stay bit-identical and only the memo_* savings
+// fields differ.
 //
-// Fragment-stage memoization (DESIGN.md §12): a driver built with a
-// MemoSession serves repeated lane deliveries from the memo instead of
-// evaluating them. The memoized walk is serial (a hit replays recorded
-// replies into the real plane in mail order, so there is nothing to
-// overlap); barriers always evaluate normally. On the first divergence of
-// a fragment — no memo entry, or the request stream differs — the driver
-// rebuilds that fragment's handler state by re-delivering the memo-served
-// request prefix through a discard capture plane, then evaluates and
-// records from there. The same per-fragment-state contract that makes lane
-// parallelism sound makes this replay sound; replayed replies go through
-// Transport::Send like computed ones, so RunStats' accounted counters stay
-// bit-identical and only the memo_* savings fields differ.
+// Intra-fragment splitting (DESIGN.md §14): with
+// TransportOptions::split_threshold_pct set and no memo session, a
+// segment's largest lane is offered to the algorithm via
+// MessageHandlers::MakeSplitTask when it is a single envelope carrying at
+// least that percentage of the segment's byte weight — the paratreet
+// visitor/interact idiom. Its item chunks run in the same pool batch as
+// the other lanes' tasks, and the evaluator's Finish() emits
+// byte-identical sends in the serial order. When the split lane is the
+// whole segment there is no interleaving to reproduce, so Finish() sends
+// straight into the real transport. `parallel_seconds` is max over every
+// task of the batch, lanes and chunks alike.
 
 #ifndef PAXML_RUNTIME_SITE_DRIVER_H_
 #define PAXML_RUNTIME_SITE_DRIVER_H_
@@ -72,11 +68,10 @@ class SiteDriver {
  public:
   /// Builds one SiteRuntime per site of `cluster`, all dispatching into
   /// `handlers` and sending through `transport` under `run`. A non-null
-  /// `pool` with `site_threads` > 1 enables the parallel delivery path
-  /// (DeliverParallel); the pool must not be the one the transport's own
-  /// delivery rounds execute on (see Cluster::site_worker_pool). A non-null
-  /// `memo` enables the fragment-stage memo path, which supersedes lane
-  /// fan-out (memoized deliveries are serial; see the header comment).
+  /// `pool` with `site_threads` > 1 lets lane segments fan out; the pool
+  /// must not be the one the transport's own delivery rounds execute on
+  /// (see Cluster::site_worker_pool). A non-null `memo` serves repeated
+  /// lane deliveries from the fragment-stage memo.
   SiteDriver(const Cluster* cluster, Transport* transport, RunId run,
              MessageHandlers* handlers,
              std::shared_ptr<WorkerPool> pool = nullptr,
@@ -91,35 +86,23 @@ class SiteDriver {
   /// depends on it (coordinator-side handler state is single-threaded).
   Status Deliver(SiteId site, std::vector<Envelope> mail);
 
-  /// Deliver(), but per-fragment lanes of `mail` run concurrently on the
-  /// driver's pool when parallel delivery is enabled (else identical to
-  /// Deliver). Only for *site-side* round mail — both round loops (the
-  /// Coordinator's and the peer's) deliver through this. On a handler
-  /// error, sends captured up to and including the failing envelope (in
-  /// serial order) are replayed, the rest discarded, and the first failing
-  /// envelope's status (by serial position) is returned — later lanes may
-  /// have run further than the serial order would have, which only ever
-  /// happens on runs that are about to be torn down.
-  Status DeliverParallel(SiteId site, std::vector<Envelope> mail);
-
-  /// DeliverParallel() plus a measurement of the delivery's *parallel
-  /// cost* — the unit both the local round loop and a remote peer's
-  /// RoundDone report in. Serial work (barriers, replay, the serial
-  /// fallback) is measured as thread-CPU time; each parallel segment adds
-  /// the maximum over its lane tasks' thread-CPU time, the intra-site
-  /// analogue of the cluster's max-over-sites metric (sim/cluster.h), so
-  /// the reported cost reflects the fan-out even when the host has fewer
-  /// cores than lanes.
+  /// Delivers a site's *round* mail through the one walk (see the header
+  /// comment) and sets *seconds to the delivery's *parallel cost* — the
+  /// unit both the local round loop and a remote peer's RoundDone report
+  /// in. Serial work (barriers, replay) is measured as thread-CPU time;
+  /// each fanned-out segment adds the maximum over its tasks' thread-CPU
+  /// time, the intra-site analogue of the cluster's max-over-sites metric
+  /// (sim/cluster.h), so the reported cost reflects the fan-out even when
+  /// the host has fewer cores than lanes. On a handler error, sends up to
+  /// and including the failing envelope (in serial order) are replayed,
+  /// the rest discarded, and the first failing envelope's status (by
+  /// serial position) is returned — later lanes may have run further than
+  /// the serial order would have, which only ever happens on runs that are
+  /// about to be torn down.
   Status DeliverTimed(SiteId site, std::vector<Envelope> mail,
                       double* seconds);
 
-  /// True when DeliverParallel may actually fan out (pool + threads > 1).
-  /// The memo path supersedes fan-out.
-  bool parallel_enabled() const {
-    return memo_ == nullptr && pool_ != nullptr && site_threads_ > 1;
-  }
-
-  /// Savings the memo path accumulated since the last take (zero without a
+  /// Savings the memo accumulated since the last take (zero without a
   /// memo session). The round loops drain this into RunStats — locally
   /// after the round, remotely via the RoundDone record.
   MemoSavings TakeMemoSavings() {
@@ -134,18 +117,16 @@ class SiteDriver {
   PoolStats TakePoolStats();
 
  private:
-  Status DeliverParallelImpl(SiteId site, std::vector<Envelope> mail,
-                             double* seconds);
-  Status DeliverSegmentParallel(SiteId site, std::vector<Envelope>* segment,
-                                double* seconds);
-  Status DeliverMemoized(SiteId site, std::vector<Envelope> mail,
-                         double* seconds);
-  /// The whole-segment split fast path: `env` is the only envelope of its
-  /// segment, so Finish() sends straight into the real transport (no
-  /// capture, no replay).
-  Status DeliverSplitDirect(SiteId site, Envelope env,
-                            std::unique_ptr<SplitTask> split,
-                            double* seconds);
+  struct Segment;
+
+  Status DeliverSegment(SiteId site, std::vector<Envelope>* mail,
+                        double* seconds);
+  /// One lane task: delivers the segment envelopes `indices` (ascending)
+  /// in order, each through the memo step when there is a memo, into the
+  /// segment's per-envelope status and send slots; stops at the first
+  /// failure.
+  void DeliverLane(SiteId site, const std::vector<size_t>& indices,
+                   Segment* segment);
   void AccountBatch(size_t tasks_submitted);
 
   std::vector<SiteRuntime> sites_;
@@ -156,8 +137,8 @@ class SiteDriver {
   std::shared_ptr<WorkerPool> pool_;
   size_t site_threads_ = 1;
   std::shared_ptr<MemoSession> memo_;
-  /// Pool accounting (under mu_: site deliveries run concurrently on the
-  /// pooled transport's workers).
+  /// Pool accounting (under pool_stats_mu_: site deliveries run
+  /// concurrently on the pooled transport's workers).
   std::mutex pool_stats_mu_;
   PoolStats pool_stats_;
 };

@@ -75,8 +75,8 @@ class PeerPlane : public Transport {
     PAXML_CHECK(it != client_run_.end());
     frame.run = it->second;
     // The plane options carry the *negotiated* threshold (0 when the
-    // connection declined codecs), so replies gate exactly as the client's
-    // outbound frames do — the two directions price identically.
+    // connection declined compression), so replies gate exactly as the
+    // client's outbound frames do — the two directions price identically.
     *wire = EncodeFrameForWire(frame, options().compress_min_bytes,
                                &pending_[frame.run]);
     return true;
@@ -175,7 +175,7 @@ Status SiteServer::ServeConnection(int fd) {
   // fan out and join inside each DeliverTimed.
   size_t site_threads = 1;
   std::shared_ptr<WorkerPool> site_pool;
-  // Whether this connection negotiated the lz4 codec at Hello. Gates both
+  // Whether this connection accepted compression at Hello. Gates both
   // directions: kFrameZ from the client is only legal when true, and the
   // PeerPlane's replies only compress when true (via its mirrored options).
   bool conn_compress = false;
@@ -187,7 +187,7 @@ Status SiteServer::ServeConnection(int fd) {
   // no other way to tear the connection down).
   std::mutex conn_status_mu;
   Status conn_status;
-  // Cross-run round fan-out (wire protocol v6), sized by the client's
+  // Cross-run round fan-out, sized by the client's
   // Hello capped by the operator. Declared AFTER everything a round task
   // borrows: its destructor drains and joins in-flight tasks first, so no
   // task outlives the plane, the run map or the mutexes above.
@@ -246,29 +246,25 @@ Status SiteServer::ServeConnection(int fd) {
       if (record.type != RecordType::kHello) {
         return Status::NetworkError("expected hello");
       }
-      PAXML_ASSIGN_OR_RETURN(HelloRecord hello, HelloRecord::Decode(&reader));
-      // v4/v5 clients are still welcome — the newer knobs (codecs in v5,
-      // pool saturation in v6) simply default off for them.
-      if (hello.version < 4 || hello.version > kWireProtocolVersion) {
-        (void)send_error(kNullRun, "wire protocol version mismatch");
-        return Status::NetworkError("wire protocol version mismatch");
+      // Any other wire version, like a corrupt Hello, is refused.
+      Result<HelloRecord> hello = HelloRecord::Decode(&reader);
+      if (!hello.ok()) {
+        (void)send_error(kNullRun, hello.status().message());
+        return hello.status();
       }
-      if (hello.site != site_) {
+      if (hello->site != site_) {
         (void)send_error(kNullRun, "this peer serves site " +
                                        std::to_string(site_));
         return Status::NetworkError("client dialed the wrong site");
       }
-      // Mirror the client's plane knobs so both sides seal identical
-      // frames (batching is implied — the frame is the wire unit).
-      TransportOptions options;
+      // Seal replies under the client's plane options so both sides seal
+      // identical frames (batching is implied — the frame is the wire
+      // unit), after this machine's caps. Wire input: bound hostile thread
+      // and round counts before sizing a pool.
+      TransportOptions options = std::move(hello->options);
       options.batching = true;
-      options.answer_chunk_ids =
-          static_cast<size_t>(hello.answer_chunk_ids);
-      options.data_chunk_bytes = hello.data_chunk_bytes;
-      options.max_frame_bytes = hello.max_frame_bytes;
-      // Wire input: bound a hostile thread count before sizing a pool.
-      site_threads = static_cast<size_t>(
-          std::min<uint64_t>(std::max<uint64_t>(hello.site_threads, 1), 64));
+      site_threads = static_cast<size_t>(std::clamp<uint64_t>(
+          options.site_threads, 1, 64));
       if (max_site_threads_ > 0) {
         site_threads = std::min(site_threads, max_site_threads_);
       }
@@ -276,35 +272,22 @@ Status SiteServer::ServeConnection(int fd) {
       if (site_threads > 1) {
         site_pool = std::make_shared<WorkerPool>(site_threads);
       }
-      // Intra-fragment splitting: mirror the client's threshold so this
-      // site's dominant lanes split exactly like the client's local sites'
-      // (a percentage needs no bounding — values > 100 just never fire).
-      options.split_threshold_pct = hello.split_threshold_pct;
-      // Cross-run fan-out, bounded like the thread count and capped by the
-      // operator. One round at a time (the historical loop) needs no pool.
-      size_t rounds = static_cast<size_t>(std::min<uint64_t>(
-          std::max<uint64_t>(hello.peer_concurrent_rounds, 1), 16));
+      size_t rounds = static_cast<size_t>(
+          std::clamp<uint64_t>(options.peer_concurrent_rounds, 1, 16));
       if (max_concurrent_rounds_ > 0) {
         rounds = std::min(rounds, max_concurrent_rounds_);
       }
+      options.peer_concurrent_rounds = rounds;
       if (rounds > 1) rounds_pool = std::make_shared<WorkerPool>(rounds);
-      // Codec negotiation: accept the client's lz4 offer only when the
-      // operator allowed it. The client's threshold is mirrored into the
-      // plane options only on acceptance, so a declined offer leaves the
-      // replies raw (threshold 0 disables the gate entirely).
-      conn_compress = allow_compress_ && !legacy_hello_ &&
-                      hello.version >= 5 &&
-                      (hello.codecs & kCodecLz4) != 0 &&
-                      hello.compress_min_bytes > 0;
-      options.compress_min_bytes =
-          conn_compress ? hello.compress_min_bytes : 0;
+      // Compression: the client offers it with a threshold; accepted only
+      // when the operator allowed it. Declined, the threshold is zeroed so
+      // the replies stay raw.
+      conn_compress = allow_compress_ && options.compress_min_bytes > 0;
+      if (!conn_compress) options.compress_min_bytes = 0;
       plane = std::make_unique<PeerPlane>(site_, std::move(options));
       HelloAckRecord ack;
       ack.site = site_;
-      if (!legacy_hello_) {
-        ack.version = kWireProtocolVersion;
-        ack.codecs = conn_compress ? kCodecLz4 : 0;
-      }
+      ack.compress = conn_compress;
       std::string bytes;
       AppendControlRecord(RecordType::kHelloAck, ack, &bytes);
       hello_done = true;

@@ -18,7 +18,7 @@
 // frames is authoritative, and reproduces the in-process RunStats exactly.
 //
 // Cross-run fan-out (DESIGN.md §14): when a client's Hello asks for
-// peer_concurrent_rounds > 1 (wire protocol v6), independent runs' rounds
+// peer_concurrent_rounds > 1, independent runs' rounds
 // on one connection execute concurrently on a per-connection round pool —
 // each round's reply frames and its kRoundDone go out as one locked write,
 // so the per-run barrier ordering is untouched. Rounds of ONE run are
@@ -70,8 +70,9 @@ class SiteServer {
   /// process-wide, so repeated queries reuse entries across connections and
   /// runs, and each round's savings are reported back in the RoundDone
   /// record (serving/fragment_memo.h). `allow_compress` (paxml_site
-  /// --compress) lets the server accept a client's codec offer at Hello;
-  /// off, every offer is declined and the connection runs raw frames.
+  /// --compress) lets the server accept a client's compression offer at
+  /// Hello; off, every offer is declined and the connection runs raw
+  /// frames.
   /// `max_concurrent_rounds` caps the cross-run round fan-out a client's
   /// Hello may request (paxml_site --rounds; 0 = honor the client, bounded
   /// at 16): like the thread cap, the operator knows the machine's budget.
@@ -101,11 +102,6 @@ class SiteServer {
 
   SiteId site() const { return site_; }
 
-  /// Test hook: answer Hellos with the pre-v5 short HelloAck (site only)
-  /// and never negotiate codecs — impersonates an older server so the
-  /// mixed-version interop path is testable in-process.
-  void set_legacy_hello(bool legacy) { legacy_hello_ = legacy; }
-
  private:
   Status ServeConnection(int fd);
 
@@ -116,7 +112,6 @@ class SiteServer {
   std::shared_ptr<FragmentMemo> memo_;
   bool allow_compress_ = false;
   size_t max_concurrent_rounds_ = 0;
-  bool legacy_hello_ = false;
   int listen_fd_ = -1;
   std::atomic<bool> shutdown_{false};
 };

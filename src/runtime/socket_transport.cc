@@ -46,6 +46,16 @@ Result<WireRecord> ReadRecordOfType(int fd, RecordBuffer* buf,
 
 }  // namespace
 
+Status SocketTransport::Unreachable(SiteId site, const Connection* conn) {
+  if (conn == nullptr) {
+    return Status::NetworkError("site " + std::to_string(site) +
+                                " has no connection");
+  }
+  return Status::NetworkError("site " + std::to_string(site) + " (" +
+                              conn->endpoint + ") is unreachable: " +
+                              conn->status.message());
+}
+
 SocketTransport::SocketTransport(TransportOptions options)
     : Transport(std::move(options)) {
   // The frame is the wire unit: an unbatched socket plane would have no
@@ -67,19 +77,7 @@ SocketTransport::SocketTransport(TransportOptions options)
       RecordBuffer buf;
       HelloRecord hello;
       hello.site = site;
-      hello.answer_chunk_ids = this->options().answer_chunk_ids;
-      hello.data_chunk_bytes = this->options().data_chunk_bytes;
-      hello.max_frame_bytes = this->options().max_frame_bytes;
-      hello.site_threads = this->options().site_threads;
-      // Offer the codec only when the client would actually use it.
-      const bool offer_lz4 = this->options().compress_min_bytes > 0;
-      hello.codecs = offer_lz4 ? kCodecLz4 : 0;
-      hello.compress_min_bytes = this->options().compress_min_bytes;
-      // v6 pool knobs: the peer splits dominant lanes with the same
-      // threshold as the local sites and may fan this connection's runs'
-      // rounds out (capped by its operator). A pre-v6 peer ignores both.
-      hello.split_threshold_pct = this->options().split_threshold_pct;
-      hello.peer_concurrent_rounds = this->options().peer_concurrent_rounds;
+      hello.options = this->options();
       std::string bytes;
       AppendControlRecord(RecordType::kHello, hello, &bytes);
       status = WriteAll(conn->fd, bytes);
@@ -95,10 +93,9 @@ SocketTransport::SocketTransport(TransportOptions options)
             status = Status::NetworkError(
                 "peer at " + endpoint + " serves a different site");
           } else {
-            // Graceful fallback: a pre-v5 peer (or one that declined the
-            // codec) simply runs uncompressed — no error, no retry.
-            conn->compress = offer_lz4 && decoded->version >= 5 &&
-                             (decoded->codecs & kCodecLz4) != 0;
+            // A peer that declined the offer simply runs uncompressed.
+            conn->compress =
+                this->options().compress_min_bytes > 0 && decoded->compress;
           }
         } else {
           status = ack.status();
@@ -159,8 +156,8 @@ bool SocketTransport::TakeSealedFrameLocked(Frame& frame,
                                             FrameWireInfo* wire) {
   if (!remote(frame.to)) return false;
   Connection* conn = ConnectionFor(frame.to);
-  // Compress only when the connection negotiated it; a fallback peer gets
-  // (and the run's stats record) plain raw frames.
+  // Compress only when the connection negotiated it; a peer that declined
+  // gets (and the run's stats record) plain raw frames.
   const uint64_t threshold = (conn != nullptr && conn->compress)
                                  ? options().compress_min_bytes
                                  : 0;
@@ -170,9 +167,7 @@ bool SocketTransport::TakeSealedFrameLocked(Frame& frame,
   if (conn == nullptr || !conn->alive) {
     // The frame is lost with its peer; make sure the run reports it even
     // if no later round visits the dead site.
-    failed_runs_.emplace(
-        frame.run, Status::NetworkError("site " + std::to_string(frame.to) +
-                                        " is unreachable"));
+    failed_runs_.emplace(frame.run, Unreachable(frame.to, conn));
     return true;
   }
   QueueLocked(*conn, std::move(bytes));
@@ -311,11 +306,7 @@ Status SocketTransport::RunRound(RunId run, const std::vector<SiteId>& sites,
       Connection* conn = ConnectionFor(sites[i]);
       PAXML_CHECK(conn != nullptr);
       if (!conn->alive) {
-        if (wait.status.ok()) {
-          wait.status = Status::NetworkError(
-              "site " + std::to_string(sites[i]) + " (" + conn->endpoint +
-              ") is unreachable: " + conn->status.message());
-        }
+        if (wait.status.ok()) wait.status = Unreachable(sites[i], conn);
         continue;
       }
       wait.awaiting.insert(sites[i]);

@@ -87,7 +87,7 @@ class SocketTransport : public Transport {
     Status status;              ///< why the connection died (net_mu_)
     std::string outbox;         ///< encoded records awaiting a flush (net_mu_)
     FrameReassembler reassembler;  ///< incoming sequence check (net_mu_)
-    /// Both sides negotiated the lz4 codec at Hello (wire protocol v5).
+    /// The peer accepted the client's compression offer at Hello.
     /// Written once during the constructor handshake, before the receiver
     /// thread exists; immutable afterwards, so reads need no lock.
     bool compress = false;
@@ -104,6 +104,9 @@ class SocketTransport : public Transport {
   };
 
   Connection* ConnectionFor(SiteId site);
+
+  /// Why a run cannot reach `site`: its connection's failure (net_mu_).
+  static Status Unreachable(SiteId site, const Connection* conn);
 
   /// Appends `bytes` to the connection's outbox (net_mu_ held by caller).
   void QueueLocked(Connection& conn, std::string bytes);

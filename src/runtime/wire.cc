@@ -12,6 +12,7 @@
 
 #include "common/logging.h"
 #include "common/lz4.h"
+#include "common/string_util.h"
 #include "runtime/frame.h"
 
 namespace paxml {
@@ -51,6 +52,12 @@ Status DecodeStatus(ByteReader* in, Status* out) {
   }
   PAXML_ASSIGN_OR_RETURN(std::string message, in->GetString());
   *out = Status(static_cast<StatusCode>(code), std::move(message));
+  return Status::OK();
+}
+
+/// A control record is exactly its fields: trailing bytes are corrupt.
+Status ExpectEnd(const ByteReader* in) {
+  if (!in->AtEnd()) return Status::ParseError("wire: trailing bytes in record");
   return Status::OK();
 }
 
@@ -148,63 +155,51 @@ void FrameReassembler::CloseRun(RunId run) {
 void HelloRecord::Encode(ByteWriter* out) const {
   out->PutU32(version);
   out->PutVarint(EncodeId(site));
-  out->PutVarint(answer_chunk_ids);
-  out->PutVarint(data_chunk_bytes);
-  out->PutVarint(max_frame_bytes);
-  out->PutVarint(site_threads);
-  // The compression offer exists only since v5; gating on the declared
-  // version lets tests (and future downgrade paths) emit true v4 hellos.
-  if (version >= 5) {
-    out->PutU8(codecs);
-    out->PutVarint(compress_min_bytes);
-  }
-  if (version >= 6) {
-    out->PutVarint(split_threshold_pct);
-    out->PutVarint(peer_concurrent_rounds);
-  }
+  out->PutVarint(options.answer_chunk_ids);
+  out->PutVarint(options.data_chunk_bytes);
+  out->PutVarint(options.max_frame_bytes);
+  out->PutVarint(options.site_threads);
+  out->PutVarint(options.split_threshold_pct);
+  out->PutVarint(options.peer_concurrent_rounds);
+  out->PutVarint(options.compress_min_bytes);
 }
 
 Result<HelloRecord> HelloRecord::Decode(ByteReader* in) {
   HelloRecord r;
   PAXML_ASSIGN_OR_RETURN(r.version, in->GetU32());
+  if (r.version != kWireProtocolVersion) {
+    return Status::NetworkError(StringFormat(
+        "wire protocol version mismatch: hello speaks v%u, this build v%u",
+        r.version, kWireProtocolVersion));
+  }
   PAXML_ASSIGN_OR_RETURN(uint64_t site, in->GetVarint());
   PAXML_ASSIGN_OR_RETURN(r.site, DecodeId(site));
-  PAXML_ASSIGN_OR_RETURN(r.answer_chunk_ids, in->GetVarint());
-  PAXML_ASSIGN_OR_RETURN(r.data_chunk_bytes, in->GetVarint());
-  PAXML_ASSIGN_OR_RETURN(r.max_frame_bytes, in->GetVarint());
-  PAXML_ASSIGN_OR_RETURN(r.site_threads, in->GetVarint());
-  if (r.version >= 5) {
-    PAXML_ASSIGN_OR_RETURN(r.codecs, in->GetU8());
-    PAXML_ASSIGN_OR_RETURN(r.compress_min_bytes, in->GetVarint());
-  }
-  if (r.version >= 6) {
-    PAXML_ASSIGN_OR_RETURN(r.split_threshold_pct, in->GetVarint());
-    PAXML_ASSIGN_OR_RETURN(r.peer_concurrent_rounds, in->GetVarint());
-  }
+  PAXML_ASSIGN_OR_RETURN(uint64_t answer_chunk_ids, in->GetVarint());
+  r.options.answer_chunk_ids = static_cast<size_t>(answer_chunk_ids);
+  PAXML_ASSIGN_OR_RETURN(r.options.data_chunk_bytes, in->GetVarint());
+  PAXML_ASSIGN_OR_RETURN(r.options.max_frame_bytes, in->GetVarint());
+  PAXML_ASSIGN_OR_RETURN(uint64_t site_threads, in->GetVarint());
+  r.options.site_threads = static_cast<size_t>(site_threads);
+  PAXML_ASSIGN_OR_RETURN(r.options.split_threshold_pct, in->GetVarint());
+  PAXML_ASSIGN_OR_RETURN(r.options.peer_concurrent_rounds, in->GetVarint());
+  PAXML_ASSIGN_OR_RETURN(r.options.compress_min_bytes, in->GetVarint());
+  PAXML_RETURN_NOT_OK(ExpectEnd(in));
   return r;
 }
 
 void HelloAckRecord::Encode(ByteWriter* out) const {
   out->PutVarint(EncodeId(site));
-  if (version >= 5) {
-    out->PutU32(version);
-    out->PutU8(codecs);
-  }
+  out->PutU8(compress ? 1 : 0);
 }
 
 Result<HelloAckRecord> HelloAckRecord::Decode(ByteReader* in) {
   HelloAckRecord r;
   PAXML_ASSIGN_OR_RETURN(uint64_t site, in->GetVarint());
   PAXML_ASSIGN_OR_RETURN(r.site, DecodeId(site));
-  // Pre-v5 servers end the record here: tolerate the short form and report
-  // the fallback state (old protocol, no codecs).
-  if (in->AtEnd()) {
-    r.version = 4;
-    r.codecs = 0;
-    return r;
-  }
-  PAXML_ASSIGN_OR_RETURN(r.version, in->GetU32());
-  PAXML_ASSIGN_OR_RETURN(r.codecs, in->GetU8());
+  PAXML_ASSIGN_OR_RETURN(uint8_t compress, in->GetU8());
+  if (compress > 1) return Status::ParseError("wire: bad compress flag");
+  r.compress = compress != 0;
+  PAXML_RETURN_NOT_OK(ExpectEnd(in));
   return r;
 }
 
@@ -241,6 +236,7 @@ Result<OpenRunRecord> OpenRunRecord::Decode(ByteReader* in) {
     PAXML_ASSIGN_OR_RETURN(SiteId s, DecodeId(site));
     r.placement.push_back(s);
   }
+  PAXML_RETURN_NOT_OK(ExpectEnd(in));
   return r;
 }
 
@@ -249,6 +245,7 @@ void CloseRunRecord::Encode(ByteWriter* out) const { out->PutVarint(run); }
 Result<CloseRunRecord> CloseRunRecord::Decode(ByteReader* in) {
   CloseRunRecord r;
   PAXML_ASSIGN_OR_RETURN(r.run, in->GetVarint());
+  PAXML_RETURN_NOT_OK(ExpectEnd(in));
   return r;
 }
 
@@ -262,6 +259,7 @@ Result<RoundStartRecord> RoundStartRecord::Decode(ByteReader* in) {
   PAXML_ASSIGN_OR_RETURN(r.run, in->GetVarint());
   PAXML_ASSIGN_OR_RETURN(uint64_t site, in->GetVarint());
   PAXML_ASSIGN_OR_RETURN(r.site, DecodeId(site));
+  PAXML_RETURN_NOT_OK(ExpectEnd(in));
   return r;
 }
 
@@ -290,12 +288,10 @@ Result<RoundDoneRecord> RoundDoneRecord::Decode(ByteReader* in) {
   PAXML_ASSIGN_OR_RETURN(r.memo_saved_bytes, in->GetVarint());
   PAXML_ASSIGN_OR_RETURN(uint64_t saved_bits, in->GetU64());
   r.memo_saved_seconds = BitsDouble(saved_bits);
-  // The v6 pool fields are trailing: a pre-v6 peer's record ends here.
-  if (!in->AtEnd()) {
-    PAXML_ASSIGN_OR_RETURN(r.pool_tasks, in->GetVarint());
-    PAXML_ASSIGN_OR_RETURN(r.pool_busy_peak, in->GetVarint());
-    PAXML_ASSIGN_OR_RETURN(r.pool_queue_peak, in->GetVarint());
-  }
+  PAXML_ASSIGN_OR_RETURN(r.pool_tasks, in->GetVarint());
+  PAXML_ASSIGN_OR_RETURN(r.pool_busy_peak, in->GetVarint());
+  PAXML_ASSIGN_OR_RETURN(r.pool_queue_peak, in->GetVarint());
+  PAXML_RETURN_NOT_OK(ExpectEnd(in));
   return r;
 }
 
@@ -308,6 +304,7 @@ Result<ErrorRecord> ErrorRecord::Decode(ByteReader* in) {
   ErrorRecord r;
   PAXML_ASSIGN_OR_RETURN(r.run, in->GetVarint());
   PAXML_ASSIGN_OR_RETURN(r.message, in->GetString());
+  PAXML_RETURN_NOT_OK(ExpectEnd(in));
   return r;
 }
 

@@ -14,7 +14,8 @@
 // clean parse errors), FrameReassembler validates per-(run, edge) sequence
 // numbers (duplicates and reordering are protocol violations), and each
 // control record has an Encode/Decode pair over the shared ByteWriter /
-// ByteReader primitives. The fd helpers at the bottom are the only code
+// ByteReader primitives, whose Decode rejects truncated input and trailing
+// bytes. The fd helpers at the bottom are the only code
 // that touches the network.
 
 #ifndef PAXML_RUNTIME_WIRE_H_
@@ -35,43 +36,24 @@
 
 namespace paxml {
 
-/// Bumped on any incompatible change; peers reject a mismatch at Hello.
-/// v2: HelloRecord grew site_threads (intra-site parallel delivery).
-/// v3: OpenRunRecord carries RunSpec::family (workload fingerprint).
-/// v4: RoundDoneRecord carries fragment-memo savings (serving layer).
-/// v5: frame compression — HelloRecord offers codecs + compress_min_bytes,
-///     HelloAckRecord answers with its own version + accepted codecs, and
-///     kFrameZ records carry compressed frames. A v5 server still accepts
-///     v4 clients (the trailing Hello fields are absent), and a v5 client
-///     falls back to raw frames when the ack is pre-v5 or declines the
-///     codec — mixed versions run correctly, just uncompressed.
-/// v6: pool saturation — HelloRecord mirrors split_threshold_pct
-///     (intra-fragment work splitting) and peer_concurrent_rounds
-///     (cross-run fan-out on the peer's connection loop), and
-///     RoundDoneRecord reports the peer's pool_* counters. A v6 server
-///     accepts v4/v5 clients (the knobs default off), and a v6 client
-///     against an older server simply runs without peer-side splitting —
-///     the RoundDone pool fields are trailing, so old decoders ignore them.
-inline constexpr uint32_t kWireProtocolVersion = 6;
-
-/// Codec bitmask for the Hello/HelloAck negotiation. The only codec today
-/// is the in-repo LZ4-style block format (common/lz4.h).
-inline constexpr uint8_t kCodecLz4 = 1;
+/// The one wire version: client and peer are built from one tree, and a
+/// peer answers a Hello of any other version with kError.
+inline constexpr uint32_t kWireProtocolVersion = 7;
 
 /// Upper bound on one record's length field: a corrupt length must be a
 /// parse error, not a gigabyte allocation.
 inline constexpr uint64_t kMaxRecordBytes = 1ull << 30;
 
 enum class RecordType : uint8_t {
-  kHello = 1,      ///< client -> peer: version + the site the client dialed
-  kHelloAck,       ///< peer -> client: the site actually served
+  kHello = 1,      ///< client -> peer: version, site dialed, plane options
+  kHelloAck,       ///< peer -> client: the site served, compression accepted
   kOpenRun,        ///< client -> peer: run id, RunSpec, placement fingerprint
   kCloseRun,       ///< client -> peer: drop the run's mail and program
   kFrame,          ///< either direction: one Frame::Encode buffer
   kRoundStart,     ///< client -> peer: deliver the site's pending mail now
   kRoundDone,      ///< peer -> client: round executed (duration + status)
   kError,          ///< peer -> client: a run failed remotely
-  kFrameZ,         ///< either direction: varint raw size + lz4 block (v5+)
+  kFrameZ,         ///< either direction: varint raw size + lz4 block
 };
 
 const char* RecordTypeName(RecordType type);
@@ -122,37 +104,18 @@ class FrameReassembler {
 // ---- Control record payloads ------------------------------------------------
 
 struct HelloRecord {
+  /// Decode rejects any version but kWireProtocolVersion; tests set others.
   uint32_t version = kWireProtocolVersion;
   SiteId site = kNullSite;  ///< the site the client expects this peer to be
 
-  /// The client transport's message-plane knobs. The peer mirrors them on
-  /// its own staging plane so both sides seal byte-identical frames —
-  /// otherwise e.g. an adaptive flush on the client only would make socket
-  /// message counts diverge from the in-process run.
-  uint64_t answer_chunk_ids = 0;
-  uint64_t data_chunk_bytes = 0;
-  uint64_t max_frame_bytes = 0;
-
-  /// TransportOptions::site_threads, mirrored so the peer parallelizes its
-  /// site's per-fragment delivery the same way the client's local sites do
-  /// (paxml_site may cap it; determinism does not depend on the value).
-  uint64_t site_threads = 1;
-
-  /// v5+: codecs the client can decode (kCodec* bitmask) and its
-  /// compress_min_bytes threshold, mirrored by the peer so both directions
-  /// gate identically (the wire-accounting equality depends on it). Encode
-  /// emits them only when `version` >= 5, so tests can craft true v4
-  /// hellos; Decode reads them only when the received version says so.
-  uint8_t codecs = 0;
-  uint64_t compress_min_bytes = 0;
-
-  /// v6+: TransportOptions::split_threshold_pct, mirrored so the peer's
-  /// SiteDriver splits a dominant lane the same way the client's local
-  /// sites do, and TransportOptions::peer_concurrent_rounds, the client's
-  /// ask for cross-run round fan-out on this connection (the server caps
-  /// it; paxml_site --rounds). Gated like the v5 fields.
-  uint64_t split_threshold_pct = 0;
-  uint64_t peer_concurrent_rounds = 1;
+  /// The client transport's options. The Hello carries the mirrored ones —
+  /// answer_chunk_ids, data_chunk_bytes, max_frame_bytes, site_threads,
+  /// split_threshold_pct, peer_concurrent_rounds and compress_min_bytes,
+  /// named once in Encode/Decode — and the rest decode as defaults. The
+  /// peer seals its replies under them, so both sides seal byte-identical
+  /// frames, after capping threads and rounds (paxml_site --threads,
+  /// --rounds). compress_min_bytes > 0 is the client's compression offer.
+  TransportOptions options;
 
   void Encode(ByteWriter* out) const;
   static Result<HelloRecord> Decode(ByteReader* in);
@@ -160,12 +123,9 @@ struct HelloRecord {
 
 struct HelloAckRecord {
   SiteId site = kNullSite;
-
-  /// v5+: the server's protocol version and the codec subset it accepted.
-  /// Pre-v5 servers sent only `site`; Decode tolerates the short form and
-  /// reports version 4 / no codecs, which is exactly the fallback state.
-  uint32_t version = 4;
-  uint8_t codecs = 0;
+  /// The peer accepted the compression offer (paxml_site --compress): both
+  /// directions of the connection compress at the client's threshold.
+  bool compress = false;
 
   void Encode(ByteWriter* out) const;
   static Result<HelloAckRecord> Decode(ByteReader* in);
@@ -216,10 +176,8 @@ struct RoundDoneRecord {
   uint64_t memo_saved_bytes = 0;
   double memo_saved_seconds = 0;
 
-  /// v6+: the peer's pool saturation for this round (zero without fan-out),
-  /// merged into the run's RunStats pool_* fields. Trailing on the wire:
-  /// Encode always emits them, Decode tolerates their absence (a pre-v6
-  /// peer), so mixed versions interoperate.
+  /// The peer's pool saturation for this round (zero without fan-out),
+  /// merged into the run's RunStats pool_* fields.
   uint64_t pool_tasks = 0;
   uint64_t pool_busy_peak = 0;
   uint64_t pool_queue_peak = 0;

@@ -16,10 +16,11 @@
 // FragmentMemo is the shared, thread-safe LRU store (one per engine or per
 // paxml_site process; share only across engines over the same cluster —
 // the epoch in the key is that cluster's). MemoSession is one run's cursor
-// over it, held by the run's SiteDriver: per fragment it replays memo
+// over it, held by the run's SiteDriver and consulted once per lane
+// envelope by the lane task that delivers it: per fragment it replays memo
 // entries step by step until the first divergence (entry missing or request
 // digest mismatch), then switches that fragment to evaluate mode — the
-// driver rebuilds the fragment's handler state by re-delivering the
+// lane task rebuilds the fragment's handler state by re-delivering the
 // retained request prefix, and records fresh entries from there
 // (DESIGN.md §12).
 
@@ -91,9 +92,11 @@ class FragmentMemo {
 };
 
 /// One run's cursor over a FragmentMemo. Thread-safe (a pooled transport
-/// delivers different sites of a round concurrently); per-fragment
-/// sequencing needs no ordering beyond that because a fragment lives on
-/// exactly one site, whose memoized walk is serial.
+/// delivers different sites of a round concurrently, and a site's lane
+/// tasks run concurrently); per-fragment sequencing needs no ordering
+/// beyond that because a fragment lives on exactly one site and, within a
+/// delivery, in exactly one lane task, which walks its envelopes in mail
+/// order.
 class MemoSession {
  public:
   /// `fingerprint` is RunFingerprint(spec) (serving/fingerprint.h);

@@ -533,78 +533,133 @@ TEST(FrameWireTest, CompressedRecordCorruptionIsClean) {
 // peer mirrors them so both sides seal identical frames. This pins the
 // full set — answer_chunk_ids AND data_chunk_bytes included — so a new
 // knob that skips the Hello fails here, not as a socket-vs-sync accounting
-// drift in a four-process test.
-TEST(HelloRecordTest, V5RoundTripCarriesEveryPlaneKnob) {
+// drift in a four-process test. The byte layout is pinned too: there is
+// one form, and any change to it must bump kWireProtocolVersion.
+HelloRecord AllKnobsHello() {
   HelloRecord hello;
   hello.site = 3;
-  hello.answer_chunk_ids = 17;
-  hello.data_chunk_bytes = 4242;
-  hello.max_frame_bytes = 9000;
-  hello.site_threads = 5;
-  hello.codecs = kCodecLz4;
-  hello.compress_min_bytes = 512;
+  hello.options.answer_chunk_ids = 17;
+  hello.options.data_chunk_bytes = 4242;
+  hello.options.max_frame_bytes = 9000;
+  hello.options.site_threads = 5;
+  hello.options.split_threshold_pct = 7;
+  hello.options.peer_concurrent_rounds = 2;
+  hello.options.compress_min_bytes = 512;
+  return hello;
+}
+
+TEST(HelloRecordTest, RoundTripCarriesEveryMirroredKnob) {
+  HelloRecord hello = AllKnobsHello();
+  hello.options.remote_endpoints[1] = "127.0.0.1:1";  // never mirrored
+  hello.options.batching = false;                     // likewise
 
   ByteWriter w;
   hello.Encode(&w);
+  EXPECT_EQ(w.bytes(), std::string("\x07\x00\x00\x00"  // version 7, u32 LE
+                                   "\x04"              // site 3, +1-biased
+                                   "\x11"              // answer_chunk_ids
+                                   "\x92\x21"          // data_chunk_bytes
+                                   "\xa8\x46"          // max_frame_bytes
+                                   "\x05"              // site_threads
+                                   "\x07"              // split_threshold_pct
+                                   "\x02"              // peer_concurrent_rounds
+                                   "\x80\x04",         // compress_min_bytes
+                                   15));
   ByteReader r(w.bytes());
   auto decoded = HelloRecord::Decode(&r);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(decoded->version, kWireProtocolVersion);
   EXPECT_EQ(decoded->site, 3);
-  EXPECT_EQ(decoded->answer_chunk_ids, 17u);
-  EXPECT_EQ(decoded->data_chunk_bytes, 4242u);
-  EXPECT_EQ(decoded->max_frame_bytes, 9000u);
-  EXPECT_EQ(decoded->site_threads, 5u);
-  EXPECT_EQ(decoded->codecs, kCodecLz4);
-  EXPECT_EQ(decoded->compress_min_bytes, 512u);
+  const TransportOptions& o = decoded->options;
+  EXPECT_EQ(o.answer_chunk_ids, 17u);
+  EXPECT_EQ(o.data_chunk_bytes, 4242u);
+  EXPECT_EQ(o.max_frame_bytes, 9000u);
+  EXPECT_EQ(o.site_threads, 5u);
+  EXPECT_EQ(o.split_threshold_pct, 7u);
+  EXPECT_EQ(o.peer_concurrent_rounds, 2u);
+  EXPECT_EQ(o.compress_min_bytes, 512u);
+  // Everything else decodes as the defaults.
+  EXPECT_TRUE(o.batching);
+  EXPECT_TRUE(o.remote_endpoints.empty());
+  EXPECT_EQ(o.fragment_memo, nullptr);
 }
 
-TEST(HelloRecordTest, V4HelloDecodesWithoutCodecFields) {
-  HelloRecord hello;
-  hello.version = 4;  // a true pre-compression client
-  hello.site = 1;
-  hello.codecs = kCodecLz4;        // must NOT be emitted at v4
-  hello.compress_min_bytes = 512;  // likewise
-
-  ByteWriter w;
-  hello.Encode(&w);
-  ByteReader r(w.bytes());
-  auto decoded = HelloRecord::Decode(&r);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(decoded->version, 4u);
-  EXPECT_EQ(decoded->codecs, 0);
-  EXPECT_EQ(decoded->compress_min_bytes, 0u);
+TEST(HelloRecordTest, EveryOtherVersionIsRejected) {
+  for (uint32_t version : {kWireProtocolVersion - 1, kWireProtocolVersion + 1,
+                           0u, 6u}) {
+    if (version == kWireProtocolVersion) continue;
+    HelloRecord hello = AllKnobsHello();
+    hello.version = version;
+    ByteWriter w;
+    hello.Encode(&w);
+    ByteReader r(w.bytes());
+    auto decoded = HelloRecord::Decode(&r);
+    ASSERT_FALSE(decoded.ok()) << "v" << version;
+    EXPECT_NE(decoded.status().message().find("version mismatch"),
+              std::string::npos)
+        << decoded.status();
+  }
 }
 
-TEST(HelloAckRecordTest, ShortFormDecodesAsPreV5) {
-  // A pre-v5 server's ack carried only the site; Decode reports version 4
-  // and no codecs — exactly the client's fallback state.
-  HelloAckRecord legacy;
-  legacy.site = 2;  // version stays at its default (4): short form
-  ByteWriter w;
-  legacy.Encode(&w);
-  ByteReader r(w.bytes());
-  auto decoded = HelloAckRecord::Decode(&r);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(decoded->site, 2);
-  EXPECT_EQ(decoded->version, 4u);
-  EXPECT_EQ(decoded->codecs, 0);
+TEST(HelloAckRecordTest, RoundTripCarriesTheCompressionAnswer) {
+  for (bool compress : {false, true}) {
+    HelloAckRecord ack;
+    ack.site = 2;
+    ack.compress = compress;
+    ByteWriter w;
+    ack.Encode(&w);
+    EXPECT_EQ(w.bytes(), std::string("\x03", 1) + (compress ? '\x01' : '\x00'));
+    ByteReader r(w.bytes());
+    auto decoded = HelloAckRecord::Decode(&r);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    EXPECT_EQ(decoded->site, 2);
+    EXPECT_EQ(decoded->compress, compress);
+  }
+  const std::string bad_flag("\x03\x02", 2);
+  ByteReader r(bad_flag);
+  EXPECT_FALSE(HelloAckRecord::Decode(&r).ok());
+}
 
-  HelloAckRecord modern;
-  modern.site = 2;
-  modern.version = kWireProtocolVersion;
-  modern.codecs = kCodecLz4;
-  ByteWriter w2;
-  modern.Encode(&w2);
-  ByteReader r2(w2.bytes());
-  auto decoded2 = HelloAckRecord::Decode(&r2);
-  ASSERT_TRUE(decoded2.ok()) << decoded2.status();
-  EXPECT_TRUE(r2.AtEnd());
-  EXPECT_EQ(decoded2->version, kWireProtocolVersion);
-  EXPECT_EQ(decoded2->codecs, kCodecLz4);
+// A control record is exactly its fields: every strict prefix (a peer that
+// died mid-record, or an older, shorter form) and every padded encoding is
+// a clean parse error, never a partially filled record.
+template <typename R>
+void ExpectStrictDecode(const R& record, const std::string& label) {
+  ByteWriter w;
+  record.Encode(&w);
+  const std::string bytes = w.bytes();
+  {
+    ByteReader r(bytes);
+    ASSERT_TRUE(R::Decode(&r).ok()) << label;
+  }
+  for (size_t n = 0; n < bytes.size(); ++n) {
+    ByteReader r(std::string_view(bytes).substr(0, n));
+    EXPECT_FALSE(R::Decode(&r).ok()) << label << " truncated to " << n;
+  }
+  const std::string padded = bytes + "x";
+  ByteReader r(padded);
+  EXPECT_FALSE(R::Decode(&r).ok()) << label << " with a trailing byte";
+}
+
+TEST(ControlRecordTest, TruncatedAndTrailingBytesAreRejected) {
+  ExpectStrictDecode(AllKnobsHello(), "hello");
+  HelloAckRecord ack;
+  ack.site = 2;
+  ack.compress = true;
+  ExpectStrictDecode(ack, "hello-ack");
+  RoundDoneRecord done;
+  done.run = 11;
+  done.site = 3;
+  done.seconds = 0.5;
+  done.status = Status::InvalidArgument("boom");
+  done.memo_fragment_hits = 17;
+  done.memo_saved_bytes = 4096;
+  done.memo_saved_seconds = 0.125;
+  done.pool_tasks = 9;
+  done.pool_busy_peak = 4;
+  done.pool_queue_peak = 2;
+  ExpectStrictDecode(done, "round-done");
 }
 
 // ---- Frame batching at the transport level ----------------------------------

@@ -437,26 +437,12 @@ TEST(ReachKernelTest, QueryShapedEntriesAndTargets) {
 
 // ---- Determinism: sync vs pooled vs intra-site parallel ---------------------
 
-/// True when some fragment has more entries than one batch holds, so a
-/// forced split of its request actually fans out.
-bool HasSplittableFragment(const GraphFragmentStore& store) {
-  for (size_t f = 0; f < store.fragment_count(); ++f) {
-    if (store.fragment(static_cast<FragmentId>(f)).in_boundary.size() >
-        kReachBatchEntries) {
-      return true;
-    }
-  }
-  return false;
-}
-
 TEST(ReachDeterminismTest, SyncPooledAndThreadedAreBitIdentical) {
   // Big enough that fragments hold several 64-entry batches.
   const int32_t n = 2000;
   GraphWorld w = MakeWorld(n, 1.8, 7, 4, 3);
-  ASSERT_TRUE(HasSplittableFragment(*w.store));
   Rng rng(77);
   uint64_t threaded_pool_tasks = 0;
-  uint64_t split_pool_tasks = 0;
   for (int i = 0; i < 10; ++i) {
     ReachQuery q;
     q.source = static_cast<NodeId>(rng.NextBounded(n));
@@ -474,32 +460,18 @@ TEST(ReachDeterminismTest, SyncPooledAndThreadedAreBitIdentical) {
     SyncTransport threaded(threaded_opts);
     auto t = EvaluateReachability(*w.cluster, q, &threaded);
 
-    // Intra-fragment splitting forced on (threshold 1%): 64-entry batch
-    // sub-items fan out, yet the dep/answer streams must re-encode
-    // byte-identically (DESIGN.md §14).
-    TransportOptions split_opts;
-    split_opts.site_threads = 4;
-    split_opts.split_threshold_pct = 1;
-    SyncTransport split(split_opts);
-    auto sp = EvaluateReachability(*w.cluster, q, &split);
-
     ASSERT_TRUE(s.ok()) << label << ": " << s.status();
     ASSERT_TRUE(p.ok()) << label << ": " << p.status();
     ASSERT_TRUE(t.ok()) << label << ": " << t.status();
-    ASSERT_TRUE(sp.ok()) << label << ": " << sp.status();
     EXPECT_EQ(p->answers, s->answers) << label;
     EXPECT_EQ(t->answers, s->answers) << label;
-    EXPECT_EQ(sp->answers, s->answers) << label;
     ExpectStatsEqual(p->stats, s->stats, "pooled|" + label);
     ExpectStatsEqual(t->stats, s->stats, "threads=4|" + label);
-    ExpectStatsEqual(sp->stats, s->stats, "split|" + label);
     threaded_pool_tasks += t->stats.pool_tasks;
-    split_pool_tasks += sp->stats.pool_tasks;
   }
-  // The split runs actually fanned out: a split lane becomes two or more
-  // pool tasks, so they ran more tasks than the lanes alone did, and the
-  // equality above is not vacuous.
-  EXPECT_GT(split_pool_tasks, threaded_pool_tasks);
+  // The threaded runs actually fanned out into lanes, so the equality
+  // above is not vacuous.
+  EXPECT_GT(threaded_pool_tasks, 0u);
 }
 
 // ---- The acceptance bar: four processes over sockets ------------------------
@@ -508,17 +480,15 @@ TEST(ReachDeterminismTest, SyncPooledAndThreadedAreBitIdentical) {
 // processes plus the client) reproduces SyncTransport's exact RunStats —
 // the same guarantee the XML family makes, now workload-agnostic.
 TEST(ReachSocketTest, FourProcessDeploymentReproducesSyncExactly) {
-  // Big enough that the forced split has fragments of several batches.
   const int32_t n = 2000;
   GraphWorld w = MakeWorld(n, 1.7, 6, 4, 9);
-  ASSERT_TRUE(HasSplittableFragment(*w.store));
   const std::string dir = MakeTempDir();
   ASSERT_TRUE(SaveGraph(*w.store, dir).ok());
   Deployment deployment(dir, *w.cluster);
 
   Rng rng(5);
-  // Pool tasks the peers report per (threads, split) config.
-  std::map<std::pair<size_t, uint64_t>, uint64_t> pool_tasks;
+  // Pool tasks the peers report per thread count.
+  std::map<size_t, uint64_t> pool_tasks;
   for (int i = 0; i < 8; ++i) {
     ReachQuery q;
     q.source = static_cast<NodeId>(rng.NextBounded(n));
@@ -529,27 +499,24 @@ TEST(ReachSocketTest, FourProcessDeploymentReproducesSyncExactly) {
     ASSERT_TRUE(sync.ok()) << label << ": " << sync.status();
     EXPECT_EQ(sync->answers, ExpectedAnswer(w, q)) << label;
 
-    // (threads, split threshold %): serial, lane-parallel, and lane-
-    // parallel with intra-fragment splitting forced on at the peers.
-    for (auto [threads, split_pct] :
-         {std::pair<size_t, uint64_t>{1, 0}, {4, 0}, {4, 1}}) {
+    // Serial and lane-parallel peers.
+    for (size_t threads : {1, 4}) {
       TransportOptions sopts;
       sopts.remote_endpoints = deployment.endpoints();
       sopts.site_threads = threads;
-      sopts.split_threshold_pct = split_pct;
       SocketTransport socket(sopts);
       auto remote = EvaluateReachability(*w.cluster, q, &socket);
-      const std::string tlabel = label + "|threads=" +
-                                 std::to_string(threads) + "|split=" +
-                                 std::to_string(split_pct);
+      const std::string tlabel =
+          label + "|threads=" + std::to_string(threads);
       ASSERT_TRUE(remote.ok()) << tlabel << ": " << remote.status();
       EXPECT_EQ(remote->answers, sync->answers) << tlabel;
       ExpectStatsEqual(remote->stats, sync->stats, tlabel);
-      pool_tasks[{threads, split_pct}] += remote->stats.pool_tasks;
+      pool_tasks[threads] += remote->stats.pool_tasks;
     }
   }
-  // The peers' forced split fanned out beyond their lanes.
-  EXPECT_GT((pool_tasks[{4, 1}]), (pool_tasks[{4, 0}]));
+  // The lane-parallel peers fanned out; the serial ones never did.
+  EXPECT_EQ(pool_tasks[1], 0u);
+  EXPECT_GT(pool_tasks[4], 0u);
 }
 
 // Engine::Submit drives the graph family through the same session API as

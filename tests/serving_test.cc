@@ -14,7 +14,9 @@
 
 #include "core/engine.h"
 #include "fragment/fragmenter.h"
+#include "runtime/site_driver.h"
 #include "runtime/wire.h"
+#include "runtime/worker_pool.h"
 #include "serving/answer_cache.h"
 #include "serving/fingerprint.h"
 #include "serving/fragment_memo.h"
@@ -313,49 +315,78 @@ TEST_F(ServingTest, ConcurrentMixedPrioritySubmissionsBitIdentical) {
 
 // ---- Fragment-stage memo ----------------------------------------------------
 
+/// The accounted RunStats — every counter the bit-identity contract
+/// covers; timing and the advisory memo_* / pool_* fields are excluded.
+void ExpectContractEqual(const RunStats& got, const RunStats& want) {
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.total_bytes, want.total_bytes);
+  EXPECT_EQ(got.total_messages, want.total_messages);
+  EXPECT_EQ(got.total_envelopes, want.total_envelopes);
+  EXPECT_EQ(got.answer_bytes, want.answer_bytes);
+  EXPECT_EQ(got.wire_bytes, want.wire_bytes);
+  EXPECT_EQ(got.edges, want.edges);
+  ASSERT_EQ(got.per_site.size(), want.per_site.size());
+  for (size_t s = 0; s < want.per_site.size(); ++s) {
+    EXPECT_EQ(got.per_site[s].visits, want.per_site[s].visits) << "site " << s;
+    EXPECT_EQ(got.per_site[s].bytes_sent, want.per_site[s].bytes_sent)
+        << "site " << s;
+    EXPECT_EQ(got.per_site[s].bytes_received, want.per_site[s].bytes_received)
+        << "site " << s;
+    EXPECT_EQ(got.per_site[s].messages_sent, want.per_site[s].messages_sent)
+        << "site " << s;
+  }
+}
+
 // A second identical run replays per-fragment partial answers: answers and
 // every accounted counter bit-identical, savings reported in the memo_*
-// fields only.
+// fields only. Two sites with two or more fragments each, so at
+// site_threads=4 the memo works inside fanned-out lanes — both the
+// recording and the replaying run use the pool.
 TEST_F(ServingTest, MemoSecondRunReportsSavingsWithIdenticalAccounting) {
-  EngineConfig config;
-  config.depth = 1;
-  config.serving.fragment_memo = std::make_shared<FragmentMemo>();
-  Engine engine(*cluster_, config);
-
-  QueryReport first = engine.Submit(kQueryA).TakeReport();
-  ASSERT_TRUE(first.result.ok());
-  EXPECT_EQ(first.stats.memo_fragment_hits, 0u);  // recorded, nothing to hit
-
-  QueryReport second = engine.Submit(kQueryA).TakeReport();
-  ASSERT_TRUE(second.result.ok());
-  EXPECT_GT(second.stats.memo_fragment_hits, 0u);
-  EXPECT_GT(second.stats.memo_saved_bytes, 0u);
-
-  // The protocol the coordinator observed is unchanged to the byte.
-  EXPECT_EQ(second.result->answers, first.result->answers);
-  EXPECT_EQ(second.stats.rounds, first.stats.rounds);
-  EXPECT_EQ(second.stats.total_bytes, first.stats.total_bytes);
-  EXPECT_EQ(second.stats.total_messages, first.stats.total_messages);
-  EXPECT_EQ(second.stats.total_envelopes, first.stats.total_envelopes);
-  EXPECT_EQ(second.stats.answer_bytes, first.stats.answer_bytes);
-  EXPECT_EQ(second.stats.wire_bytes, first.stats.wire_bytes);
-  EXPECT_EQ(second.stats.edges, first.stats.edges);
-  ASSERT_EQ(second.stats.per_site.size(), first.stats.per_site.size());
-  for (size_t s = 0; s < first.stats.per_site.size(); ++s) {
-    EXPECT_EQ(second.stats.per_site[s].visits, first.stats.per_site[s].visits);
-    EXPECT_EQ(second.stats.per_site[s].bytes_sent,
-              first.stats.per_site[s].bytes_sent);
+  Cluster cluster(doc_, 2);
+  for (size_t f = 0; f < doc_->size(); ++f) {
+    ASSERT_TRUE(cluster.Place(static_cast<FragmentId>(f), f < 2 ? 0 : 1).ok());
   }
+  ASSERT_GE(cluster.fragments_at(0).size(), 2u);
+  ASSERT_GE(cluster.fragments_at(1).size(), 2u);
 
-  // And identical to a cold engine with no serving layer at all.
+  // The reference: a cold serial engine with no serving layer at all.
   EngineConfig cold_config;
   cold_config.depth = 1;
-  Engine cold(*cluster_, cold_config);
+  Engine cold(cluster, cold_config);
   QueryReport plain = cold.Submit(kQueryA).TakeReport();
   ASSERT_TRUE(plain.result.ok());
-  EXPECT_EQ(plain.result->answers, second.result->answers);
-  EXPECT_EQ(plain.stats.total_bytes, second.stats.total_bytes);
-  EXPECT_EQ(plain.stats.edges, second.stats.edges);
+
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE("site_threads=" + std::to_string(threads));
+    EngineConfig config;
+    config.depth = 1;
+    config.transport_options.site_threads = threads;
+    config.serving.fragment_memo = std::make_shared<FragmentMemo>();
+    Engine engine(cluster, config);
+
+    QueryReport first = engine.Submit(kQueryA).TakeReport();
+    ASSERT_TRUE(first.result.ok());
+    EXPECT_EQ(first.stats.memo_fragment_hits, 0u);  // recorded, nothing to hit
+
+    QueryReport second = engine.Submit(kQueryA).TakeReport();
+    ASSERT_TRUE(second.result.ok());
+    EXPECT_GT(second.stats.memo_fragment_hits, 0u);
+    EXPECT_GT(second.stats.memo_saved_bytes, 0u);
+
+    // The protocol the coordinator observed is unchanged to the byte.
+    EXPECT_EQ(first.result->answers, plain.result->answers);
+    EXPECT_EQ(second.result->answers, plain.result->answers);
+    ExpectContractEqual(first.stats, plain.stats);
+    ExpectContractEqual(second.stats, plain.stats);
+
+    if (threads > 1) {
+      EXPECT_GT(first.stats.pool_tasks, 0u);
+      EXPECT_GT(second.stats.pool_tasks, 0u);
+    } else {
+      EXPECT_EQ(second.stats.pool_tasks, 0u);
+    }
+  }
 }
 
 TEST_F(ServingTest, MemoKeysOnEpochAndFingerprint) {
@@ -441,6 +472,122 @@ TEST(MemoSessionTest, ReplaysUntilDivergenceThenHandsBackRecoveryPrefix) {
   }
 }
 
+// ---- The driver's memo step: recovery after hits ----------------------------
+
+/// A site program whose replies depend on per-fragment state: every request
+/// to fragment f bumps f's counter and replies "f:count:payload" to the
+/// query site. A fragment whose state was not rebuilt after memo hits
+/// answers with a stale count.
+class CountingHandlers : public MessageHandlers {
+ public:
+  explicit CountingHandlers(size_t fragments) : counts_(fragments, 0) {}
+
+  Status OnPart(SiteContext& ctx, const Envelope&,
+                const WirePart& part) override {
+    const int count = ++counts_[static_cast<size_t>(part.fragment)];
+    Envelope reply;
+    reply.to = ctx.query_site();
+    reply.parts.push_back({MessageKind::kQualUp, part.fragment,
+                           std::to_string(part.fragment) + ":" +
+                               std::to_string(count) + ":" + part.bytes,
+                           true});
+    ctx.Send(std::move(reply));
+    return Status::OK();
+  }
+
+ private:
+  std::vector<int> counts_;  ///< per-fragment slots, as the contract asks
+};
+
+/// The driver's real plane: records every envelope replayed into it.
+class RecordingTransport : public Transport {
+ public:
+  RecordingTransport() : Transport(TransportOptions{}) {}
+  void Send(Envelope env) override { sent.push_back(std::move(env)); }
+  Status RunRound(RunId, const std::vector<SiteId>&, const DeliverFn&,
+                  std::vector<double>*) override {
+    return Status::Internal("no rounds");
+  }
+  const char* name() const override { return "recording"; }
+
+  std::vector<Envelope> sent;
+};
+
+std::string Describe(const std::vector<Envelope>& sent) {
+  std::string out;
+  for (const Envelope& env : sent) {
+    out += std::to_string(env.run) + "/" + std::to_string(env.from) + ">" +
+           std::to_string(env.to) + ":";
+    for (const WirePart& part : env.parts) out += part.bytes + ";";
+    out += "\n";
+  }
+  return out;
+}
+
+// Hits on a fragment, then a miss: the driver must rebuild the fragment's
+// handler state from the memo-served prefix before evaluating, or the
+// replies after the miss differ from a delivery without a memo. Fragment
+// a diverges at step 1 (its recorded step-1 request differs); fragment b
+// runs out of entries at step 2, after two hits.
+TEST(SiteDriverMemoTest, RecoveryAfterHitsMatchesADeliveryWithoutMemo) {
+  Tree t = testing::BuildClienteleTree();
+  auto doc = FragmentByCuts(t, testing::ClienteleCuts(t));
+  ASSERT_TRUE(doc.ok());
+  auto shared = std::make_shared<FragmentedDocument>(std::move(doc).ValueOrDie());
+  Cluster cluster(shared, 2);
+  for (size_t f = 0; f < shared->size(); ++f) {
+    ASSERT_TRUE(cluster.Place(static_cast<FragmentId>(f), f < 2 ? 0 : 1).ok());
+  }
+  const SiteId site = 1;
+  const FragmentId a = cluster.fragments_at(site)[0];
+  const FragmentId b = cluster.fragments_at(site)[1];
+  auto round = [&](const std::string& to_a, const std::string& to_b) {
+    std::vector<Envelope> mail;
+    mail.push_back(MakeLaneEnvelope(a, to_a));
+    mail.push_back(MakeLaneEnvelope(b, to_b));
+    return mail;
+  };
+  const std::vector<std::vector<Envelope>> recorded = {
+      round("a0", "b0"), round("a1-recorded", "b1")};
+  const std::vector<std::vector<Envelope>> replayed = {
+      round("a0", "b0"), round("a1", "b1"), round("a2", "b2")};
+  const RunId run = 7;
+
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE("site_threads=" + std::to_string(threads));
+    auto pool = threads > 1 ? std::make_shared<WorkerPool>(threads) : nullptr;
+    auto deliver_all = [&](const std::vector<std::vector<Envelope>>& rounds,
+                           std::shared_ptr<MemoSession> session,
+                           MemoSavings* saved) {
+      CountingHandlers handlers(cluster.fragment_count());
+      RecordingTransport plane;
+      SiteDriver driver(&cluster, &plane, run, &handlers, pool, threads,
+                        std::move(session));
+      for (const std::vector<Envelope>& mail : rounds) {
+        double seconds = 0;
+        EXPECT_TRUE(driver.DeliverTimed(site, mail, &seconds).ok());
+      }
+      if (saved != nullptr) *saved = driver.TakeMemoSavings();
+      return Describe(plane.sent);
+    };
+
+    auto memo = std::make_shared<FragmentMemo>();
+    (void)deliver_all(recorded, std::make_shared<MemoSession>(memo, "fp", 0),
+                      nullptr);
+    MemoSavings saved;
+    const std::string with_memo = deliver_all(
+        replayed, std::make_shared<MemoSession>(memo, "fp", 0), &saved);
+    const std::string without_memo = deliver_all(replayed, nullptr, nullptr);
+    EXPECT_EQ(with_memo, without_memo);
+    // Hits: a0, b0 and b1; a diverged at step 1, b ran out at step 2.
+    EXPECT_EQ(saved.fragment_hits, 3u);
+    EXPECT_NE(with_memo.find(std::to_string(a) + ":2:a1"), std::string::npos)
+        << with_memo;
+    EXPECT_NE(with_memo.find(std::to_string(b) + ":3:b2"), std::string::npos)
+        << with_memo;
+  }
+}
+
 TEST(FragmentMemoTest, DigestMismatchIsAMissAndRunIdIsExcluded) {
   Envelope env = MakeLaneEnvelope(3, "payload");
   env.run = 7;
@@ -465,7 +612,7 @@ TEST(FragmentMemoTest, DigestMismatchIsAMissAndRunIdIsExcluded) {
 
 // ---- RoundDone wire record --------------------------------------------------
 
-// Protocol v4: a peer's memo savings ride back in RoundDone.
+// A peer's memo savings ride back in RoundDone.
 TEST(WireTest, RoundDoneRecordRoundtripsMemoSavings) {
   RoundDoneRecord record;
   record.run = 11;

@@ -27,6 +27,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +39,7 @@
 #include "harness.h"
 #include "runtime/socket_server.h"
 #include "runtime/socket_transport.h"
+#include "serving/fragment_memo.h"
 #include "test_util.h"
 
 namespace paxml {
@@ -624,51 +626,178 @@ TEST(SocketTransportTest, DeclinedCompressionOfferRunsRawAndCorrect) {
   }
 }
 
-// Mixed-version interop: a v5 client offering compression against peers
-// that answer the pre-v5 short HelloAck (SiteServer::set_legacy_hello,
-// impersonating an older server in-process). The client must detect the
-// old ack, fall back to raw frames, and produce correct answers with the
-// exact logical ledger — no silent corruption, no hang.
-TEST(SocketTransportTest, LegacyHelloPeerRunsRawAndCorrect) {
-  ClienteleWorld w = MakeClienteleWorld();
+// ---- One wire version ------------------------------------------------------
 
-  std::vector<std::unique_ptr<SiteServer>> servers;
-  std::vector<std::thread> threads;
-  std::map<SiteId, std::string> endpoints;
-  for (size_t s = 0; s < w.cluster->site_count(); ++s) {
-    const SiteId site = static_cast<SiteId>(s);
-    if (site == w.cluster->query_site()) continue;
-    auto server = std::make_unique<SiteServer>(
-        w.cluster.get(), site, MakeSiteProgramFactory(w.cluster.get()),
-        /*max_site_threads=*/0, /*memo=*/nullptr, /*allow_compress=*/true);
-    server->set_legacy_hello(true);
-    auto port = server->Listen("127.0.0.1", 0);
-    ASSERT_TRUE(port.ok()) << port.status();
-    endpoints[site] = "127.0.0.1:" + std::to_string(*port);
-    threads.emplace_back([srv = server.get()] {
-      const Status st = srv->Serve();
-      (void)st;  // shutdown races surface as benign accept errors
-    });
-    servers.push_back(std::move(server));
+/// In-process SiteServers for every non-query site of `cluster`, serving on
+/// loopback threads until Stop() — for tests that need a server knob the
+/// paxml_site harness does not pass.
+class InProcessPeers {
+ public:
+  InProcessPeers(const Cluster* cluster, std::shared_ptr<FragmentMemo> memo) {
+    for (size_t s = 0; s < cluster->site_count(); ++s) {
+      const SiteId site = static_cast<SiteId>(s);
+      if (site == cluster->query_site()) continue;
+      auto server = std::make_unique<SiteServer>(
+          cluster, site, MakeSiteProgramFactory(cluster),
+          /*max_site_threads=*/0, memo);
+      auto port = server->Listen("127.0.0.1", 0);
+      PAXML_CHECK(port.ok());
+      endpoints_[site] = "127.0.0.1:" + std::to_string(*port);
+      threads_.emplace_back([srv = server.get()] {
+        const Status st = srv->Serve();
+        (void)st;  // shutdown races surface as benign accept errors
+      });
+      servers_.push_back(std::move(server));
+    }
   }
+
+  /// Every client transport must be gone first: a server sits in a
+  /// blocking read on a live connection until its client hangs up.
+  ~InProcessPeers() {
+    for (auto& server : servers_) server->Shutdown();
+    for (auto& t : threads_) t.join();
+  }
+
+  const std::map<SiteId, std::string>& endpoints() const { return endpoints_; }
+
+ private:
+  std::vector<std::unique_ptr<SiteServer>> servers_;
+  std::vector<std::thread> threads_;
+  std::map<SiteId, std::string> endpoints_;
+};
+
+/// Reads one whole record from `fd`: nullopt at EOF.
+std::optional<WireRecord> ReadRecord(int fd, RecordBuffer* buf) {
+  char chunk[4096];
+  while (true) {
+    auto record = buf->Next();
+    PAXML_CHECK(record.ok());
+    if (record->has_value()) return std::move(*record);
+    auto n = ReadSome(fd, chunk, sizeof(chunk));
+    if (!n.ok() || *n == 0) return std::nullopt;
+    buf->Append({chunk, *n});
+  }
+}
+
+// A Hello one version off on either side is refused: the peer answers with
+// a kError record naming the mismatch and closes the connection.
+TEST(SocketTransportTest, PeerRejectsEveryOtherWireVersion) {
+  ClienteleWorld w = MakeClienteleWorld();
+  const SiteId served = 2;
+  SiteServer server(w.cluster.get(), served,
+                    MakeSiteProgramFactory(w.cluster.get()));
+  auto port = server.Listen("127.0.0.1", 0);
+  ASSERT_TRUE(port.ok()) << port.status();
+
+  for (uint32_t version : {kWireProtocolVersion - 1, kWireProtocolVersion + 1}) {
+    Status served_status;
+    std::thread serving([&] { served_status = server.ServeOne(); });
+    auto fd = DialEndpoint("127.0.0.1:" + std::to_string(*port));
+    ASSERT_TRUE(fd.ok()) << fd.status();
+    HelloRecord hello;
+    hello.version = version;
+    hello.site = served;
+    std::string bytes;
+    AppendControlRecord(RecordType::kHello, hello, &bytes);
+    ASSERT_TRUE(WriteAll(*fd, bytes).ok());
+
+    RecordBuffer buf;
+    std::optional<WireRecord> reply = ReadRecord(*fd, &buf);
+    ASSERT_TRUE(reply.has_value()) << "v" << version;
+    ASSERT_EQ(reply->type, RecordType::kError) << "v" << version;
+    ByteReader reader(reply->payload);
+    auto error = ErrorRecord::Decode(&reader);
+    ASSERT_TRUE(error.ok()) << error.status();
+    EXPECT_EQ(error->run, kNullRun);
+    EXPECT_NE(error->message.find("version mismatch"), std::string::npos)
+        << error->message;
+    // ... and then the connection closes.
+    EXPECT_FALSE(ReadRecord(*fd, &buf).has_value()) << "v" << version;
+    CloseFd(*fd);
+    serving.join();
+    EXPECT_FALSE(served_status.ok()) << "v" << version;
+  }
+}
+
+// The client's half: a peer that refuses the Hello (as a peer of another
+// version does) surfaces as a clean Status at the run's first round — no
+// abort, no hang.
+TEST(SocketTransportTest, RejectedHandshakeFailsTheFirstRoundCleanly) {
+  ClienteleWorld w = MakeClienteleWorld();
+  auto listen_fd = ListenOn("127.0.0.1", 0);
+  ASSERT_TRUE(listen_fd.ok()) << listen_fd.status();
+  auto port = BoundPort(*listen_fd);
+  ASSERT_TRUE(port.ok()) << port.status();
+  std::thread peer([fd = *listen_fd] {
+    auto conn = AcceptOn(fd);
+    PAXML_CHECK(conn.ok());
+    RecordBuffer buf;
+    std::optional<WireRecord> hello = ReadRecord(*conn, &buf);
+    PAXML_CHECK(hello.has_value() && hello->type == RecordType::kHello);
+    ErrorRecord error;
+    error.message = "wire protocol version mismatch: hello speaks v" +
+                    std::to_string(kWireProtocolVersion) + ", this build v" +
+                    std::to_string(kWireProtocolVersion + 1);
+    std::string bytes;
+    AppendControlRecord(RecordType::kError, error, &bytes);
+    PAXML_CHECK(WriteAll(*conn, bytes).ok());
+    CloseFd(*conn);
+  });
+
+  TransportOptions topts;
+  topts.remote_endpoints[2] = "127.0.0.1:" + std::to_string(*port);
+  SocketTransport socket(topts);
+  peer.join();
+  CloseFd(*listen_fd);
+  EXPECT_FALSE(socket.EnsureConnected().ok());
+  auto compiled = CompileXPath("//stock/code", w.doc->symbols());
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  EngineOptions options = SyncOptions(DistributedAlgorithm::kPaX2, false);
+  auto got = EvaluateDistributed(*w.cluster, *compiled, options, &socket);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kNetworkError) << got.status();
+  EXPECT_NE(got.status().message().find("peer rejected handshake"),
+            std::string::npos)
+      << got.status();
+  EXPECT_NE(got.status().message().find("version mismatch"), std::string::npos)
+      << got.status();
+}
+
+// ---- Memo and lanes together on the peers -----------------------------------
+
+// Peers serving with a fragment memo (paxml_site --memo) at site_threads=4:
+// site 1 hosts two fragments, so its rounds fan out into lanes while the
+// memo records and then replays each fragment's replies. The repeated
+// query's hits come home through RoundDone, and both runs' contract fields
+// equal the sync run's.
+TEST(SocketTransportTest, MemoPeersWithLanesReproduceSyncExactly) {
+  ClienteleWorld w = MakeClienteleWorld();
+  ASSERT_GE(w.cluster->fragments_at(1).size(), 2u);
+  InProcessPeers peers(w.cluster.get(), std::make_shared<FragmentMemo>());
 
   for (const std::string& query :
        {std::string("//stock/code"),
-        std::string("clientele/client/broker/name")}) {
+        std::string("clientele/client[country/text() = \"US\"]/broker/name")}) {
     auto sync = EvaluateDistributed(
         *w.cluster, query, SyncOptions(DistributedAlgorithm::kPaX2, false));
-    EngineOptions options =
-        SocketOptions(DistributedAlgorithm::kPaX2, false, endpoints);
-    options.transport_options.compress_min_bytes = 64;
-    auto socket = EvaluateDistributed(*w.cluster, query, options);
     ASSERT_TRUE(sync.ok()) << query << ": " << sync.status();
-    ASSERT_TRUE(socket.ok()) << query << ": " << socket.status();
-    EXPECT_EQ(socket->answers, sync->answers) << query;
-    ExpectLogicalStatsEqual(socket->stats, sync->stats, query);
+    EngineOptions options =
+        SocketOptions(DistributedAlgorithm::kPaX2, false, peers.endpoints());
+    options.transport_options.site_threads = 4;
+    options.transport_options.split_threshold_pct = 0;
+    auto recording = EvaluateDistributed(*w.cluster, query, options);
+    auto replaying = EvaluateDistributed(*w.cluster, query, options);
+    ASSERT_TRUE(recording.ok()) << query << ": " << recording.status();
+    ASSERT_TRUE(replaying.ok()) << query << ": " << replaying.status();
+    EXPECT_EQ(recording->answers, sync->answers) << query;
+    EXPECT_EQ(replaying->answers, sync->answers) << query;
+    ExpectStatsEqual(recording->stats, sync->stats, query + "|recording");
+    ExpectStatsEqual(replaying->stats, sync->stats, query + "|replaying");
+    EXPECT_EQ(recording->stats.memo_fragment_hits, 0u) << query;
+    EXPECT_GT(replaying->stats.memo_fragment_hits, 0u) << query;
+    EXPECT_GT(recording->stats.pool_tasks, 0u) << query;
+    EXPECT_GT(replaying->stats.pool_tasks, 0u) << query;
   }
-
-  for (auto& server : servers) server->Shutdown();
-  for (auto& t : threads) t.join();
 }
 
 // ---- Non-default message-plane knobs ----------------------------------------

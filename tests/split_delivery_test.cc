@@ -138,9 +138,9 @@ INSTANTIATE_TEST_SUITE_P(
 // One fragment per site: per-fragment lanes cannot fan a site's round out
 // at all (every segment is a single lane), so any pool activity is the
 // intra-fragment split itself. PaX2 with annotations on a qualifier-free
-// selection is the splittable shape — the capture bypass (single-lane
-// DeliverSplitDirect) must send byte-identically, and pool_tasks proves
-// the sub-items actually ran.
+// selection is the splittable shape — the capture bypass (a split lane
+// that is its whole segment sends straight into the real plane) must send
+// byte-identically, and pool_tasks proves the sub-items actually ran.
 TEST(SplitDeliveryTest, OneFragmentPerSiteSplitsAndMatchesSerial) {
   Rng rng(4242);
   Tree tree = RandomTree(&rng, 400);

@@ -24,6 +24,10 @@
 // It then serves until killed; a client disconnect drops that client's
 // runs and the next client is accepted.
 //
+// The client and this peer must speak the same wire version (both are
+// built from one tree); a Hello of any other version is refused with an
+// error record and the connection is closed.
+//
 // A client's Hello may ask for intra-site parallel delivery (the
 // site_threads transport knob); the server then fans a round's
 // per-fragment mail out on a worker pool — RunStats stay bit-identical to
@@ -34,20 +38,21 @@
 // server keeps a process-wide store of per-fragment partial answers keyed
 // by (query fingerprint, fragment, step), so repeated queries — across
 // runs and client connections — replay recorded replies instead of
-// re-evaluating. Answers and accounted RunStats are unchanged; each
-// round's savings travel back in the RoundDone record.
+// re-evaluating, inside the same per-fragment lanes that --threads fans
+// out. Answers and accounted RunStats are unchanged; each round's savings
+// travel back in the RoundDone record.
 //
 // --compress lets the server accept a client's frame-compression offer
 // (TransportOptions::compress_min_bytes on the client side): frames at or
 // above the client's threshold travel as lz4-compressed kFrameZ records in
 // both directions. Logical accounting is unchanged — only wire bytes
 // shrink. Without the flag every offer is declined and connections run raw
-// frames (the pre-v5 behavior).
+// frames.
 //
 // --rounds R caps how many independent runs' rounds one connection may
 // deliver concurrently when a client's Hello asks for cross-run fan-out
-// (the peer_concurrent_rounds transport knob, wire protocol v6; default:
-// honor the client, bounded at 16). Each run's RunStats stay exactly its
+// (the peer_concurrent_rounds transport knob; default: honor the client,
+// bounded at 16). Each run's RunStats stay exactly its
 // solo RunStats — only independent runs overlap.
 
 #include <cstdio>
