@@ -187,10 +187,10 @@ Status SiteServer::ServeConnection(int fd) {
   // no other way to tear the connection down).
   std::mutex conn_status_mu;
   Status conn_status;
-  // Cross-run round fan-out, sized by the client's
-  // Hello capped by the operator. Declared AFTER everything a round task
-  // borrows: its destructor drains and joins in-flight tasks first, so no
-  // task outlives the plane, the run map or the mutexes above.
+  // Cross-run round fan-out, sized by the client's Hello capped by the
+  // operator. Declared AFTER everything a round task borrows: its
+  // destructor drains and joins in-flight tasks first, so no task outlives
+  // the plane, the run map or the mutexes above.
   std::shared_ptr<WorkerPool> rounds_pool;
 
   auto send_error = [&](RunId run, const std::string& message) -> Status {
@@ -260,7 +260,8 @@ Status SiteServer::ServeConnection(int fd) {
       // Seal replies under the client's plane options so both sides seal
       // identical frames (batching is implied — the frame is the wire
       // unit), after this machine's caps. Wire input: bound hostile thread
-      // and round counts before sizing a pool.
+      // and round counts before sizing a pool (the split percentage needs
+      // no bound — values over 100 just never fire).
       TransportOptions options = std::move(hello->options);
       options.batching = true;
       site_threads = static_cast<size_t>(std::clamp<uint64_t>(

@@ -46,14 +46,10 @@ Result<WireRecord> ReadRecordOfType(int fd, RecordBuffer* buf,
 
 }  // namespace
 
-Status SocketTransport::Unreachable(SiteId site, const Connection* conn) {
-  if (conn == nullptr) {
-    return Status::NetworkError("site " + std::to_string(site) +
-                                " has no connection");
-  }
+Status SocketTransport::Unreachable(SiteId site, const Connection& conn) {
   return Status::NetworkError("site " + std::to_string(site) + " (" +
-                              conn->endpoint + ") is unreachable: " +
-                              conn->status.message());
+                              conn.endpoint + ") is unreachable: " +
+                              conn.status.message());
 }
 
 SocketTransport::SocketTransport(TransportOptions options)
@@ -156,18 +152,17 @@ bool SocketTransport::TakeSealedFrameLocked(Frame& frame,
                                             FrameWireInfo* wire) {
   if (!remote(frame.to)) return false;
   Connection* conn = ConnectionFor(frame.to);
+  PAXML_CHECK(conn != nullptr);  // every remote site was dialed
   // Compress only when the connection negotiated it; a peer that declined
   // gets (and the run's stats record) plain raw frames.
-  const uint64_t threshold = (conn != nullptr && conn->compress)
-                                 ? options().compress_min_bytes
-                                 : 0;
+  const uint64_t threshold = conn->compress ? options().compress_min_bytes : 0;
   std::string bytes;
   *wire = EncodeFrameForWire(frame, threshold, &bytes);
   std::lock_guard<std::mutex> lock(net_mu_);
-  if (conn == nullptr || !conn->alive) {
+  if (!conn->alive) {
     // The frame is lost with its peer; make sure the run reports it even
     // if no later round visits the dead site.
-    failed_runs_.emplace(frame.run, Unreachable(frame.to, conn));
+    failed_runs_.emplace(frame.run, Unreachable(frame.to, *conn));
     return true;
   }
   QueueLocked(*conn, std::move(bytes));
@@ -306,7 +301,7 @@ Status SocketTransport::RunRound(RunId run, const std::vector<SiteId>& sites,
       Connection* conn = ConnectionFor(sites[i]);
       PAXML_CHECK(conn != nullptr);
       if (!conn->alive) {
-        if (wait.status.ok()) wait.status = Unreachable(sites[i], conn);
+        if (wait.status.ok()) wait.status = Unreachable(sites[i], *conn);
         continue;
       }
       wait.awaiting.insert(sites[i]);

@@ -106,7 +106,7 @@ class SocketTransport : public Transport {
   Connection* ConnectionFor(SiteId site);
 
   /// Why a run cannot reach `site`: its connection's failure (net_mu_).
-  static Status Unreachable(SiteId site, const Connection* conn);
+  static Status Unreachable(SiteId site, const Connection& conn);
 
   /// Appends `bytes` to the connection's outbox (net_mu_ held by caller).
   void QueueLocked(Connection& conn, std::string bytes);

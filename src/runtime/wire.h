@@ -15,8 +15,8 @@
 // numbers (duplicates and reordering are protocol violations), and each
 // control record has an Encode/Decode pair over the shared ByteWriter /
 // ByteReader primitives, whose Decode rejects truncated input and trailing
-// bytes. The fd helpers at the bottom are the only code
-// that touches the network.
+// bytes. The fd helpers at the bottom are the only code that touches the
+// network.
 
 #ifndef PAXML_RUNTIME_WIRE_H_
 #define PAXML_RUNTIME_WIRE_H_
@@ -36,8 +36,7 @@
 
 namespace paxml {
 
-/// The one wire version: client and peer are built from one tree, and a
-/// peer answers a Hello of any other version with kError.
+/// The one wire version (client and peer share a tree); others get kError.
 inline constexpr uint32_t kWireProtocolVersion = 7;
 
 /// Upper bound on one record's length field: a corrupt length must be a
