@@ -46,6 +46,13 @@ bool IsAllWhitespace(std::string_view s) {
 std::optional<double> ParseNumber(std::string_view s) {
   s = StripWhitespace(s);
   if (s.empty()) return std::nullopt;
+  // Most text is not a number: reject what strtod cannot start a number
+  // with (in the C locale) before copying the text.
+  const char c = s[0];
+  if (!std::isdigit(static_cast<unsigned char>(c)) && c != '+' && c != '-' &&
+      c != '.' && c != 'i' && c != 'I' && c != 'n' && c != 'N') {
+    return std::nullopt;
+  }
   // strtod needs a NUL-terminated buffer; numbers are short, copy is cheap.
   std::string buf(s);
   char* end = nullptr;

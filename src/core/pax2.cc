@@ -125,6 +125,184 @@ bool AllFalse(const Formula* vec, size_t m) {
                      [](Formula f) { return f == kFalseFormula; });
 }
 
+/// The qualifier step of a node with no virtual node below it. Every value
+/// there is a constant, so its QV and QDV rows are bit sets, W =
+/// ceil(|QVect| / 64) words each: entry e is bit e % 64 of word e / 64. The
+/// step mirrors ComputeQualRowsAtNode and EvalQualFromRows with one word
+/// operation covering 64 entries where it can:
+///  * qcv / qadv are the word-wise OR of the children's QV / QDV rows;
+///  * the node test is a per-label match mask (built once per pass, with
+///    the wildcard and any-node entries folded in) for an element, and the
+///    any-node mask plus the text tests for a text node;
+///  * the matched entries are then visited in ascending order, so an
+///    entry's qualifier and rest read only final smaller entries.
+class BitQualStep {
+ public:
+  explicit BitQualStep(const CompiledQuery& query)
+      : query_(query),
+        entries_(query.entries()),
+        words_((entries_.size() + 63) / 64),
+        qcv_(words_),
+        qadv_(words_),
+        element_(words_),
+        any_node_(words_),
+        text_match_(words_) {
+    for (size_t e = 0; e < entries_.size(); ++e) {
+      switch (entries_[e].test) {
+        case TestKind::kLabel: {
+          const Symbol label = entries_[e].label;
+          if (label >= label_slot_.size()) label_slot_.resize(label + 1, -1);
+          if (label_slot_[label] < 0) {
+            label_slot_[label] = static_cast<int32_t>(label_masks_.size());
+            label_masks_.resize(label_masks_.size() + words_);
+          }
+          Set(&label_masks_[static_cast<size_t>(label_slot_[label])], e);
+          break;
+        }
+        case TestKind::kWildcard:
+          Set(element_.data(), e);
+          break;
+        case TestKind::kAnyNode:
+          Set(element_.data(), e);
+          Set(any_node_.data(), e);
+          break;
+        case TestKind::kTextEq:
+        case TestKind::kValCmp:
+          text_entries_.push_back(e);
+          break;
+      }
+    }
+    for (size_t at = 0; at < label_masks_.size(); at += words_) {
+      for (size_t w = 0; w < words_; ++w) {
+        label_masks_[at + w] |= element_[w];
+      }
+    }
+  }
+
+  size_t words() const { return words_; }
+
+  /// Writes v's [QV | QDV] (2W words) to `own` from its children's rows,
+  /// the `count` rows at `children` in any order. `own` may be `children`:
+  /// the rows are read before it is written. The children aggregates stay
+  /// for EvalQual.
+  void Compute(const Tree& tree, NodeId v, const uint64_t* children,
+               size_t count, uint64_t* own) {
+    std::fill(qcv_.begin(), qcv_.end(), 0);
+    std::fill(qadv_.begin(), qadv_.end(), 0);
+    for (size_t k = 0; k < count; ++k, children += 2 * words_) {
+      for (size_t w = 0; w < words_; ++w) {
+        qcv_[w] |= children[w];
+        qadv_[w] |= children[words_ + w];
+      }
+    }
+
+    uint64_t* qv = own;
+    uint64_t* qdv = own + words_;
+    std::fill(qv, qv + words_, 0);
+    const uint64_t* match;
+    if (tree.IsElement(v)) {
+      const Symbol label = tree.label(v);
+      match = label < label_slot_.size() && label_slot_[label] >= 0
+                  ? &label_masks_[static_cast<size_t>(label_slot_[label])]
+                  : element_.data();
+    } else {
+      PAXML_CHECK(tree.IsText(v));
+      std::copy(any_node_.begin(), any_node_.end(), text_match_.begin());
+      for (size_t e : text_entries_) {
+        if (eval_internal::EntryTestMatches(tree, v, entries_[e])) {
+          Set(text_match_.data(), e);
+        }
+      }
+      match = text_match_.data();
+    }
+    for (size_t w = 0; w < words_; ++w) {
+      for (uint64_t m = match[w]; m != 0; m &= m - 1) {
+        const size_t e = w * 64 + static_cast<size_t>(__builtin_ctzll(m));
+        if (Holds(e, qv)) qv[w] |= uint64_t{1} << (e % 64);
+      }
+    }
+    for (size_t w = 0; w < words_; ++w) qdv[w] = qv[w] | qadv_[w];
+  }
+
+  /// Appends the row `own` to `rows` as handles: QV then QDV, one
+  /// constant per entry.
+  void AppendFormulas(const uint64_t* own, std::vector<Formula>* rows) const {
+    for (const uint64_t* row : {own, own + words_}) {
+      for (size_t e = 0; e < entries_.size(); ++e) {
+        rows->push_back(Get(row, e) ? kTrueFormula : kFalseFormula);
+      }
+    }
+  }
+
+  /// Qualifier `qual_id` at the node whose rows Compute last wrote to
+  /// `own`: EvalQualFromRows over bits.
+  bool EvalQual(int qual_id, const uint64_t* own) const {
+    const CompiledQuery::QualNode& n =
+        query_.qual_nodes()[static_cast<size_t>(qual_id)];
+    switch (n.kind) {
+      case QualNodeKind::kTrue:
+        return true;
+      case QualNodeKind::kAtom:
+        return Reach(n.axis, static_cast<size_t>(n.entry), own);
+      case QualNodeKind::kAnd:
+        return EvalQual(n.left, own) && EvalQual(n.right, own);
+      case QualNodeKind::kOr:
+        return EvalQual(n.left, own) || EvalQual(n.right, own);
+      case QualNodeKind::kNot:
+        return !EvalQual(n.left, own);
+    }
+    PAXML_CHECK(false);
+    return false;
+  }
+
+ private:
+  static bool Get(const uint64_t* row, size_t e) {
+    return (row[e / 64] >> (e % 64)) & 1;
+  }
+  static void Set(uint64_t* row, size_t e) {
+    row[e / 64] |= uint64_t{1} << (e % 64);
+  }
+
+  /// Entry `e` holds through `axis` at the node (QV row `qv`, final below
+  /// the entry being computed).
+  bool Reach(Axis axis, size_t e, const uint64_t* qv) const {
+    switch (axis) {
+      case Axis::kChild:
+        return Get(qcv_.data(), e);
+      case Axis::kProperDescendant:
+        return Get(qadv_.data(), e);
+      case Axis::kDescendantOrSelf:
+        return Get(qv, e) || Get(qadv_.data(), e);
+      case Axis::kSelf:
+        return Get(qv, e);
+      case Axis::kNone:
+        break;
+    }
+    PAXML_CHECK(false);
+    return false;
+  }
+
+  /// QV(e) at the node, given that e's node test matches it.
+  bool Holds(size_t e, const uint64_t* qv) const {
+    const CompiledQuery::Entry& entry = entries_[e];
+    if (entry.qual >= 0 && !EvalQual(entry.qual, qv)) return false;
+    return entry.rest_axis == Axis::kNone ||
+           Reach(entry.rest_axis, static_cast<size_t>(entry.rest), qv);
+  }
+
+  const CompiledQuery& query_;
+  const std::vector<CompiledQuery::Entry>& entries_;
+  const size_t words_;
+  std::vector<uint64_t> qcv_;
+  std::vector<uint64_t> qadv_;
+  std::vector<int32_t> label_slot_;   ///< Symbol -> W-word slot, -1: none
+  std::vector<uint64_t> label_masks_;  ///< per label, element_ folded in
+  std::vector<uint64_t> element_;      ///< wildcard and any-node entries
+  std::vector<uint64_t> any_node_;     ///< any-node entries
+  std::vector<uint64_t> text_match_;   ///< a text node's match mask
+  std::vector<size_t> text_entries_;   ///< text and value tests, ascending
+};
+
 /// The combined pre/post-order traversal (Procedure evalXPath of Fig. 5).
 ///
 /// It skips the work whose result is already a constant:
@@ -132,27 +310,35 @@ bool AllFalse(const Formula* vec, size_t m) {
 ///    enters only the children with a virtual node below them
 ///    (Tree::HasVirtualBelow), so each virtual top is still reported, all
 ///    false and in order, and nothing else below it is visited;
+///  * with QVect entries, a virtual-free child of such a node owes its
+///    parent only its qualifier row: its subtree runs the post-order bit
+///    steps alone, with no selection step;
 ///  * a node gets a post-order step only when the query has QVect entries
 ///    (it owes its parent a row) or the node created qz locals;
 ///  * below a node with no virtual node under it every QV/QDV value, and
-///    every qz local resolved from them, is a constant, computed in
-///    ConstDomain rather than through the arena.
+///    every qz local resolved from them, is a constant: its rows are bit
+///    sets computed by BitQualStep, and become constant handles only where
+///    a formula step reads them.
 /// None of these interns a formula: the arena folds constants without
 /// interning, so every handle is created in the same order as by the full
 /// walk, and the shipped bytes are the same.
 ///
-/// Working memory is three stacks, so the pass allocates nothing per node
+/// Working memory is four stacks, so the pass allocates nothing per node
 /// once they have reached their peak size:
 ///  * SelLevels, the selection vectors of the current ancestor path;
 ///  * `pending`, the qz locals not yet resolved. A node's locals are pushed
 ///    in its pre-order step above the height recorded in its work item, and
 ///    resolved (in creation order) and popped in its post-order step. The
 ///    root's recorded height is 0, below the leading-qualifier local;
-///  * `rows`, the [QV | QDV] rows of finished nodes whose parent is still
-///    open. The work list pops children last-first, so a node's children
-///    leave their rows on top in reverse document order; its post-order
-///    step folds them (in document order) into the aggregates, replaces
-///    them with its own row, and the root's row is all that remains.
+///  * `rows`, the [QV | QDV] handle rows of finished nodes whose parent is
+///    still open and has a virtual node below it (and, at the end, the
+///    fragment root's). The work list pops children last-first, so a
+///    node's children leave their rows on top in reverse document order;
+///    its post-order step folds them (in document order) into the
+///    aggregates, replaces them with its own row, and the root's row is all
+///    that remains;
+///  * `bits`, the [QV | QDV] bit rows of finished nodes whose parent is
+///    still open and virtual-free; a parent ORs them in any order.
 /// Every formula is interned in the same order as a pass over full QV/QDV
 /// matrices would, so the handles — and the wire bytes — do not depend on
 /// where the rows live.
@@ -234,39 +420,101 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
   }
 
   // ---- Combined DFS ----------------------------------------------------------
+  enum class Step : uint8_t {
+    kPre,       ///< selection step, then the children
+    kPost,      ///< qualifier rows, qz locals
+    kDeadRow,   ///< a virtual-free child of a dead node: its row only
+  };
   struct Item {
     NodeId v;
     uint32_t depth;    ///< pre-order: the node's depth in the fragment
     uint32_t pending;  ///< pending-stack height below this node's locals
-    uint32_t rows;     ///< post-order: row-stack height below its children
-    bool expanded;
+    uint32_t rows;     ///< post-order: height of `rows` (`bits` for a
+                       ///< virtual-free node) below its children's rows
+    Step step;
   };
-  std::vector<Item> work = {{tree.root(), 0, 0, 0, false}};
+  std::vector<Item> work = {{tree.root(), 0, 0, 0, Step::kPre}};
   SelLevels levels(std::move(init));
   std::vector<Formula> rows;
-  ConstDomain const_domain;
   QualScratch<FormulaDomain> scratch;
-  QualScratch<ConstDomain> const_scratch;
-  // v's post-order step in domain `d`: pushes v's row, computed from its
-  // children's rows (the top ones, the first child's topmost), and
-  // resolves the qz locals above pending height `locals` from it.
-  auto finish_node = [&](auto* d, auto* d_scratch, NodeId v, size_t locals) {
+  BitQualStep bit_step(query);
+  const size_t bit_width = 2 * bit_step.words();
+  // The bit-row stack: `bits_top` words in use; `bits` only grows.
+  std::vector<uint64_t> bits;
+  size_t bits_top = 0;
+
+  // Post-order step of a node with a virtual node below it: pushes v's row
+  // on `rows`, computed from its children's rows (the top ones, the first
+  // child's topmost), and resolves the qz locals above pending height
+  // `locals` from it.
+  auto finish_formula_node = [&](NodeId v, size_t locals) {
     const size_t at = rows.size();
     rows.resize(at + row_width);
     Formula* own = rows.data() + at;
     ComputeQualRowsAtNode(
-        tree, query, d, v, virtual_hook,
+        tree, query, &domain, v, virtual_hook,
         [own, ec](size_t k, NodeId) {
           const Formula* row = own - (k + 1) * 2 * ec;
           return std::make_pair(row, row + ec);
         },
-        own, own + ec, d_scratch);
+        own, own + ec, &scratch);
     for (size_t p = locals; p < pending.size(); ++p) {
       qz_values[pending[p].second - first_local] = EvalQualFromRows(
-          query, d, *d_scratch, own, own + ec, pending[p].first);
+          query, &domain, scratch, own, own + ec, pending[p].first);
     }
     pending.resize(locals);
     return own;
+  };
+
+  // Post-order step of a virtual-free node: its bit row from its
+  // children's (the bit rows above height `children`), and its qz locals
+  // above `locals` resolved to constants. The row replaces the children's
+  // on `bits`; where a formula row is expected instead (v is the fragment
+  // root, or its parent has a virtual node below), it goes on `rows` as
+  // 2·|QVect| constants.
+  auto finish_bit_node = [&](NodeId v, size_t children, size_t locals) {
+    if (bits.size() < children + bit_width) {
+      bits.resize(2 * (children + bit_width));
+    }
+    const size_t count =
+        bit_width == 0 ? 0 : (bits_top - children) / bit_width;
+    uint64_t* own = bits.data() + children;  // over the children's rows
+    bit_step.Compute(tree, v, own, count, own);
+    for (size_t p = locals; p < pending.size(); ++p) {
+      qz_values[pending[p].second - first_local] =
+          bit_step.EvalQual(pending[p].first, own) ? kTrueFormula
+                                                   : kFalseFormula;
+    }
+    pending.resize(locals);
+    const NodeId parent = tree.parent(v);
+    if (parent == kNullNode || tree.HasVirtualBelow(parent)) {
+      bit_step.AppendFormulas(own, &rows);
+      bits_top = children;
+    } else {
+      bits_top = children + bit_width;
+    }
+  };
+
+  // A virtual-free child of a node whose selection vector is all false
+  // heads a dead subtree: every vector in it is all false, so it holds no
+  // final and creates no qz local, and owes its parent only its row. This
+  // walk computes that row with the post-order bit steps alone.
+  constexpr uint32_t kOpen = UINT32_MAX;
+  std::vector<std::pair<NodeId, uint32_t>> dead_work;  // (node, bits height)
+  auto finish_dead_subtree = [&](NodeId r) {
+    dead_work.emplace_back(r, kOpen);
+    while (!dead_work.empty()) {
+      const auto [u, below] = dead_work.back();
+      dead_work.pop_back();
+      if (below != kOpen) {
+        finish_bit_node(u, below, pending.size());
+      } else if (tree.first_child(u) == kNullNode) {
+        finish_bit_node(u, bits_top, pending.size());
+      } else {
+        dead_work.emplace_back(u, static_cast<uint32_t>(bits_top));
+        for (NodeId c : tree.children(u)) dead_work.emplace_back(c, kOpen);
+      }
+    }
   };
 
   while (!work.empty()) {
@@ -274,14 +522,19 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
     work.pop_back();
     const NodeId v = item.v;
 
-    if (item.expanded) {
+    if (item.step == Step::kDeadRow) {
+      finish_dead_subtree(v);
+      continue;
+    }
+    if (item.step == Step::kPost) {
       // Post-order: this node's rows from its children's (the rows above
       // item.rows), then resolve its qz locals.
+      if (!tree.HasVirtualBelow(v)) {
+        finish_bit_node(v, item.rows, item.pending);
+        continue;
+      }
       const size_t children_end = rows.size();
-      const Formula* own =
-          tree.HasVirtualBelow(v)
-              ? finish_node(&domain, &scratch, v, item.pending)
-              : finish_node(&const_domain, &const_scratch, v, item.pending);
+      const Formula* own = finish_formula_node(v, item.pending);
       if (children_end > item.rows) {  // replace the children's rows
         std::copy(own, own + row_width, rows.begin() + item.rows);
         rows.resize(item.rows + row_width);
@@ -295,7 +548,7 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
           tree.fragment_ref(v),
           std::vector<Formula>(parent_vec, parent_vec + sel.size())});
       // Virtual nodes still need their rows (variables).
-      finish_node(&domain, &scratch, v, pending.size());
+      finish_formula_node(v, pending.size());
       continue;
     }
 
@@ -307,13 +560,18 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
 
     const auto height = static_cast<uint32_t>(pending.size());
     if (ec > 0 || height > item.pending) {
+      const size_t below =
+          tree.HasVirtualBelow(v) ? rows.size() : bits_top;
       work.push_back(
-          {v, 0, item.pending, static_cast<uint32_t>(rows.size()), true});
+          {v, 0, item.pending, static_cast<uint32_t>(below), Step::kPost});
     }
-    const bool dead = ec == 0 && AllFalse(vec, sel.size());
+    const bool dead = AllFalse(vec, sel.size());
     for (NodeId c : tree.children(v)) {
-      if (dead && !tree.HasVirtualBelow(c)) continue;
-      work.push_back({c, item.depth + 1, height, 0, false});
+      if (dead && !tree.HasVirtualBelow(c)) {
+        if (ec > 0) work.push_back({c, 0, 0, 0, Step::kDeadRow});
+        continue;
+      }
+      work.push_back({c, item.depth + 1, height, 0, Step::kPre});
     }
   }
 

@@ -13,6 +13,10 @@
 // bottom-up then selection top-down; the second (final) visit resolves
 // candidates and ships answers.
 //
+// Below a node with no virtual node under it nothing is unknown, so the
+// pass keeps those nodes' qualifier rows as bit sets, 64 entries per word,
+// and builds formulas only along the paths to virtual nodes (core/pax2.cc).
+//
 // Guarantees: <= 2 visits per site, same communication and computation
 // bounds as PaX3. With XPath annotations, the combined pass skips fragments
 // that neither contain candidate answers nor are visible to any live

@@ -69,7 +69,9 @@ std::vector<Formula> ConstStackInit(const std::vector<uint8_t>& values);
 /// Bytes needed to ship the given answer nodes of `tree` (see
 /// AnswerShipMode). Additive per answer, so a chunked shipment
 /// (core/answer_stream.h) accounts the same total as a monolithic one —
-/// the subrange overload is what the chunks use.
+/// the subrange overload is what the chunks use. O(1) per answer: an
+/// element's subtree size is a lookup in Tree::SerializedSizes, a text
+/// answer costs its unescaped text.
 uint64_t AnswerBytes(const Tree& tree, const std::vector<NodeId>& answers,
                      AnswerShipMode mode);
 uint64_t AnswerBytes(const Tree& tree, const NodeId* answers, size_t count,

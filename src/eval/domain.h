@@ -13,9 +13,11 @@
 // per-node work as the centralized evaluator (Section 3.4: total computation
 // O(|Q| |T|)).
 //
-// ConstDomain is FormulaDomain where every input is already known to be
-// constant (a PaX2 fragment's subtree with no virtual node below it): the
-// same Formula handles, with the arena's constant folding done inline.
+// Where every value is known to be a constant, a pass may leave the domains
+// altogether: PaX2 keeps the qualifier rows of a subtree with no virtual
+// node as bit sets (BitQualStep, core/pax2.cc) and turns them into the
+// constant handles kFalseFormula / kTrueFormula only where a FormulaDomain
+// step reads them.
 
 #ifndef PAXML_EVAL_DOMAIN_H_
 #define PAXML_EVAL_DOMAIN_H_
@@ -67,28 +69,6 @@ class FormulaDomain {
 
  private:
   FormulaArena* arena_;
-};
-
-/// FormulaDomain over constants only: values are kFalseFormula (0) and
-/// kTrueFormula (1), the handles of the constants in every arena, and
-/// And/Or/Not are bitwise on them. FormulaArena returns exactly these for
-/// constant operands without interning anything, so a pass may switch
-/// between the two domains node by node and produce the same handles, in
-/// the same arena, as FormulaDomain alone. Feeding it a variable is a bug.
-class ConstDomain {
- public:
-  using Value = Formula;
-
-  Value False() const { return kFalseFormula; }
-  Value True() const { return kTrueFormula; }
-  Value FromBool(bool b) const { return b ? kTrueFormula : kFalseFormula; }
-  Value And(Value a, Value b) const { return a & b; }
-  Value Or(Value a, Value b) const { return a | b; }
-  Value Not(Value a) const { return a ^ 1; }
-
-  bool IsTrue(Value v) const { return v == kTrueFormula; }
-  bool IsFalse(Value v) const { return v == kFalseFormula; }
-  std::optional<bool> ConstValue(Value v) const { return v == kTrueFormula; }
 };
 
 }  // namespace paxml

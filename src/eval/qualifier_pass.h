@@ -15,10 +15,11 @@
 // |T| x |E| matrix, PaX2's combined pass (core/pax2.cc) a stack holding only
 // the rows of finished nodes whose parent is still open. The children
 // aggregates go to caller-owned QualScratch, reused from node to node, so
-// the step itself never allocates. The domain can change from node to node
-// when the values agree: PaX2 computes the rows of a subtree with no
-// virtual node in ConstDomain and the rest in FormulaDomain (both hold
-// Formula handles).
+// the step itself never allocates. PaX2 runs this step only at the nodes
+// with a virtual node below them; every other node's rows are constants,
+// which it keeps as bit sets (BitQualStep in core/pax2.cc, a bitwise mirror
+// of ComputeQualRowsAtNode and EvalQualFromRows) and hands to this step as
+// kFalseFormula / kTrueFormula rows.
 //
 // Cost: O(|E| * |T|) domain operations, |E| = number of QVect entries.
 

@@ -86,43 +86,61 @@ std::string SerializeXml(const Tree& tree, NodeId node,
   return out;
 }
 
-size_t SerializedSize(const Tree& tree, NodeId node) {
-  if (tree.empty()) return 0;
-  if (node == kNullNode) node = tree.root();
-  size_t total = 0;
-  // Iterative traversal; accounts for tags, attributes and escaped text.
-  std::vector<NodeId> stack = {node};
-  while (!stack.empty()) {
-    NodeId v = stack.back();
-    stack.pop_back();
-    switch (tree.kind(v)) {
+std::vector<uint64_t> ComputeSerializedSizes(const Tree& tree) {
+  const size_t n = tree.size();
+  std::vector<uint64_t> bytes(n);
+  // Each distinct label's length is read once: SymbolTable::Name locks.
+  constexpr uint32_t kUnread = UINT32_MAX;
+  std::vector<uint32_t> label_size(tree.symbols()->size(), kUnread);
+  auto name_size = [&](Symbol sym) -> uint64_t {
+    if (sym >= label_size.size()) label_size.resize(sym + 1, kUnread);
+    if (label_size[sym] == kUnread) {
+      label_size[sym] =
+          static_cast<uint32_t>(tree.symbols()->Name(sym).size());
+    }
+    return label_size[sym];
+  };
+
+  // Each node's own markup: tags, the virtual element, escaped text.
+  for (size_t i = 0; i < n; ++i) {
+    const Node& node = tree.nodes_[i];
+    switch (node.kind) {
       case NodeKind::kText:
-        total += XmlEscapedSize(tree.text(v));
+        bytes[i] = XmlEscapedSize(tree.texts_[static_cast<size_t>(
+            node.text_index)]);
         break;
       case NodeKind::kVirtual:
         // <paxml-virtual ref="N"/>
-        total += 1 + kVirtualElementName.size() + 1 +
-                 kVirtualRefAttribute.size() + 2 +
-                 std::to_string(tree.fragment_ref(v)).size() + 3;
+        bytes[i] = 1 + kVirtualElementName.size() + 1 +
+                   kVirtualRefAttribute.size() + 2 +
+                   std::to_string(node.fragment_ref).size() + 3;
         break;
       case NodeKind::kElement: {
-        const std::string& label = tree.LabelName(v);
-        size_t attr_bytes = 0;
-        for (const Attribute& a : tree.attributes(v)) {
-          attr_bytes += 1 + tree.symbols()->Name(a.name).size() + 2 +
-                        XmlEscapedSize(a.value) + 1;
-        }
-        if (tree.first_child(v) == kNullNode) {
-          total += 1 + label.size() + attr_bytes + 2;  // <label/>
-        } else {
-          total += (1 + label.size() + attr_bytes + 1) + (2 + label.size() + 1);
-          for (NodeId c : tree.children(v)) stack.push_back(c);
-        }
+        const uint64_t label = name_size(node.label);
+        bytes[i] = node.first_child == kNullNode
+                       ? 1 + label + 2                        // <label/>
+                       : (1 + label + 1) + (2 + label + 1);  // <label></label>
         break;
       }
     }
   }
-  return total;
+  for (const auto& [id, attributes] : tree.attributes_) {
+    for (const Attribute& a : attributes) {
+      bytes[static_cast<size_t>(id)] +=
+          1 + name_size(a.name) + 2 + XmlEscapedSize(a.value) + 1;
+    }
+  }
+  // Children have larger ids than their parent: fold them in back to front.
+  for (size_t i = n; i-- > 1;) {
+    bytes[static_cast<size_t>(tree.nodes_[i].parent)] += bytes[i];
+  }
+  return bytes;
+}
+
+size_t SerializedSize(const Tree& tree, NodeId node) {
+  if (tree.empty()) return 0;
+  if (node == kNullNode) node = tree.root();
+  return tree.SerializedSizes()[static_cast<size_t>(node)];
 }
 
 }  // namespace paxml

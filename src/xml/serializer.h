@@ -1,9 +1,17 @@
 // XML serialization of paxml Trees.
+//
+// SerializedSize prices a subtree in bytes without writing it: the paper's
+// |ans| term of the communication bound, and naive shipping's whole
+// fragments. It reads the per-tree table Tree::SerializedSizes, which
+// ComputeSerializedSizes fills in one reverse pass over the arena the first
+// time a tree is priced.
 
 #ifndef PAXML_XML_SERIALIZER_H_
 #define PAXML_XML_SERIALIZER_H_
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "xml/tree.h"
 
@@ -24,9 +32,15 @@ std::string SerializeXml(const Tree& tree, NodeId node = kNullNode,
                          const XmlWriteOptions& options = {});
 
 /// Number of bytes SerializeXml would produce with default options, without
-/// materializing the string. Used for size-targeted generation and for
-/// byte-accurate accounting of fragment shipping.
+/// materializing the string; for a text node, its escaped text. O(1): a
+/// lookup in Tree::SerializedSizes. Used for byte-accurate accounting of
+/// answer and fragment shipping.
 size_t SerializedSize(const Tree& tree, NodeId node = kNullNode);
+
+/// SerializedSize of every node of `tree`, indexed by NodeId, in one pass
+/// that visits each node and each attribute once. Tree::SerializedSizes
+/// caches it; call that instead.
+std::vector<uint64_t> ComputeSerializedSizes(const Tree& tree);
 
 }  // namespace paxml
 

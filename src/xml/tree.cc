@@ -4,11 +4,13 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "xml/serializer.h"
 
 namespace paxml {
 
 Tree::Tree(std::shared_ptr<SymbolTable> symbols)
-    : symbols_(symbols ? std::move(symbols) : SymbolTable::Shared()) {}
+    : symbols_(symbols ? std::move(symbols) : SymbolTable::Shared()),
+      sizes_(std::make_unique<SizeTable>()) {}
 
 Tree Tree::Clone() const {
   Tree copy(symbols_);
@@ -18,6 +20,13 @@ Tree Tree::Clone() const {
   return copy;
 }
 
+void Tree::DropSizes() {
+  // A moved-from tree has no table; a built one no longer fits the tree.
+  if (sizes_ == nullptr || sizes_->built) {
+    sizes_ = std::make_unique<SizeTable>();
+  }
+}
+
 NodeId Tree::NewNode(NodeId parent, NodeKind kind) {
   if (parent == kNullNode) {
     PAXML_CHECK(nodes_.empty());  // only the first node may be parentless
@@ -25,6 +34,7 @@ NodeId Tree::NewNode(NodeId parent, NodeKind kind) {
     PAXML_CHECK_LT(static_cast<size_t>(parent), nodes_.size());
     PAXML_CHECK(nodes_[static_cast<size_t>(parent)].kind == NodeKind::kElement);
   }
+  DropSizes();
   const NodeId id = static_cast<NodeId>(nodes_.size());
   Node n;
   n.parent = parent;
@@ -77,8 +87,20 @@ NodeId Tree::AddVirtual(NodeId parent, FragmentId ref) {
 void Tree::AddAttribute(NodeId node, std::string_view name,
                         std::string_view value) {
   PAXML_CHECK(IsElement(node));
+  DropSizes();
   attributes_[node].push_back(
       Attribute{symbols_->Intern(name), std::string(value)});
+}
+
+const std::vector<uint64_t>& Tree::SerializedSizes() const {
+  static const std::vector<uint64_t> kEmpty;
+  if (nodes_.empty()) return kEmpty;  // also a moved-from tree
+  SizeTable& table = *sizes_;
+  std::call_once(table.once, [&] {
+    table.bytes = ComputeSerializedSizes(*this);
+    table.built = true;
+  });
+  return table.bytes;
 }
 
 const std::string& Tree::LabelName(NodeId id) const {

@@ -9,13 +9,17 @@
 //
 // The arena layout (contiguous structs, first-child/next-sibling links) keeps
 // traversals cache-friendly; evaluation visits nodes in document order, which
-// is exactly arena order for trees built top-down (parser, generator).
+// is exactly arena order for trees built top-down (parser, generator). A node
+// is always created after its parent, so a parent's id is smaller than its
+// children's in every tree: one reverse pass over the arena folds children
+// into parents (SerializedSizes).
 
 #ifndef PAXML_XML_TREE_H_
 #define PAXML_XML_TREE_H_
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -141,6 +145,14 @@ class Tree {
 
   const std::shared_ptr<SymbolTable>& symbols() const { return symbols_; }
 
+  /// Serialized size of every node's subtree, indexed by NodeId: what
+  /// SerializeXml(*this, v) emits for an element or virtual node, the
+  /// escaped text for a text node (see xml/serializer.h SerializedSize).
+  /// Built on first use in one pass over the arena, once even when many
+  /// threads ask at the same time; any Add* drops it and Clone does not
+  /// copy it. A side array, so Node stays 32 bytes.
+  const std::vector<uint64_t>& SerializedSizes() const;
+
   // ---- Iteration ---------------------------------------------------------
 
   /// Range over the children of `id`, usable in range-for.
@@ -200,13 +212,25 @@ class Tree {
   Status Validate() const;
 
  private:
+  friend std::vector<uint64_t> ComputeSerializedSizes(const Tree& tree);
+
+  /// The lazily built SerializedSizes table. Behind a pointer because
+  /// std::once_flag cannot move, and Tree must.
+  struct SizeTable {
+    std::once_flag once;
+    bool built = false;
+    std::vector<uint64_t> bytes;
+  };
+
   NodeId NewNode(NodeId parent, NodeKind kind);
+  void DropSizes();
 
   std::shared_ptr<SymbolTable> symbols_;
   std::vector<Node> nodes_;
   std::vector<std::string> texts_;
   // Sparse: most elements carry no attributes.
   std::unordered_map<NodeId, std::vector<Attribute>> attributes_;
+  std::unique_ptr<SizeTable> sizes_;
 };
 
 }  // namespace paxml

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "common/result.h"
@@ -184,6 +185,17 @@ TEST(StringUtilTest, ParseNumber) {
   EXPECT_FALSE(ParseNumber("x").has_value());
   EXPECT_FALSE(ParseNumber("3x").has_value());
   EXPECT_FALSE(ParseNumber("").has_value());
+  // Every start strtod accepts, and text rejected from its first character.
+  EXPECT_DOUBLE_EQ(*ParseNumber("+5"), 5.0);
+  EXPECT_DOUBLE_EQ(*ParseNumber(".5"), 0.5);
+  EXPECT_DOUBLE_EQ(*ParseNumber("\t1e3\n"), 1000.0);
+  EXPECT_TRUE(std::isinf(*ParseNumber("inf")));
+  EXPECT_TRUE(std::isinf(*ParseNumber("-Infinity")));
+  EXPECT_TRUE(std::isnan(*ParseNumber("nan")));
+  EXPECT_TRUE(std::isnan(*ParseNumber("NAN")));
+  EXPECT_FALSE(ParseNumber("e5").has_value());
+  EXPECT_FALSE(ParseNumber(",5").has_value());
+  EXPECT_FALSE(ParseNumber("United States").has_value());
 }
 
 TEST(StringUtilTest, EqualsIgnoreCase) {

@@ -338,6 +338,58 @@ TEST_P(DistributedPropertyTest, EntrylessQualifiersMatchCentralized) {
   }
 }
 
+// PaX2 computes the qualifier rows of a node with no virtual node below it
+// as bit sets. QualifierKernelQueries reaches every branch of that step;
+// each runs over a random fragmentation (nodes deep inside virtual-free
+// subtrees, fragments with no virtual node) and over the whole tree as one
+// fragment (no virtual node anywhere, the root's rows leave the bit rows).
+TEST_P(DistributedPropertyTest, QualifierKernelMatchesCentralized) {
+  Rng rng(GetParam().seed);
+  Tree tree = RandomTree(&rng, 120 + rng.NextBounded(240));
+  auto split = FragmentRandomly(tree, 2 + rng.NextBounded(8), &rng);
+  ASSERT_TRUE(split.ok());
+  auto whole = FragmentByCuts(tree, {});
+  ASSERT_TRUE(whole.ok());
+  for (auto* doc_r : {&split, &whole}) {
+    auto doc =
+        std::make_shared<FragmentedDocument>(std::move(*doc_r).ValueOrDie());
+    Cluster cluster(doc, 1 + rng.NextBounded(4));
+    cluster.PlaceRootAndSpread();
+    for (const std::string& query : testing::QualifierKernelQueries()) {
+      auto compiled = CompileXPath(query, tree.symbols());
+      ASSERT_TRUE(compiled.ok()) << query;
+      const auto centralized = EvaluateCentralized(tree, *compiled);
+      for (bool xa : {false, true}) {
+        PaxOptions options;
+        options.use_annotations = xa;
+        auto r = EvaluatePaX2(cluster, *compiled, options);
+        ASSERT_TRUE(r.ok()) << query << ": " << r.status();
+        EXPECT_EQ(r->ToSourceIds(*doc), centralized.answers)
+            << (xa ? "PaX2-XA" : "PaX2-NA") << " seed " << GetParam().seed
+            << ", " << doc->size() << " fragments, on " << query;
+      }
+    }
+  }
+}
+
+TEST(QualifierKernelQueriesTest, ReachEveryEntryShape) {
+  auto symbols = std::make_shared<SymbolTable>();
+  size_t wide = 0;
+  std::vector<bool> tests(5), rests(4);
+  for (const std::string& query : testing::QualifierKernelQueries()) {
+    auto compiled = CompileXPath(query, symbols);
+    ASSERT_TRUE(compiled.ok()) << query;
+    if (compiled->entries().size() > 64) ++wide;
+    for (const auto& e : compiled->entries()) {
+      tests[static_cast<size_t>(e.test)] = true;
+      rests[static_cast<size_t>(e.rest_axis)] = true;
+    }
+  }
+  EXPECT_EQ(wide, 2u);
+  EXPECT_EQ(tests, std::vector<bool>(5, true));
+  EXPECT_EQ(rests, std::vector<bool>(4, true));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Seeds, DistributedPropertyTest,
     ::testing::Values(PropertyCase{1}, PropertyCase{2}, PropertyCase{3},

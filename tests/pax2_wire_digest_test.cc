@@ -176,5 +176,37 @@ TEST(Pax2WireDigestTest, QueryBatteryMatchesRecordedDigests) {
   }
 }
 
+/// Every query of QualifierKernelQueries has a qualifier, so annotations
+/// change nothing (PaX2 takes the concrete-init path only without
+/// qualifiers) and each case pins one digest.
+TEST(Pax2WireDigestTest, QualifierKernelMatchesRecordedDigests) {
+  struct Case {
+    uint64_t seed;
+    bool whole;  ///< the tree as one fragment: no virtual node anywhere
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {1, false, 0xe596cda956a9a5f9ULL},
+      {2, false, 0xfcbc69cc63fe609aULL},
+      {3, false, 0x54f417bcd856c103ULL},
+      {1, true, 0x03627bdeeaab10a0ULL},
+  };
+  for (const Case& c : cases) {
+    Rng rng(c.seed);
+    Tree tree = testing::RandomTree(&rng, 120 + rng.NextBounded(240));
+    auto doc = c.whole ? FragmentByCuts(tree, {})
+                       : FragmentRandomly(tree, 2 + rng.NextBounded(8), &rng);
+    ASSERT_TRUE(doc.ok());
+    Cluster cluster(
+        std::make_shared<FragmentedDocument>(std::move(doc).ValueOrDie()),
+        1 + rng.NextBounded(4));
+    cluster.PlaceRootAndSpread();
+    EXPECT_EQ(DigestOf(cluster, testing::QualifierKernelQueries(),
+                       /*annotations=*/false),
+              c.digest)
+        << "seed " << c.seed << (c.whole ? " whole" : "");
+  }
+}
+
 }  // namespace
 }  // namespace paxml

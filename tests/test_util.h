@@ -209,6 +209,45 @@ inline std::vector<std::string> PropertyQueryBattery() {
   };
 }
 
+/// Qualifier queries that reach every branch of PaX2's per-node qualifier
+/// step on the battery's random trees: each rest axis (child, `//A`,
+/// `//.[q]`), ε steps with qualifiers, `not(...)`, text and value tests,
+/// wildcards, qualifiers at nodes deep inside fragments, and two queries
+/// with more than 64 QVect entries, whose last (highest-numbered) atoms are
+/// the ones most often true.
+inline std::vector<std::string> QualifierKernelQueries() {
+  static const char* kLabels[] = {"a", "b", "c", "d", "e"};
+  // 42 distinct three-step paths over the five labels: with their shared
+  // suffixes they compile to more than 64 entries.
+  auto wide = [&](const std::string& head, const std::string& tail) {
+    std::string q = head + "[";
+    int n = 0;
+    for (int i = 0; i < 5 && n < 42; ++i) {
+      for (int j = 0; j < 5 && n < 42; ++j) {
+        for (int k = 0; k < 5 && n < 42; k += 2, ++n) {
+          q += std::string(kLabels[(i + 2) % 5]) + "/" + kLabels[(j + 3) % 5] +
+               "/" + kLabels[(k + i + j) % 5] + " or ";
+        }
+      }
+    }
+    return q + tail + "]";
+  };
+  return {
+      "//a[.[b or c]/d]",
+      "//a[b//c]/d",
+      "//*[b//.[text() = \"x\"]]",
+      "//*[not(.//c) and d]",
+      "//a[.//b[val() > 15]]/c",
+      "root//.[b/text() = \"z\" or c//d]",
+      "//b[*/c and not(d/text() = \"y\")]",
+      "//a[b]//c[d/e]",
+      "//e[.//.[a and not(b)]/c]",
+      "//c[d/*/e//a]",
+      wide("//a", "b/text() = \"x\" or c//d"),
+      wide("//*", "not(e) and d//.[text() = \"10\"]") + "/c",
+  };
+}
+
 }  // namespace paxml::testing
 
 #endif  // PAXML_TESTS_TEST_UTIL_H_

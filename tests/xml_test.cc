@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/string_util.h"
 #include "fragment/storage.h"
 #include "harness.h"
 #include "test_util.h"
@@ -295,6 +298,93 @@ TEST(XmlSerializerTest, SerializedSizeCountsEveryEscape) {
     if (t.IsText(v)) continue;  // not serializable standalone
     EXPECT_EQ(SerializedSize(t, v), SerializeXml(t, v).size())
         << t.LabelPath(v);
+  }
+}
+
+/// Checks the size table against the serializer at every node of `t`: the
+/// output length for elements and virtual nodes, the escaped text for text
+/// nodes (which do not serialize standalone).
+void ExpectSizesMatchSerializer(const Tree& t, const std::string& what) {
+  ASSERT_EQ(t.SerializedSizes().size(), t.size()) << what;
+  for (NodeId v = 0; v < static_cast<NodeId>(t.size()); ++v) {
+    const size_t expected = t.IsText(v) ? XmlEscapedSize(t.text(v))
+                                        : SerializeXml(t, v).size();
+    ASSERT_EQ(SerializedSize(t, v), expected) << what << ", node " << v;
+  }
+}
+
+TEST(XmlSerializerTest, SizeTableOnFt2FragmentsAndAfterStorage) {
+  bench::Workload w = bench::MakeFT2Paper(0.05);
+  const FragmentedDocument& doc = *w.doc;
+  for (size_t f = 0; f < doc.size(); ++f) {
+    const Tree& t = doc.fragment(static_cast<FragmentId>(f)).tree;
+    ExpectSizesMatchSerializer(t, "FT2 fragment " + std::to_string(f));
+    ExpectSizesMatchSerializer(t.Clone(),
+                               "clone of FT2 fragment " + std::to_string(f));
+  }
+
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("paxml_xml_sizes_test_" +
+       std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  fs::remove_all(dir);
+  ASSERT_TRUE(SaveDocument(doc, dir.string()).ok());
+  auto loaded = LoadDocument(dir.string(), doc.symbols());
+  fs::remove_all(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(loaded->size(), doc.size());
+  for (size_t f = 0; f < loaded->size(); ++f) {
+    const Tree& t = loaded->fragment(static_cast<FragmentId>(f)).tree;
+    ExpectSizesMatchSerializer(t, "loaded FT2 fragment " + std::to_string(f));
+    EXPECT_EQ(SerializedSize(t),
+              SerializedSize(doc.fragment(static_cast<FragmentId>(f)).tree));
+  }
+}
+
+TEST(XmlSerializerTest, SizeTableFollowsEveryAdd) {
+  TreeBuilder b;
+  b.Open("r").LeafText("t", "a&b").Leaf("e").Close();
+  Tree t = std::move(b).Finish();
+  ExpectSizesMatchSerializer(t, "built");
+  const NodeId e = t.next_sibling(t.first_child(t.root()));
+
+  const Tree before = t.Clone();
+  t.AddAttribute(e, "k", "v<w");
+  ExpectSizesMatchSerializer(t, "after AddAttribute");
+  const NodeId c = t.AddElement(e, "child");  // e is no longer a leaf
+  ExpectSizesMatchSerializer(t, "after AddElement");
+  t.AddText(c, "x > y");
+  ExpectSizesMatchSerializer(t, "after AddText");
+  t.AddVirtual(t.root(), 12345);
+  ExpectSizesMatchSerializer(t, "after AddVirtual");
+  EXPECT_GT(SerializedSize(t), SerializedSize(before));
+
+  // The clone, priced before the adds, did not see them.
+  ExpectSizesMatchSerializer(before, "clone");
+  EXPECT_EQ(SerializedSize(before), SerializeXml(before).size());
+}
+
+TEST(XmlSerializerTest, ConcurrentFirstLookupsAgree) {
+  bench::Workload w = bench::MakeFT2Paper(0.05);
+  const Tree& source = w.doc->fragment(0).tree;
+  for (int round = 0; round < 4; ++round) {
+    const Tree fresh = source.Clone();  // no table yet
+    std::atomic<int> ready{0};
+    std::vector<std::vector<uint64_t>> seen(4);
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < seen.size(); ++i) {
+      threads.emplace_back([&, i] {
+        ready.fetch_add(1);
+        while (ready.load() < static_cast<int>(seen.size())) {
+        }
+        seen[i] = fresh.SerializedSizes();
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (const auto& sizes : seen) EXPECT_EQ(sizes, seen[0]);
+    EXPECT_EQ(seen[0], source.SerializedSizes());
+    EXPECT_EQ(seen[0][0], SerializeXml(fresh).size());
   }
 }
 
