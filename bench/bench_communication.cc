@@ -28,7 +28,7 @@
 #include <cstdio>
 
 #include "common/logging.h"
-
+#include "core/workload.h"
 #include "harness.h"
 
 using namespace paxml;
@@ -36,33 +36,38 @@ using namespace paxml::bench;
 
 namespace {
 
+/// One evaluation on a fresh transport of the cluster's default kind.
+DistributedResult Evaluate(const Workload& w, const std::string& query,
+                           const EngineOptions& options,
+                           TransportOptions transport_options = {}) {
+  std::unique_ptr<Transport> transport = MakeTransportFor(
+      *w.cluster, std::nullopt, std::move(transport_options));
+  auto r = EvaluateWorkload(*w.cluster, query, options, transport.get());
+  PAXML_CHECK(r.ok());
+  return std::move(r).ValueOrDie();
+}
+
 Measurement MeasureWithMode(const Workload& w, const std::string& query,
                             DistributedAlgorithm algo, AnswerShipMode mode) {
-  auto compiled = CompileXPath(query, w.doc->symbols());
-  PAXML_CHECK(compiled.ok());
   EngineOptions options;
   options.algorithm = algo;
   options.pax.ship_mode = mode;
-  auto r = EvaluateDistributed(*w.cluster, *compiled, options);
-  PAXML_CHECK(r.ok());
+  const DistributedResult r = Evaluate(w, query, options);
   Measurement m;
-  m.total_bytes = r->stats.total_bytes;
-  m.answer_bytes = r->stats.answer_bytes;
-  m.data_bytes = r->stats.data_bytes_shipped;
-  m.answers = r->answers.size();
+  m.total_bytes = r.stats.total_bytes;
+  m.answer_bytes = r.stats.answer_bytes;
+  m.data_bytes = r.stats.data_bytes_shipped;
+  m.answers = r.answers.size();
   return m;
 }
 
 RunStats EvalStats(const Workload& w, const std::string& query,
                    DistributedAlgorithm algo, bool batching) {
-  auto compiled = CompileXPath(query, w.doc->symbols());
-  PAXML_CHECK(compiled.ok());
   EngineOptions options;
   options.algorithm = algo;
-  options.transport_options.batching = batching;
-  auto r = EvaluateDistributed(*w.cluster, *compiled, options);
-  PAXML_CHECK(r.ok());
-  return r->stats;
+  TransportOptions transport;
+  transport.batching = batching;
+  return Evaluate(w, query, options, transport).stats;
 }
 
 void FrameBatchingTable() {
@@ -120,14 +125,9 @@ void FrameBatchingTable() {
 
 RunStats EvalWireStats(const Workload& w, const std::string& query,
                        uint64_t compress_min_bytes) {
-  auto compiled = CompileXPath(query, w.doc->symbols());
-  PAXML_CHECK(compiled.ok());
-  EngineOptions options;
-  options.algorithm = DistributedAlgorithm::kPaX2;
-  options.transport_options.compress_min_bytes = compress_min_bytes;
-  auto r = EvaluateDistributed(*w.cluster, *compiled, options);
-  PAXML_CHECK(r.ok());
-  return r->stats;
+  TransportOptions transport;
+  transport.compress_min_bytes = compress_min_bytes;
+  return Evaluate(w, query, {}, transport).stats;
 }
 
 void WireEfficiencyTable() {

@@ -80,6 +80,9 @@
 namespace paxml::bench {
 namespace {
 
+/// Every engine here runs on the cluster's shared pool.
+constexpr TransportKind kBackend = TransportKind::kPooled;
+
 struct DepthMeasurement {
   size_t depth = 0;
   double wall_seconds = 0;
@@ -104,7 +107,7 @@ DepthMeasurement RunDepth(const Cluster& cluster,
                           std::vector<std::vector<GlobalNodeId>>* answers) {
   EngineConfig config;
   config.depth = depth;
-  config.transport = options.transport;
+  config.transport = kBackend;
   config.defaults = options;
 
   const auto start = std::chrono::steady_clock::now();
@@ -282,11 +285,13 @@ std::vector<ThreadsMeasurement> RunSiteThreadsTable(const SplitWorkload& sw) {
     EngineOptions engine;
     engine.algorithm = DistributedAlgorithm::kPaX2;
     engine.pax.use_annotations = true;
-    engine.transport = TransportKind::kPooled;
-    engine.transport_options.site_threads = cell.threads;
+    TransportOptions topts;
+    topts.site_threads = cell.threads;
     // 50%: only a lane that genuinely dominates its segment splits — at
     // the hot site that is the whole round.
-    engine.transport_options.split_threshold_pct = cell.split ? 50 : 0;
+    topts.split_threshold_pct = cell.split ? 50 : 0;
+    std::unique_ptr<Transport> transport =
+        MakeTransportFor(cluster, kBackend, topts);
 
     std::vector<double> latencies;
     double modeled = 0;
@@ -295,7 +300,8 @@ std::vector<ThreadsMeasurement> RunSiteThreadsTable(const SplitWorkload& sw) {
     for (int r = 0; r < reps; ++r) {
       for (size_t qi = 0; qi < queries.size(); ++qi) {
         const auto q_start = std::chrono::steady_clock::now();
-        auto result = EvaluateDistributed(cluster, queries[qi], engine);
+        auto result =
+            EvaluateWorkload(cluster, queries[qi], engine, transport.get());
         PAXML_CHECK(result.ok());
         latencies.push_back(std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - q_start)
@@ -400,15 +406,12 @@ ConcurrentRunsMeasurement RunConcurrentRunsTable(const SplitWorkload& sw) {
   EngineOptions options;
   options.algorithm = DistributedAlgorithm::kPaX2;
   options.pax.use_annotations = true;
-  auto compiled_a = CompileXPath("//item/name", sw.w.doc->symbols());
-  auto compiled_b = CompileXPath("//description//text", sw.w.doc->symbols());
-  PAXML_CHECK(compiled_a.ok());
-  PAXML_CHECK(compiled_b.ok());
+  const std::string query_a = "//item/name";
+  const std::string query_b = "//description//text";
 
-  EngineOptions sync = options;
-  sync.transport = TransportKind::kSync;
-  auto solo_a = EvaluateDistributed(cluster, *compiled_a, sync);
-  auto solo_b = EvaluateDistributed(cluster, *compiled_b, sync);
+  SyncTransport sync;
+  auto solo_a = EvaluateWorkload(cluster, query_a, options, &sync);
+  auto solo_b = EvaluateWorkload(cluster, query_b, options, &sync);
   PAXML_CHECK(solo_a.ok());
   PAXML_CHECK(solo_b.ok());
 
@@ -421,13 +424,12 @@ ConcurrentRunsMeasurement RunConcurrentRunsTable(const SplitWorkload& sw) {
     SocketTransport socket(topts);
 
     // Warm the connections off the clock.
-    PAXML_CHECK(
-        EvaluateDistributed(cluster, *compiled_a, options, &socket).ok());
+    PAXML_CHECK(EvaluateWorkload(cluster, query_a, options, &socket).ok());
 
     const auto serial_start = std::chrono::steady_clock::now();
     for (int r = 0; r < reps; ++r) {
-      auto a = EvaluateDistributed(cluster, *compiled_a, options, &socket);
-      auto b = EvaluateDistributed(cluster, *compiled_b, options, &socket);
+      auto a = EvaluateWorkload(cluster, query_a, options, &socket);
+      auto b = EvaluateWorkload(cluster, query_b, options, &socket);
       PAXML_CHECK(a.ok());
       PAXML_CHECK(b.ok());
     }
@@ -441,10 +443,10 @@ ConcurrentRunsMeasurement RunConcurrentRunsTable(const SplitWorkload& sw) {
       Result<DistributedResult> got_a = Status::Internal("unset");
       Result<DistributedResult> got_b = Status::Internal("unset");
       std::thread ta([&] {
-        got_a = EvaluateDistributed(cluster, *compiled_a, options, &socket);
+        got_a = EvaluateWorkload(cluster, query_a, options, &socket);
       });
       std::thread tb([&] {
-        got_b = EvaluateDistributed(cluster, *compiled_b, options, &socket);
+        got_b = EvaluateWorkload(cluster, query_b, options, &socket);
       });
       ta.join();
       tb.join();
@@ -534,7 +536,7 @@ double ProbeLatency(const Cluster& cluster, const EngineOptions& options,
                     size_t backlog, int probe_priority) {
   EngineConfig config;
   config.depth = 4;
-  config.transport = options.transport;
+  config.transport = kBackend;
   config.defaults = options;
   Engine engine(cluster, config);
 
@@ -608,7 +610,7 @@ void RunBatchingTable(const std::shared_ptr<FragmentedDocument>& doc,
   for (bool batching : {false, true}) {
     EngineConfig config;
     config.depth = 8;
-    config.transport = engine_options.transport;
+    config.transport = kBackend;
     config.transport_options.batching = batching;
     config.defaults = engine_options;
 
@@ -700,7 +702,6 @@ void Main() {
 
   EngineOptions engine;
   engine.algorithm = DistributedAlgorithm::kPaX2;
-  engine.transport = TransportKind::kPooled;
 
   std::printf(
       "bench_multiquery: %zu queries (PaX2) over FT2, %zu fragments on "

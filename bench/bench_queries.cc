@@ -1,8 +1,9 @@
 // The query table (Fig. 7) with compiled-vector shapes and measured
 // selectivity on a sample document — documents exactly what each experiment
-// evaluates — and each query's serial PaX2 wall time: FT2 at scale 1.0 on
-// the paper's four sites, run one site after another on the calling thread,
-// the median of max(9, 2 * PAXML_BENCH_REPS + 1) runs after one warm-up.
+// evaluates — and each query's serial PaX2 wall time (compilation
+// included): FT2 at scale 1.0 on the paper's four sites, run one site after
+// another on the calling thread, the median of
+// max(9, 2 * PAXML_BENCH_REPS + 1) runs after one warm-up.
 //
 //   build/bench/bench_queries
 
@@ -12,8 +13,7 @@
 #include <vector>
 
 #include "common/logging.h"
-
-#include "core/pax2.h"
+#include "core/workload.h"
 #include "eval/centralized.h"
 #include "harness.h"
 #include "xpath/normal_form.h"
@@ -25,12 +25,13 @@ using namespace paxml::bench;
 namespace {
 
 /// Median wall time of PaX2 evaluating `query` on `cluster`, in ms.
-double SerialPax2Ms(const Cluster& cluster, const CompiledQuery& query) {
+double SerialPax2Ms(const Cluster& cluster, const std::string& query) {
   const int runs = std::max(9, 2 * Repetitions() + 1);
+  SyncTransport transport;
   std::vector<double> ms;
   for (int i = 0; i <= runs; ++i) {
     const auto start = std::chrono::steady_clock::now();
-    auto r = EvaluatePaX2(cluster, query);
+    auto r = EvaluateWorkload(cluster, query, {}, &transport);
     const auto end = std::chrono::steady_clock::now();
     PAXML_CHECK(r.ok());
     if (i == 0) continue;  // warm-up: first-use tables, caches
@@ -65,7 +66,7 @@ int main() {
                   std::to_string(compiled->selection_size()),
                   std::to_string(compiled->entries().size()),
                   std::to_string(result.answers.size()),
-                  StringFormat("%.2f", SerialPax2Ms(paper, *compiled))});
+                  StringFormat("%.2f", SerialPax2Ms(paper, q.text))});
   }
 
   std::printf("\nQuery texts and normal forms:\n");

@@ -30,6 +30,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "core/reach.h"
+#include "core/workload.h"
 #include "graph/digraph.h"
 #include "graph/store.h"
 #include "harness.h"
@@ -140,6 +141,7 @@ ReachMeasurement MeasureAt(const Digraph& graph, size_t fragments,
   m.cut_edges = cut;
   m.naive_bytes = NaiveShipBytes(*store, cluster);
 
+  SyncTransport transport;
   const int reps = Repetitions();
   for (int rep = 0; rep < reps; ++rep) {
     uint64_t bytes = 0;
@@ -147,7 +149,7 @@ ReachMeasurement MeasureAt(const Digraph& graph, size_t fragments,
     double compute = 0;
     const auto start = std::chrono::steady_clock::now();
     for (const ReachQuery& q : queries) {
-      auto r = EvaluateReachability(cluster, q);
+      auto r = EvaluateWorkload(cluster, FormatReachQuery(q), {}, &transport);
       PAXML_CHECK(r.ok());
       // Gate 1: one round, at every fragment count.
       PAXML_CHECK_EQ(r->stats.rounds, 1);

@@ -155,14 +155,10 @@ ModeMeasurement RunMode(const Cluster& cluster, Mode mode,
                         const std::vector<Arrival>& schedule) {
   const std::vector<std::string> mix = QueryMix();
 
-  EngineOptions options;
-  options.algorithm = DistributedAlgorithm::kPaX2;
-  options.transport = TransportKind::kPooled;
-
   EngineConfig config;
   config.depth = 4;
-  config.transport = options.transport;
-  config.defaults = options;
+  config.transport = TransportKind::kPooled;
+  config.defaults.algorithm = DistributedAlgorithm::kPaX2;
   if (mode == Mode::kCache) config.serving.answer_cache = true;
   if (mode == Mode::kMemo) {
     config.serving.fragment_memo = std::make_shared<FragmentMemo>();

@@ -2,10 +2,21 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "core/workload.h"
 #include "eval/centralized.h"
+
+// Set by the build (CMakeLists.txt); absent when another project compiles
+// this file.
+#ifndef PAXML_BUILD_TYPE
+#define PAXML_BUILD_TYPE "unknown"
+#endif
+#ifndef PAXML_GIT_COMMIT
+#define PAXML_GIT_COMMIT "unknown"
+#endif
 
 namespace paxml::bench {
 
@@ -171,16 +182,15 @@ Workload MakeFT2Paper(double scale, uint64_t seed) {
 
 Measurement Measure(const Workload& w, const std::string& query,
                     DistributedAlgorithm algo, bool annotations) {
-  auto compiled = CompileXPath(query, w.doc->symbols());
-  PAXML_CHECK(compiled.ok());
   EngineOptions options;
   options.algorithm = algo;
   options.pax.use_annotations = annotations;
+  std::unique_ptr<Transport> transport = MakeTransportFor(*w.cluster);
 
   Measurement m;
   const int reps = Repetitions();
   for (int i = 0; i < reps; ++i) {
-    auto r = EvaluateDistributed(*w.cluster, *compiled, options);
+    auto r = EvaluateWorkload(*w.cluster, query, options, transport.get());
     PAXML_CHECK(r.ok());
     const RunStats& s = r->stats;
     m.parallel_seconds += s.parallel_seconds + s.coordinator_seconds;
@@ -333,8 +343,13 @@ std::string JsonValue::Encode(int indent) const {
 }
 
 JsonValue BenchJsonHeader(const std::string& name) {
+  JsonValue host = JsonValue::Object();
+  host.Set("cores", static_cast<int>(std::thread::hardware_concurrency()))
+      .Set("build_type", PAXML_BUILD_TYPE)
+      .Set("commit", PAXML_GIT_COMMIT);
   JsonValue root = JsonValue::Object();
   root.Set("bench", name).Set("scale", BenchScale()).Set("reps", Repetitions());
+  root.Set("host", std::move(host));
   return root;
 }
 

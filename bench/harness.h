@@ -163,7 +163,10 @@ class JsonValue {
 };
 
 /// An Object pre-filled with the envelope every bench artifact shares:
-/// {"bench": name, "scale": BenchScale(), "reps": Repetitions()}.
+/// {"bench": name, "scale": BenchScale(), "reps": Repetitions(),
+///  "host": {"cores", "build_type", "commit"}} — hardware_concurrency, the
+/// CMake build type, and the commit checked out when the build was
+/// configured ("unknown" outside a git checkout).
 JsonValue BenchJsonHeader(const std::string& name);
 
 /// Writes `root` to `path` and prints "wrote <path>"; a write failure is

@@ -43,6 +43,7 @@ int main() {
   PAXML_CHECK(doc_r.ok());
   auto doc = std::make_shared<FragmentedDocument>(std::move(doc_r).ValueOrDie());
   Cluster cluster(doc, doc->size());
+  Engine engine(cluster);
 
   std::printf("fragment tree (%zu fragments):\n%s\n", doc->size(),
               doc->DebugString().c_str());
@@ -71,10 +72,10 @@ int main() {
                 doc->size());
 
     for (bool xa : {false, true}) {
-      EngineOptions eo;
-      eo.algorithm = DistributedAlgorithm::kPaX2;
-      eo.pax.use_annotations = xa;
-      auto r = EvaluateDistributed(cluster, *compiled, eo);
+      SubmitOptions submit;
+      submit.engine_options =
+          EngineOptions{DistributedAlgorithm::kPaX2, {.use_annotations = xa}};
+      auto r = engine.Submit(query, submit).TakeReport().result;
       PAXML_CHECK(r.ok());
       uint64_t visited_sites = 0;
       for (const SiteStats& s : r->stats.per_site) {

@@ -7,16 +7,18 @@
 // serves its fragments, and exchanges sealed frames with the client over
 // loopback TCP (DESIGN.md §9).
 //
-// The session API is unchanged: point EngineConfig::remote_endpoints at
-// the site processes and Submit() as always. To show that the deployment
-// is more than plumbing, every query also runs on the in-process reference
-// backend and the answers plus the full accounting (visits, messages,
-// bytes) are compared — they match exactly.
+// The session API is unchanged: point the EngineConfig's
+// transport_options.remote_endpoints at the site processes and Submit() as
+// always. To show that the deployment is more than plumbing, every query
+// also runs on an in-process reference Engine and the answers plus the
+// full accounting (visits, messages, bytes) are compared — they match
+// exactly. The spawned sites die with this process, however it exits.
 //
 // Run from the repository root after building:
 //   $ ./build/examples/distributed_sockets
 
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -68,9 +70,13 @@ SiteProcess SpawnSite(const std::string& binary, const std::string& doc_dir,
 
   int out_pipe[2];
   PAXML_CHECK(::pipe(out_pipe) == 0);
+  const pid_t spawner = ::getpid();
   const pid_t pid = ::fork();
   PAXML_CHECK(pid >= 0);
   if (pid == 0) {
+    // Die with the spawner, even if it is gone before the signal is armed.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != spawner) ::_exit(127);
     ::dup2(out_pipe[1], STDOUT_FILENO);
     ::close(out_pipe[0]);
     ::close(out_pipe[1]);
@@ -118,11 +124,14 @@ int main() {
                 sites.back().pid, endpoints[s].c_str());
   }
 
-  // The deployed session: same Engine, plus the endpoint map.
+  // The deployed session: same Engine, plus the endpoint map. The
+  // reference session runs the same cluster on the in-process sequential
+  // backend.
   EngineConfig config;
   config.depth = 4;
-  config.remote_endpoints = endpoints;
+  config.transport_options.remote_endpoints = endpoints;
   Engine engine(*w.cluster, config);
+  Engine reference(*w.cluster, {.transport = TransportKind::kSync});
 
   std::printf("\n%-4s %8s %8s %7s %10s  %s\n", "qry", "answers", "visits",
               "msgs", "bytes", "matches in-process run?");
@@ -132,10 +141,7 @@ int main() {
     const QueryReport& report = handle.Wait();
     PAXML_CHECK(report.result.ok());
 
-    // The reference run: same cluster, in-process sequential backend.
-    EngineOptions reference;
-    reference.transport = TransportKind::kSync;
-    auto baseline = EvaluateDistributed(*w.cluster, q.text, reference);
+    auto baseline = reference.Submit(q.text).TakeReport().result;
     PAXML_CHECK(baseline.ok());
 
     const RunStats& s = report.result->stats;

@@ -122,16 +122,19 @@ int main() {
   PAXML_CHECK(cluster.Place(2, 2).ok());
   PAXML_CHECK(cluster.Place(3, 2).ok());
   PAXML_CHECK(cluster.Place(4, 3).ok());
+  Engine engine(cluster);
 
   // ---- The Boolean query of the introduction (ParBoX) ----------------------
   {
-    auto q = CompileXPath(".[//stock/code/text() = \"GOOG\"]", doc->symbols());
-    PAXML_CHECK(q.ok());
-    auto r = EvaluateParBoX(cluster, *q);
+    // PaX2 delegates Boolean queries to ParBoX; a true query answers with
+    // the document root.
+    auto r = engine.Submit(".[//stock/code/text() = \"GOOG\"]")
+                 .TakeReport()
+                 .result;
     PAXML_CHECK(r.ok());
     std::printf("== Boolean Q = [//stock/code/text()=\"GOOG\"] ==\n");
     std::printf("    result: %s (each site visited once)\n\n",
-                r->value ? "true" : "false");
+                r->answers.empty() ? "false" : "true");
   }
 
   struct Demo {
@@ -156,9 +159,9 @@ int main() {
                 q->normal_form().c_str());
 
     for (auto algo : {DistributedAlgorithm::kPaX3, DistributedAlgorithm::kPaX2}) {
-      EngineOptions options;
-      options.algorithm = algo;
-      auto r = EvaluateDistributed(cluster, *q, options);
+      SubmitOptions submit;
+      submit.engine_options = EngineOptions{algo, {}};
+      auto r = engine.Submit(demo.query, submit).TakeReport().result;
       PAXML_CHECK(r.ok());
       std::printf("  %s:\n", AlgorithmName(algo));
       ShowAnswers(*doc, *r);
@@ -176,10 +179,10 @@ int main() {
       std::printf("    F%zu: %s\n", f,
                   p.selection_relevant[f] ? "relevant" : "pruned");
     }
-    EngineOptions options;
-    options.algorithm = DistributedAlgorithm::kPaX2;
-    options.pax.use_annotations = true;
-    auto r = EvaluateDistributed(cluster, *q, options);
+    SubmitOptions submit;
+    submit.engine_options =
+        EngineOptions{DistributedAlgorithm::kPaX2, {.use_annotations = true}};
+    auto r = engine.Submit(q->source(), submit).TakeReport().result;
     PAXML_CHECK(r.ok());
     std::printf("  PaX2-XA (single visit, pruned sites untouched):\n");
     ShowAnswers(*doc, *r);

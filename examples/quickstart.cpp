@@ -4,8 +4,8 @@
 //
 // Walks through the five steps every paxml program performs: build (or
 // parse) a tree, fragment it, place fragments on sites, compile a query,
-// evaluate — and shows the performance counters the paper's guarantees are
-// stated in.
+// evaluate it through an Engine session — and shows the performance
+// counters the paper's guarantees are stated in.
 
 #include <cstdio>
 
@@ -64,11 +64,13 @@ int main() {
               query->normal_form().c_str());
 
   // 5. Evaluate with PaX2 + XPath annotations (the paper's best
-  //    configuration).
-  EngineOptions options;
-  options.algorithm = DistributedAlgorithm::kPaX2;
-  options.pax.use_annotations = true;
-  auto result = EvaluateDistributed(cluster, *query, options);
+  //    configuration): submit the query text to an Engine and wait.
+  EngineConfig config;
+  config.defaults.algorithm = DistributedAlgorithm::kPaX2;
+  config.defaults.pax.use_annotations = true;
+  Engine engine(cluster, config);
+  QueryReport report = engine.Submit(query->source()).TakeReport();
+  const Result<DistributedResult>& result = report.result;
   if (!result.ok()) {
     std::fprintf(stderr, "evaluation error: %s\n",
                  result.status().ToString().c_str());

@@ -41,9 +41,8 @@ int main(int argc, char** argv) {
   Cluster cluster(doc, doc->size());
   std::printf("%s\n", doc->DebugString().c_str());
 
+  Engine engine(cluster);
   for (const auto& q : xmark::ExperimentQueries()) {
-    auto compiled = CompileXPath(q.text, doc->symbols());
-    PAXML_CHECK(compiled.ok());
     std::printf("%s: %s\n", q.name, q.text);
 
     struct Config {
@@ -59,10 +58,9 @@ int main(int argc, char** argv) {
         {"Naive  ", DistributedAlgorithm::kNaiveCentralized, false},
     };
     for (const Config& c : configs) {
-      EngineOptions eo;
-      eo.algorithm = c.algo;
-      eo.pax.use_annotations = c.xa;
-      auto r = EvaluateDistributed(cluster, *compiled, eo);
+      SubmitOptions submit;
+      submit.engine_options = EngineOptions{c.algo, {.use_annotations = c.xa}};
+      auto r = engine.Submit(q.text, submit).TakeReport().result;
       PAXML_CHECK(r.ok());
       const RunStats& s = r->stats;
       std::printf(

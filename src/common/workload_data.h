@@ -5,7 +5,7 @@
 // contain — that is the workload's business (an XML FragmentedDocument, a
 // partitioned digraph GraphFragmentStore). WorkloadData is the only thing
 // the placement and runtime layers see: a family tag (matching
-// RunSpec::family and the workload registry in core/workload.h) and the
+// RunSpec::family and the two-family dispatch in core/workload.h) and the
 // fragment count that sizes placements. Algorithm families downcast to
 // their concrete store after checking family() (Cluster::doc(),
 // GraphOf()).
@@ -19,10 +19,10 @@
 namespace paxml {
 
 /// Family tags of the shipped workloads. A RunSpec carries one of these so
-/// a remote peer rebuilds the right program (core/workload.h registers the
-/// builders).
-inline constexpr std::string_view kXmlWorkloadFamily = "xml";
-inline constexpr std::string_view kGraphWorkloadFamily = "graph";
+/// a remote peer rebuilds the right program (core/workload.h branches on
+/// them).
+inline constexpr std::string_view kXmlFamily = "xml";
+inline constexpr std::string_view kGraphFamily = "graph";
 
 /// Abstract base of every placeable data set.
 class WorkloadData {

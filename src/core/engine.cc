@@ -1,6 +1,5 @@
 #include "core/engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -12,7 +11,6 @@
 #include "runtime/run_control.h"
 #include "runtime/worker_pool.h"
 #include "serving/fingerprint.h"
-#include "xpath/query_plan.h"
 
 namespace paxml {
 
@@ -26,22 +24,6 @@ const char* AlgorithmName(DistributedAlgorithm a) {
       return "NaiveCentralized";
   }
   return "?";
-}
-
-Result<DistributedResult> EvaluateDistributed(const Cluster& cluster,
-                                              const CompiledQuery& query,
-                                              const EngineOptions& options,
-                                              Transport* transport,
-                                              RunControl* control) {
-  switch (options.algorithm) {
-    case DistributedAlgorithm::kPaX3:
-      return EvaluatePaX3(cluster, query, options.pax, transport, control);
-    case DistributedAlgorithm::kPaX2:
-      return EvaluatePaX2(cluster, query, options.pax, transport, control);
-    case DistributedAlgorithm::kNaiveCentralized:
-      return EvaluateNaiveCentralized(cluster, query, transport, control);
-  }
-  return Status::InvalidArgument("unknown algorithm");
 }
 
 // ---- Session state ----------------------------------------------------------
@@ -131,14 +113,10 @@ QueryReport QueryHandle::TakeReport() {
 
 namespace {
 
-/// EngineConfig::remote_endpoints is sugar for the transport option; merge
-/// it before the transport is built. The dedicated field wins on a
-/// per-site conflict — it is the documented deployment surface.
+/// The engine's transport options: the configured ones, plus the serving
+/// layer's fragment memo when one is set.
 TransportOptions MergedTransportOptions(const EngineConfig& config) {
   TransportOptions options = config.transport_options;
-  for (const auto& [site, endpoint] : config.remote_endpoints) {
-    options.remote_endpoints.insert_or_assign(site, endpoint);
-  }
   if (config.serving.fragment_memo != nullptr) {
     options.fragment_memo = config.serving.fragment_memo;
   }
@@ -179,15 +157,9 @@ Engine::~Engine() = default;
 void Engine::Drain() { scheduler_.Wait(); }
 
 QueryHandle Engine::Submit(std::string query, SubmitOptions options) {
-  // Routed by the cluster's data family; parsing/compiling happens inside
-  // the evaluator, on the job's thread, overlapping other queries'
-  // evaluation.
-  EvaluateFn evaluate = [cluster = cluster_, query](
-                            const EngineOptions& opts, Transport* transport,
-                            RunControl* control) {
-    return EvaluateWorkload(*cluster, query, opts, transport, control);
-  };
-  if (cache_ == nullptr) return SubmitJob(std::move(evaluate), std::move(options));
+  // Parsing/compiling happens inside EvaluateWorkload, on the job's thread,
+  // overlapping other queries' evaluation.
+  if (cache_ == nullptr) return SubmitJob(std::move(query), std::move(options));
 
   // Serving-layer admission. The key is the run's full serving identity
   // (serving/fingerprint.h) plus the cluster's data epoch (re-placement can
@@ -200,7 +172,7 @@ QueryHandle Engine::Submit(std::string query, SubmitOptions options) {
                                   : config_.defaults;
   RunSpec spec;
   spec.algorithm = AlgorithmName(opts.algorithm);
-  spec.query = std::move(query);
+  spec.query = query;
   spec.use_annotations = opts.pax.use_annotations;
   spec.ship_mode = static_cast<uint8_t>(opts.pax.ship_mode);
   spec.family = std::string(cluster_->data().family());
@@ -223,7 +195,7 @@ QueryHandle Engine::Submit(std::string query, SubmitOptions options) {
   // queue rejection (SubmitJob's reject path also invokes on_complete), so
   // followers can never wait on a flight nobody is flying.
   return SubmitJob(
-      std::move(evaluate), std::move(options),
+      std::move(query), std::move(options),
       [cache = cache_, flight = ticket.flight,
        key](const Result<DistributedResult>& result) {
         if (result.ok()) {
@@ -291,19 +263,7 @@ QueryHandle Engine::FollowerHandle(
   return QueryHandle(std::move(state));
 }
 
-QueryHandle Engine::Submit(CompiledQuery query, SubmitOptions options) {
-  // XML convenience: the plan moves into the closure and is evaluated
-  // directly, skipping the family dispatch.
-  return SubmitJob(
-      [cluster = cluster_, query = std::move(query)](
-          const EngineOptions& opts, Transport* transport,
-          RunControl* control) {
-        return EvaluateDistributed(*cluster, query, opts, transport, control);
-      },
-      std::move(options));
-}
-
-QueryHandle Engine::SubmitJob(EvaluateFn evaluate, SubmitOptions options,
+QueryHandle Engine::SubmitJob(std::string query, SubmitOptions options,
                               CompleteFn on_complete) {
   auto state = std::make_shared<QueryState>();
   state->submit_time = std::chrono::steady_clock::now();
@@ -328,25 +288,25 @@ QueryHandle Engine::SubmitJob(EvaluateFn evaluate, SubmitOptions options,
     state->done = true;
     state->cv.notify_all();
   };
-  job.run = [this, state, evaluate = std::move(evaluate),
+  job.run = [this, state, query = std::move(query),
              on_complete = std::move(on_complete),
              engine_options =
                  options.engine_options.value_or(config_.defaults)] {
     // Queue time ends at admission — before parsing/compiling, which is
     // part of the evaluation's own wall time.
     const double queue_seconds = SecondsSince(state->submit_time);
-    Execute(state, queue_seconds, evaluate, engine_options, on_complete);
+    Execute(state, queue_seconds, query, engine_options, on_complete);
   };
   scheduler_.Submit(std::move(job));
   return QueryHandle(std::move(state));
 }
 
 void Engine::Execute(const std::shared_ptr<internal::QueryState>& state,
-                     double queue_seconds, const EvaluateFn& evaluate,
+                     double queue_seconds, const std::string& query,
                      const EngineOptions& options,
                      const CompleteFn& on_complete) {
-  Result<DistributedResult> result =
-      evaluate(options, transport_.get(), &state->control);
+  Result<DistributedResult> result = EvaluateWorkload(
+      *cluster_, query, options, transport_.get(), &state->control);
 
   // Settle the serving layer before the handle: whoever observes this
   // query's completion can already hit its cache entry.
@@ -364,68 +324,6 @@ void Engine::Execute(const std::shared_ptr<internal::QueryState>& state,
   state->report.result = std::move(result);
   state->done = true;
   state->cv.notify_all();
-}
-
-// ---- Synchronous wrappers ---------------------------------------------------
-
-Result<DistributedResult> EvaluateDistributed(const Cluster& cluster,
-                                              const CompiledQuery& query,
-                                              const EngineOptions& options) {
-  Engine engine(cluster, EngineConfig{.depth = 1,
-                                      .transport = options.transport,
-                                      .transport_options = options.transport_options,
-                                      .defaults = options});
-  return engine.Submit(query).TakeReport().result;
-}
-
-Result<DistributedResult> EvaluateDistributed(const Cluster& cluster,
-                                              std::string_view query,
-                                              const EngineOptions& options) {
-  Engine engine(cluster, EngineConfig{.depth = 1,
-                                      .transport = options.transport,
-                                      .transport_options = options.transport_options,
-                                      .defaults = options});
-  return engine.Submit(std::string(query)).TakeReport().result;
-}
-
-std::vector<Result<DistributedResult>> EvalBatch(
-    const Cluster& cluster, const std::vector<std::string>& queries,
-    const EngineOptions& options, size_t stream_depth,
-    std::vector<double>* latency_seconds) {
-  std::vector<Result<DistributedResult>> results;
-  results.reserve(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    results.emplace_back(Status::Internal("query was not evaluated"));
-  }
-  if (latency_seconds != nullptr) {
-    latency_seconds->assign(queries.size(), 0);
-  }
-  if (queries.empty()) return results;
-
-  // One session for the whole stream: every evaluation opens its own run
-  // on the engine's shared transport, so mailboxes and accounting never
-  // cross queries. No point in more depth than there are queries.
-  Engine engine(cluster,
-                EngineConfig{.depth = std::min(stream_depth, queries.size()),
-                             .transport = options.transport,
-                             .transport_options = options.transport_options,
-                             .defaults = options});
-  std::vector<QueryHandle> handles;
-  handles.reserve(queries.size());
-  for (const std::string& q : queries) {
-    handles.push_back(engine.Submit(q));
-  }
-  for (size_t i = 0; i < queries.size(); ++i) {
-    QueryReport report = handles[i].TakeReport();
-    results[i] = std::move(report.result);
-    if (latency_seconds != nullptr) {
-      // The evaluation's own wall time, excluding queue wait — comparable
-      // across stream depths.
-      (*latency_seconds)[i] =
-          report.latency_seconds - report.queue_seconds;
-    }
-  }
-  return results;
 }
 
 }  // namespace paxml

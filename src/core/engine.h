@@ -32,9 +32,10 @@
 // QueryReport carries a distinct error status (kCancelled /
 // kDeadlineExceeded) plus the RunStats the aborted run accumulated.
 //
-// The synchronous free functions below — EvaluateDistributed, EvalBatch —
-// are thin wrappers that submit to an Engine and wait; existing callers
-// stay source-compatible.
+// There are exactly two ways to run a query: Engine::Submit(std::string)
+// here, and the primitive it drives, EvaluateWorkload (core/workload.h),
+// for callers that bring their own transport. Both take the query as text;
+// the cluster's workload family owns its syntax.
 //
 // Serving layer (DESIGN.md §12): with EngineConfig::serving.answer_cache
 // on, Submit(query) consults an answer cache keyed by (canonical query
@@ -53,18 +54,16 @@
 // N concurrent identical submissions coalesce into a single flight: one
 // evaluates (the leader), the rest wait on its result. Cluster mutations
 // must call Cluster::AdvanceDataEpoch(), which invalidates every cached
-// answer (the epoch is part of the key). Submit(CompiledQuery) bypasses
-// the cache — a pre-compiled plan has no canonical text to key by.
+// answer (the epoch is part of the key).
 
 #ifndef PAXML_CORE_ENGINE_H_
 #define PAXML_CORE_ENGINE_H_
 
 #include <chrono>
-#include <map>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
 #include "core/distributed_result.h"
@@ -77,7 +76,6 @@
 #include "serving/answer_cache.h"
 #include "serving/fragment_memo.h"
 #include "sim/cluster.h"
-#include "xpath/query_plan.h"
 
 namespace paxml {
 
@@ -89,19 +87,11 @@ enum class DistributedAlgorithm : uint8_t {
 
 const char* AlgorithmName(DistributedAlgorithm a);
 
+/// Per-query options: which XML algorithm runs and how. The message plane
+/// is not a per-query choice — it is the transport the query runs on.
 struct EngineOptions {
   DistributedAlgorithm algorithm = DistributedAlgorithm::kPaX2;
   PaxOptions pax;
-
-  /// Message backend override. Unset: the cluster's default (pooled iff
-  /// parallel_execution). Answers, visit counts and per-edge byte totals
-  /// are identical across backends (tested property).
-  std::optional<TransportKind> transport;
-
-  /// Message-plane knobs (frame batching, streaming chunk sizes) for the
-  /// transport the evaluation creates. Batching changes message counts
-  /// only — never byte totals, visits or answers (tested property).
-  TransportOptions transport_options;
 };
 
 /// The engine's serving layer (DESIGN.md §12): what makes repeated, skewed
@@ -136,22 +126,20 @@ struct EngineConfig {
 
   /// Message backend for the engine's shared transport. Unset: the
   /// cluster's default (pooled iff parallel_execution), or the socket
-  /// backend when remote_endpoints is non-empty.
-  std::optional<TransportKind> transport;
+  /// backend when transport_options.remote_endpoints is non-empty.
+  std::optional<TransportKind> transport = std::nullopt;
 
   /// Message-plane knobs of the engine's shared transport (frame batching
-  /// on by default; see runtime/transport.h).
-  TransportOptions transport_options;
-
-  /// Multi-process deployment: site -> "host:port" of the paxml_site
-  /// process serving it (merged into transport_options). Sites absent from
-  /// the map — the query site must be one — run in-process. Submit()
-  /// behaves identically either way; answers, visits and per-edge traffic
-  /// reproduce the in-process run exactly (tested property).
-  std::map<SiteId, std::string> remote_endpoints = {};
+  /// on by default; see runtime/transport.h). Its remote_endpoints map is
+  /// the multi-process deployment: site -> "host:port" of the paxml_site
+  /// process serving it. Sites absent from the map — the query site must be
+  /// one — run in-process. Submit() behaves identically either way;
+  /// answers, visits and per-edge traffic reproduce the in-process run
+  /// exactly (tested property).
+  TransportOptions transport_options = {};
 
   /// Per-query options used when a submission does not override them.
-  EngineOptions defaults;
+  EngineOptions defaults = {};
 
   /// The serving layer: answer cache and fragment memo (both off by
   /// default — an engine without them behaves exactly as before).
@@ -256,9 +244,8 @@ struct SubmitOptions {
   std::optional<std::chrono::steady_clock::duration> deadline;
 
   /// Per-query engine options (algorithm, pax options); unset uses the
-  /// engine's defaults. The `transport` field is ignored here: every
-  /// submission runs over the engine's shared transport, chosen at
-  /// EngineConfig time.
+  /// engine's defaults. Every submission runs over the engine's shared
+  /// transport, chosen at EngineConfig time.
   std::optional<EngineOptions> engine_options;
 };
 
@@ -284,10 +271,6 @@ class Engine {
   /// comment).
   QueryHandle Submit(std::string query, SubmitOptions options = {});
 
-  /// Same, for a pre-compiled XPath query (XML clusters only). Bypasses
-  /// the answer cache: a compiled plan has no canonical text to key by.
-  QueryHandle Submit(CompiledQuery query, SubmitOptions options = {});
-
   /// Blocks until every query submitted so far has completed.
   void Drain();
 
@@ -310,23 +293,19 @@ class Engine {
   size_t queued_count() { return scheduler_.queued_count(); }
 
  private:
-  /// One admitted evaluation: everything family-specific (parsing,
-  /// compiling, the protocol itself) lives behind this closure, so the
-  /// engine's scheduling machinery never names a workload.
-  using EvaluateFn = std::function<Result<DistributedResult>(
-      const EngineOptions& options, Transport* transport,
-      RunControl* control)>;
-
   /// Invoked with the evaluation's outcome before the handle settles (and
   /// with the rejection status if the job never ran) — the answer cache's
   /// publish hook: a leader's followers observe the entry no later than
   /// the leader's own Wait() returning.
   using CompleteFn = std::function<void(const Result<DistributedResult>&)>;
 
+  /// Runs one admitted query through EvaluateWorkload (core/workload.h),
+  /// which owns everything family-specific — the engine's scheduling
+  /// machinery never names a workload.
   void Execute(const std::shared_ptr<internal::QueryState>& state,
-               double queue_seconds, const EvaluateFn& evaluate,
+               double queue_seconds, const std::string& query,
                const EngineOptions& options, const CompleteFn& on_complete);
-  QueryHandle SubmitJob(EvaluateFn evaluate, SubmitOptions options,
+  QueryHandle SubmitJob(std::string query, SubmitOptions options,
                         CompleteFn on_complete = nullptr);
 
   /// An already-completed handle serving `cached` (answer-cache hit).
@@ -342,44 +321,6 @@ class Engine {
   std::unique_ptr<Transport> transport_;
   QueryScheduler scheduler_;
 };
-
-/// Dispatches to the selected algorithm. All algorithms return identical
-/// answer sets (tested property); they differ in visits, traffic and time.
-/// A pooled backend shares the cluster's WorkerPool, so a stream of calls
-/// pays no per-run thread spawns.
-Result<DistributedResult> EvaluateDistributed(const Cluster& cluster,
-                                              const CompiledQuery& query,
-                                              const EngineOptions& options = {});
-
-/// Convenience overload: compiles `query` against the document's symbols.
-Result<DistributedResult> EvaluateDistributed(const Cluster& cluster,
-                                              std::string_view query,
-                                              const EngineOptions& options = {});
-
-/// Evaluates over an explicit transport, which may be carrying other
-/// concurrent evaluations — each call opens (and closes) its own run on it.
-/// Thread-safe for concurrent calls on one transport; this is the primitive
-/// the Engine drives. A non-null `control` makes the run cancellable at
-/// round boundaries (runtime/run_control.h).
-Result<DistributedResult> EvaluateDistributed(const Cluster& cluster,
-                                              const CompiledQuery& query,
-                                              const EngineOptions& options,
-                                              Transport* transport,
-                                              RunControl* control = nullptr);
-
-/// Evaluates a stream of queries concurrently: up to `stream_depth`
-/// evaluations in flight at a time over one Engine (one transport and —
-/// for the pooled backend — the cluster's WorkerPool). Results are
-/// positionally aligned with `queries`; a query that fails to compile or
-/// evaluate yields its error without disturbing the others. Answers, visit
-/// counts and per-edge byte totals are identical to running the same
-/// queries sequentially (tested property). If `latency_seconds` is
-/// non-null it receives each query's evaluation wall time (excluding queue
-/// wait), aligned with `queries`.
-std::vector<Result<DistributedResult>> EvalBatch(
-    const Cluster& cluster, const std::vector<std::string>& queries,
-    const EngineOptions& options = {}, size_t stream_depth = 8,
-    std::vector<double>* latency_seconds = nullptr);
 
 }  // namespace paxml
 

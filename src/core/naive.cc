@@ -55,9 +55,10 @@ Result<DistributedResult> EvaluateNaiveCentralized(const Cluster& cluster,
                                                    const CompiledQuery& query,
                                                    Transport* transport,
                                                    RunControl* control) {
+  if (transport == nullptr) {
+    return Status::InvalidArgument("EvaluateNaiveCentralized: null transport");
+  }
   const FragmentedDocument& doc = cluster.doc();
-  std::unique_ptr<Transport> owned_transport;
-  transport = EnsureTransport(transport, cluster, &owned_transport);
   NaiveProgram program(&doc);
   const RunSpec spec = MakeNaiveRunSpec(query);
   Coordinator coord(&cluster, transport, &program, control, &spec);

@@ -30,14 +30,13 @@ std::unique_ptr<MessageHandlers> MakeNaiveSiteHandlers(
 /// Ships all fragments to the query site, assembles, evaluates.
 /// Answers are reported against the assembled tree but mapped back to
 /// (fragment, node) coordinates so results compare to PaX3/PaX2 directly.
-/// `transport` selects the message backend; nullptr uses the cluster's
-/// default (a pooled backend shares the cluster's WorkerPool). The
-/// transport may be carrying other concurrent evaluations — this call
-/// opens and closes its own run on it. A non-null `control` makes the run
+/// `transport` is the message backend and must not be null
+/// (InvalidArgument). It may be carrying other concurrent evaluations —
+/// this call opens and closes its own run on it. A non-null `control` makes the run
 /// cancellable at round boundaries.
 Result<DistributedResult> EvaluateNaiveCentralized(
     const Cluster& cluster, const CompiledQuery& query,
-    Transport* transport = nullptr, RunControl* control = nullptr);
+    Transport* transport, RunControl* control = nullptr);
 
 }  // namespace paxml
 

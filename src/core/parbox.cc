@@ -60,14 +60,15 @@ std::unique_ptr<MessageHandlers> MakeParBoXSiteHandlers(
 Result<ParBoXResult> EvaluateParBoX(const Cluster& cluster,
                                     const CompiledQuery& query,
                                     Transport* transport, RunControl* control) {
+  if (transport == nullptr) {
+    return Status::InvalidArgument("EvaluateParBoX: null transport");
+  }
   if (!query.IsBooleanQuery()) {
     return Status::InvalidArgument(
         "ParBoX evaluates Boolean queries; use PaX3/PaX2 for data-selecting "
         "queries");
   }
   const FragmentedDocument& doc = cluster.doc();
-  std::unique_ptr<Transport> owned_transport;
-  transport = EnsureTransport(transport, cluster, &owned_transport);
   ParBoXProgram program(&doc, &query);
   const RunSpec spec = MakeParBoXRunSpec(query);
   Coordinator coord(&cluster, transport, &program, control, &spec);

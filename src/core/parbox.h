@@ -38,14 +38,14 @@ struct ParBoXResult {
 
 /// Evaluates a Boolean query (empty selection path, e.g. ".[//a/b]") over
 /// the cluster's fragmented document. Returns kInvalidArgument for
-/// data-selecting queries — use PaX3/PaX2 for those. `transport` selects
-/// the message backend; nullptr uses the cluster's default (a pooled
-/// backend shares the cluster's WorkerPool). The transport may be carrying
-/// other concurrent evaluations — this call opens and closes its own run.
+/// data-selecting queries — use PaX3/PaX2 for those. `transport` is the
+/// message backend and must not be null (InvalidArgument). It may be
+/// carrying other concurrent evaluations — this call opens and closes its
+/// own run.
 /// A non-null `control` makes the run cancellable at round boundaries.
 Result<ParBoXResult> EvaluateParBoX(const Cluster& cluster,
                                     const CompiledQuery& query,
-                                    Transport* transport = nullptr,
+                                    Transport* transport,
                                     RunControl* control = nullptr);
 
 }  // namespace paxml

@@ -994,6 +994,9 @@ Result<DistributedResult> EvaluatePaX2(const Cluster& cluster,
                                        const PaxOptions& options,
                                        Transport* transport,
                                        RunControl* control) {
+  if (transport == nullptr) {
+    return Status::InvalidArgument("EvaluatePaX2: null transport");
+  }
   if (query.IsBooleanQuery()) {
     PAXML_ASSIGN_OR_RETURN(ParBoXResult r,
                            EvaluateParBoX(cluster, query, transport, control));
@@ -1008,9 +1011,6 @@ Result<DistributedResult> EvaluatePaX2(const Cluster& cluster,
 
   const FragmentedDocument& doc = cluster.doc();
   const size_t fragment_count = doc.size();
-  std::unique_ptr<Transport> owned_transport;
-  transport = EnsureTransport(transport, cluster, &owned_transport);
-
   PruneResult prune = ComputePaxPrune(doc, query, options);
 
   // The combined pass must run wherever a qualifier can see (see

@@ -50,15 +50,14 @@ std::unique_ptr<MessageHandlers> MakePax2SiteHandlers(
     const PaxOptions& options);
 
 /// Evaluates `query` over the cluster's fragmented document with PaX2.
-/// `transport` selects the message backend; nullptr uses the cluster's
-/// default (a pooled backend shares the cluster's WorkerPool). The
-/// transport may be carrying other concurrent evaluations — this call
-/// opens and closes its own run on it. A non-null `control` makes the run
+/// `transport` is the message backend and must not be null
+/// (InvalidArgument). It may be carrying other concurrent evaluations —
+/// this call opens and closes its own run on it. A non-null `control` makes the run
 /// cancellable at round boundaries (see runtime/run_control.h).
 Result<DistributedResult> EvaluatePaX2(const Cluster& cluster,
                                        const CompiledQuery& query,
-                                       const PaxOptions& options = {},
-                                       Transport* transport = nullptr,
+                                       const PaxOptions& options,
+                                       Transport* transport,
                                        RunControl* control = nullptr);
 
 }  // namespace paxml

@@ -274,15 +274,15 @@ Result<DistributedResult> EvaluatePaX3(const Cluster& cluster,
                                        const PaxOptions& options,
                                        Transport* transport,
                                        RunControl* control) {
+  if (transport == nullptr) {
+    return Status::InvalidArgument("EvaluatePaX3: null transport");
+  }
   if (query.IsBooleanQuery()) {
     return EvaluateBooleanViaParBoX(cluster, query, transport, control);
   }
 
   const FragmentedDocument& doc = cluster.doc();
   const size_t fragment_count = doc.size();
-  std::unique_ptr<Transport> owned_transport;
-  transport = EnsureTransport(transport, cluster, &owned_transport);
-
   PruneResult prune = ComputePaxPrune(doc, query, options);
 
   // Stage 2's participant set depends only on the prune result; fix it

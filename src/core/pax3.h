@@ -70,15 +70,14 @@ std::unique_ptr<MessageHandlers> MakePax3SiteHandlers(
 
 /// Evaluates `query` over the cluster's fragmented document with PaX3.
 /// Boolean queries (empty selection path) delegate to the ParBoX stage and
-/// finish in one visit. `transport` selects the message backend; nullptr
-/// uses the cluster's default (a pooled backend shares the cluster's
-/// WorkerPool). The transport may be carrying other concurrent evaluations
+/// finish in one visit. `transport` is the message backend and must not be
+/// null (InvalidArgument). It may be carrying other concurrent evaluations
 /// — this call opens and closes its own run on it. A non-null `control`
 /// makes the run cancellable at round boundaries.
 Result<DistributedResult> EvaluatePaX3(const Cluster& cluster,
                                        const CompiledQuery& query,
-                                       const PaxOptions& options = {},
-                                       Transport* transport = nullptr,
+                                       const PaxOptions& options,
+                                       Transport* transport,
                                        RunControl* control = nullptr);
 
 }  // namespace paxml

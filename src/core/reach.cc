@@ -375,7 +375,7 @@ Result<ReachQuery> ParseReachQuery(const std::string& text) {
 }
 
 Result<const GraphFragmentStore*> GraphOf(const Cluster& cluster) {
-  if (cluster.data().family() != kGraphWorkloadFamily) {
+  if (cluster.data().family() != kGraphFamily) {
     return Status::InvalidArgument(
         "reach: cluster holds \"" + std::string(cluster.data().family()) +
         "\" data, not a graph");
@@ -387,7 +387,7 @@ RunSpec MakeReachRunSpec(const ReachQuery& query) {
   RunSpec spec;
   spec.algorithm = "Reach";
   spec.query = FormatReachQuery(query);
-  spec.family = std::string(kGraphWorkloadFamily);
+  spec.family = std::string(kGraphFamily);
   return spec;
 }
 
@@ -439,10 +439,11 @@ Result<DistributedResult> EvaluateReachability(const Cluster& cluster,
                                                const ReachQuery& query,
                                                Transport* transport,
                                                RunControl* control) {
+  if (transport == nullptr) {
+    return Status::InvalidArgument("EvaluateReachability: null transport");
+  }
   PAXML_ASSIGN_OR_RETURN(const GraphFragmentStore* store, GraphOf(cluster));
   PAXML_RETURN_NOT_OK(ValidateQuery(*store, query));
-  std::unique_ptr<Transport> owned_transport;
-  transport = EnsureTransport(transport, cluster, &owned_transport);
   ReachProgram program(store, query);
   const RunSpec spec = MakeReachRunSpec(query);
   Coordinator coord(&cluster, transport, &program, control, &spec);

@@ -98,16 +98,16 @@ RunSpec MakeReachRunSpec(const ReachQuery& query);
 std::unique_ptr<MessageHandlers> MakeReachSiteHandlers(
     const GraphFragmentStore* store, const ReachQuery& query);
 
-/// The graph family's SiteProgram builder (registered in core/workload.h).
+/// Makes the graph family's SiteProgram (dispatched from core/workload.h).
 Result<std::unique_ptr<SiteProgram>> MakeReachSiteProgram(
     const Cluster& cluster, const RunSpec& spec);
 
 /// Evaluates `query` over the cluster's graph. The answer is the target's
-/// global id when reachable from the source, empty otherwise. A null
-/// transport evaluates synchronously in-process.
+/// global id when reachable from the source, empty otherwise. `transport`
+/// is the message backend and must not be null (InvalidArgument).
 Result<DistributedResult> EvaluateReachability(const Cluster& cluster,
                                                const ReachQuery& query,
-                                               Transport* transport = nullptr,
+                                               Transport* transport,
                                                RunControl* control = nullptr);
 
 }  // namespace paxml

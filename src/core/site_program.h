@@ -3,7 +3,7 @@
 // The runtime's SiteServer (runtime/socket_server.h) is workload-agnostic:
 // it asks a SiteProgramFactory for the MessageHandlers of each run a client
 // announces. This is the XML family's builder behind that factory (the
-// registry in core/workload.h routes "xml" RunSpecs here) — it compiles
+// dispatch in core/workload.h routes "xml" RunSpecs here) — it compiles
 // the spec's query against the peer's copy of the document and builds the
 // same handler set the in-process entry point would (the
 // Make*SiteHandlers exports of pax2/pax3/naive/parbox), owning everything

@@ -1,9 +1,6 @@
 #include "core/workload.h"
 
-#include <algorithm>
-#include <map>
-#include <mutex>
-#include <utility>
+#include <string_view>
 
 #include "core/reach.h"
 #include "core/site_program.h"
@@ -12,116 +9,51 @@
 namespace paxml {
 namespace {
 
-std::mutex& RegistryMutex() {
-  static std::mutex mu;
-  return mu;
+bool IsKnownFamily(std::string_view family) {
+  return family == kXmlFamily || family == kGraphFamily;
 }
 
-std::map<std::string, WorkloadFamily>& Registry() {
-  static std::map<std::string, WorkloadFamily> families;
-  return families;
+Status UnknownFamily(std::string_view family) {
+  return Status::InvalidArgument(
+      "unknown workload family \"" + std::string(family) + "\" (known: \"" +
+      std::string(kXmlFamily) + "\", \"" +
+      std::string(kGraphFamily) + "\")");
 }
 
-Status RegisterLocked(WorkloadFamily family) {
-  if (family.name.empty()) {
-    return Status::InvalidArgument("workload family: empty name");
+/// The XML arm: the one dispatch over the distributed XPath algorithms.
+Result<DistributedResult> EvaluateXml(const Cluster& cluster,
+                                      const std::string& query,
+                                      const EngineOptions& options,
+                                      Transport* transport,
+                                      RunControl* control) {
+  PAXML_ASSIGN_OR_RETURN(CompiledQuery compiled,
+                         CompileXPath(query, cluster.doc().symbols()));
+  switch (options.algorithm) {
+    case DistributedAlgorithm::kPaX3:
+      return EvaluatePaX3(cluster, compiled, options.pax, transport, control);
+    case DistributedAlgorithm::kPaX2:
+      return EvaluatePaX2(cluster, compiled, options.pax, transport, control);
+    case DistributedAlgorithm::kNaiveCentralized:
+      return EvaluateNaiveCentralized(cluster, compiled, transport, control);
   }
-  const std::string name = family.name;
-  if (!Registry().emplace(name, std::move(family)).second) {
-    return Status::InvalidArgument("workload family \"" + name +
-                                   "\" is already registered");
-  }
-  return Status::OK();
-}
-
-/// The built-in families register once, on first registry access, so a
-/// paxml_site binary serves both without any caller naming either.
-void EnsureBuiltins() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    std::lock_guard<std::mutex> lock(RegistryMutex());
-
-    WorkloadFamily xml;
-    xml.name = std::string(kXmlWorkloadFamily);
-    xml.make_site_program = MakeXmlSiteProgram;
-    xml.evaluate = [](const Cluster& cluster, const std::string& query,
-                      const EngineOptions& options, Transport* transport,
-                      RunControl* control) -> Result<DistributedResult> {
-      PAXML_ASSIGN_OR_RETURN(CompiledQuery compiled,
-                             CompileXPath(query, cluster.doc().symbols()));
-      return EvaluateDistributed(cluster, compiled, options, transport,
-                                 control);
-    };
-    PAXML_CHECK(RegisterLocked(std::move(xml)).ok());
-
-    WorkloadFamily graph;
-    graph.name = std::string(kGraphWorkloadFamily);
-    graph.make_site_program = MakeReachSiteProgram;
-    graph.evaluate = [](const Cluster& cluster, const std::string& query,
-                        const EngineOptions&, Transport* transport,
-                        RunControl* control) -> Result<DistributedResult> {
-      PAXML_ASSIGN_OR_RETURN(ReachQuery parsed, ParseReachQuery(query));
-      return EvaluateReachability(cluster, parsed, transport, control);
-    };
-    PAXML_CHECK(RegisterLocked(std::move(graph)).ok());
-  });
-}
-
-std::string EnumerateFamilies() {
-  std::string out;
-  for (const auto& [name, family] : Registry()) {
-    if (!out.empty()) out += ", ";
-    out += "\"" + name + "\"";
-  }
-  return out;
-}
-
-Result<const WorkloadFamily*> FindFamily(const std::string& name) {
-  auto it = Registry().find(name);
-  if (it == Registry().end()) {
-    return Status::InvalidArgument("unknown workload family \"" + name +
-                                   "\" (registered: " + EnumerateFamilies() +
-                                   ")");
-  }
-  return &it->second;
+  return Status::InvalidArgument("unknown algorithm");
 }
 
 }  // namespace
 
-Status RegisterWorkloadFamily(WorkloadFamily family) {
-  EnsureBuiltins();
-  std::lock_guard<std::mutex> lock(RegistryMutex());
-  return RegisterLocked(std::move(family));
-}
-
-std::vector<std::string> RegisteredWorkloadFamilies() {
-  EnsureBuiltins();
-  std::lock_guard<std::mutex> lock(RegistryMutex());
-  std::vector<std::string> names;
-  names.reserve(Registry().size());
-  for (const auto& [name, family] : Registry()) names.push_back(name);
-  return names;
-}
-
 Result<std::unique_ptr<SiteProgram>> MakeSiteProgram(const Cluster& cluster,
                                                      const RunSpec& spec) {
-  EnsureBuiltins();
-  // Copy the entry point out of the registry: builders compile queries and
-  // evaluators run whole protocols, neither under the registry lock.
-  WorkloadFamily family;
-  {
-    std::lock_guard<std::mutex> lock(RegistryMutex());
-    PAXML_ASSIGN_OR_RETURN(const WorkloadFamily* found,
-                           FindFamily(spec.family));
-    family = *found;
-  }
+  if (!IsKnownFamily(spec.family)) return UnknownFamily(spec.family);
   if (spec.family != cluster.data().family()) {
     return Status::InvalidArgument(
         "workload mismatch: run is \"" + spec.family +
         "\" but the cluster holds \"" + std::string(cluster.data().family()) +
         "\" data");
   }
-  return family.make_site_program(cluster, spec);
+  if (spec.family == kXmlFamily) {
+    return MakeXmlSiteProgram(cluster, spec);
+  }
+  return MakeReachSiteProgram(cluster, spec);
 }
 
 SiteProgramFactory MakeSiteProgramFactory(const Cluster* cluster) {
@@ -135,15 +67,18 @@ Result<DistributedResult> EvaluateWorkload(const Cluster& cluster,
                                            const EngineOptions& options,
                                            Transport* transport,
                                            RunControl* control) {
-  EnsureBuiltins();
-  WorkloadFamily family;
-  {
-    std::lock_guard<std::mutex> lock(RegistryMutex());
-    PAXML_ASSIGN_OR_RETURN(const WorkloadFamily* found,
-                           FindFamily(std::string(cluster.data().family())));
-    family = *found;
+  if (transport == nullptr) {
+    return Status::InvalidArgument("EvaluateWorkload: null transport");
   }
-  return family.evaluate(cluster, query, options, transport, control);
+  const std::string_view family = cluster.data().family();
+  if (family == kXmlFamily) {
+    return EvaluateXml(cluster, query, options, transport, control);
+  }
+  if (family == kGraphFamily) {
+    PAXML_ASSIGN_OR_RETURN(ReachQuery parsed, ParseReachQuery(query));
+    return EvaluateReachability(cluster, parsed, transport, control);
+  }
+  return UnknownFamily(family);
 }
 
 }  // namespace paxml

@@ -1,27 +1,23 @@
-// The workload registry: where a RunSpec's family name resolves to code.
+// Where a workload family name resolves to code.
 //
 // The runtime layer (transport, coordinator, socket server) moves opaque
-// frames for a `RunSpec::family` string it never interprets; this registry
-// is the single point where that string picks a data model and its
-// algorithms. Each family contributes two entry points: a site-program
-// builder (what a paxml_site peer runs for an announced RunSpec) and a
-// query evaluator (what Engine::Submit drives for a query string). The
-// built-in families — "xml" (core/site_program.h, the PaX/ParBoX/naive
-// algorithms) and "graph" (core/reach.h, distributed reachability) —
-// register lazily on first use; tests may register extra families.
+// frames for a `RunSpec::family` string it never interprets; this file is
+// the single point where that string picks a data model and its
+// algorithms. Two families exist, and both entry points below branch on
+// them: "xml" (core/site_program.h, the PaX/ParBoX/naive algorithms) and
+// "graph" (core/reach.h, distributed reachability).
 //
-// This is the seam that makes the engine workload-agnostic: no caller of
-// MakeSiteProgramFactory or EvaluateWorkload names a data model, and a
-// cluster built over any WorkloadData evaluates through the same Engine,
+// EvaluateWorkload is the one primitive that runs a query: Engine::Submit
+// drives it, and so may any caller that owns a transport. No caller of
+// MakeSiteProgramFactory or EvaluateWorkload names a data model, so a
+// cluster built over either WorkloadData evaluates through the same Engine,
 // scheduler and transports (DESIGN.md §11).
 
 #ifndef PAXML_CORE_WORKLOAD_H_
 #define PAXML_CORE_WORKLOAD_H_
 
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
 #include "core/engine.h"
@@ -30,36 +26,10 @@
 
 namespace paxml {
 
-/// One registered algorithm family over one data model.
-struct WorkloadFamily {
-  /// The RunSpec::family / WorkloadData::family() string.
-  std::string name;
-
-  /// Builds the site-side program for a RunSpec announced over the wire.
-  /// The cluster is guaranteed to hold this family's data.
-  std::function<Result<std::unique_ptr<SiteProgram>>(const Cluster&,
-                                                     const RunSpec&)>
-      make_site_program;
-
-  /// Evaluates one query string over the cluster (the family owns the
-  /// query syntax: XPath for "xml", "reach <s> <t>" for "graph"). A null
-  /// transport evaluates in-process.
-  std::function<Result<DistributedResult>(const Cluster&, const std::string&,
-                                          const EngineOptions&, Transport*,
-                                          RunControl*)>
-      evaluate;
-};
-
-/// Registers `family`; an already registered name is an error.
-Status RegisterWorkloadFamily(WorkloadFamily family);
-
-/// Registered family names, sorted — error messages enumerate these.
-std::vector<std::string> RegisteredWorkloadFamilies();
-
 /// Builds the site-side program for `spec` over `cluster`, routed by
-/// `spec.family`. An unknown family's error enumerates the registered
-/// ones; a family that does not match the cluster's data is rejected
-/// before the family's builder runs.
+/// `spec.family`. An unknown family's error names the two known ones; a
+/// family that does not match the cluster's data is rejected before any
+/// family code runs.
 Result<std::unique_ptr<SiteProgram>> MakeSiteProgram(const Cluster& cluster,
                                                      const RunSpec& spec);
 
@@ -67,13 +37,18 @@ Result<std::unique_ptr<SiteProgram>> MakeSiteProgram(const Cluster& cluster,
 /// whichever workload its data directory held.
 SiteProgramFactory MakeSiteProgramFactory(const Cluster* cluster);
 
-/// Evaluates `query` over the cluster, routed by the *data's* family (a
-/// query string carries no family of its own). This is what
-/// Engine::Submit(std::string) drives.
+/// Evaluates `query` over the cluster on `transport`, routed by the
+/// *data's* family (a query string carries no family of its own): XPath
+/// under options.algorithm for "xml", "reach <s> <t>" for "graph". The
+/// transport may be carrying other concurrent evaluations — each call opens
+/// and closes its own run on it — and must not be null (InvalidArgument).
+/// A non-null `control` makes the run cancellable at round boundaries
+/// (runtime/run_control.h). This is what Engine::Submit(std::string)
+/// drives.
 Result<DistributedResult> EvaluateWorkload(const Cluster& cluster,
                                            const std::string& query,
-                                           const EngineOptions& options = {},
-                                           Transport* transport = nullptr,
+                                           const EngineOptions& options,
+                                           Transport* transport,
                                            RunControl* control = nullptr);
 
 }  // namespace paxml

@@ -78,7 +78,7 @@ class FragmentedDocument : public WorkloadData {
   FragmentedDocument(FragmentedDocument&&) = default;
   FragmentedDocument& operator=(FragmentedDocument&&) = default;
 
-  std::string_view family() const override { return kXmlWorkloadFamily; }
+  std::string_view family() const override { return kXmlFamily; }
   size_t fragment_count() const override { return fragments_.size(); }
 
   const std::vector<Fragment>& fragments() const { return fragments_; }

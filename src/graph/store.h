@@ -62,7 +62,7 @@ struct GraphFragment {
 /// The partitioned digraph a graph cluster evaluates over.
 class GraphFragmentStore : public WorkloadData {
  public:
-  std::string_view family() const override { return kGraphWorkloadFamily; }
+  std::string_view family() const override { return kGraphFamily; }
   size_t fragment_count() const override { return fragments_.size(); }
 
   int32_t vertex_count() const { return vertex_count_; }

@@ -36,7 +36,7 @@
 //
 // The scheduler knows nothing about algorithms: jobs are opaque closures.
 // The engine-level surface that pairs it with a shared transport is
-// Engine::Submit (core/engine.h); EvalBatch rides on top of that.
+// Engine::Submit (core/engine.h).
 
 #ifndef PAXML_RUNTIME_QUERY_SCHEDULER_H_
 #define PAXML_RUNTIME_QUERY_SCHEDULER_H_

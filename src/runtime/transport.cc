@@ -465,11 +465,4 @@ std::unique_ptr<Transport> MakeTransportFor(const Cluster& cluster,
   return MakeTransport(k, std::move(options));
 }
 
-Transport* EnsureTransport(Transport* transport, const Cluster& cluster,
-                           std::unique_ptr<Transport>* owned) {
-  if (transport != nullptr) return transport;
-  *owned = MakeTransportFor(cluster);
-  return owned->get();
-}
-
 }  // namespace paxml

@@ -106,15 +106,15 @@ const char* MessageKindName(MessageKind kind);
 /// socket backend ships it in the run-open control record, and the peer
 /// compiles the query against its own copy of the data (deterministic:
 /// both sides derive identical pruning, stack inits and wire encodings).
-/// core/workload.h turns a spec back into handlers via the per-family
-/// registry.
+/// core/workload.h turns a spec back into handlers by branching on its
+/// family.
 struct RunSpec {
   std::string algorithm;
   std::string query;
   bool use_annotations = false;
   uint8_t ship_mode = 0;  ///< AnswerShipMode as its wire value
 
-  /// Workload family of the run ("xml", "graph"); selects the registered
+  /// Workload family of the run ("xml", "graph"); selects the family's
   /// program builder. Last member with a default so existing four-field
   /// aggregate initializers keep meaning an XML run.
   std::string family = "xml";
@@ -564,18 +564,11 @@ TransportKind DefaultTransportKind(const Cluster& cluster);
 /// Creates a `kind` backend for `cluster` (defaulting to the cluster's
 /// preferred kind, or to kSocket when `options.remote_endpoints` is
 /// non-empty); a pooled backend shares the cluster's WorkerPool. The one
-/// place that wires transports to cluster resources — the engine and
-/// EnsureTransport both go through it.
+/// place that wires transports to cluster resources: the engine builds its
+/// shared transport here, and so does any caller of EvaluateWorkload.
 std::unique_ptr<Transport> MakeTransportFor(
     const Cluster& cluster, std::optional<TransportKind> kind = std::nullopt,
     TransportOptions options = {});
-
-/// Returns `transport` if non-null; otherwise creates the cluster's default
-/// backend into `owned` and returns that. A pooled default shares the
-/// cluster's WorkerPool. The algorithms' entry points use this for their
-/// optional-transport parameters.
-Transport* EnsureTransport(Transport* transport, const Cluster& cluster,
-                           std::unique_ptr<Transport>* owned);
 
 }  // namespace paxml
 

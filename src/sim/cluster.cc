@@ -23,12 +23,12 @@ Cluster::Cluster(std::shared_ptr<const WorkloadData> data,
 const FragmentedDocument& Cluster::doc() const {
   // The downcast is safe exactly when the family tag says so; a graph
   // cluster reaching an XML-only code path is a caller bug, not wire input.
-  PAXML_CHECK(data_->family() == kXmlWorkloadFamily);
+  PAXML_CHECK(data_->family() == kXmlFamily);
   return static_cast<const FragmentedDocument&>(*data_);
 }
 
 std::shared_ptr<const FragmentedDocument> Cluster::doc_ptr() const {
-  PAXML_CHECK(data_->family() == kXmlWorkloadFamily);
+  PAXML_CHECK(data_->family() == kXmlFamily);
   return std::static_pointer_cast<const FragmentedDocument>(data_);
 }
 

@@ -6,6 +6,7 @@
 
 #include "core/engine.h"
 #include "core/parbox.h"
+#include "core/reach.h"
 #include "eval/centralized.h"
 #include "fragment/fragmenter.h"
 #include "test_util.h"
@@ -33,7 +34,8 @@ TEST(ParBoXPropertyTest, MatchesCentralizedOnRandomBooleanQueries) {
       ASSERT_TRUE(compiled.ok()) << query;
       ASSERT_TRUE(compiled->IsBooleanQuery());
 
-      auto r = EvaluateParBoX(cluster, *compiled);
+      auto r =
+          EvaluateParBoX(cluster, *compiled, MakeTransportFor(cluster).get());
       ASSERT_TRUE(r.ok()) << query << ": " << r.status();
       auto expected = EvaluateCentralized(tree, *compiled);
       EXPECT_EQ(r->value, !expected.answers.empty()) << query;
@@ -50,16 +52,13 @@ TEST(ShipModeTest, ReferencesAndSubtreesReturnSameAnswers) {
   Cluster cluster(doc, 4);
   cluster.PlaceRootAndSpread();
 
-  auto compiled = CompileXPath("//market[name/text() = \"NASDAQ\"]",
-                               tree.symbols());
-  ASSERT_TRUE(compiled.ok());
-
+  const std::string query = "//market[name/text() = \"NASDAQ\"]";
   EngineOptions refs;
   refs.pax.ship_mode = AnswerShipMode::kReferences;
   EngineOptions subs;
   subs.pax.ship_mode = AnswerShipMode::kSubtrees;
-  auto r1 = EvaluateDistributed(cluster, *compiled, refs);
-  auto r2 = EvaluateDistributed(cluster, *compiled, subs);
+  auto r1 = testing::EvaluateOn(cluster, query, refs);
+  auto r2 = testing::EvaluateOn(cluster, query, subs);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1->answers, r2->answers);
@@ -79,7 +78,7 @@ TEST(EngineTest, DispatchesAllAlgorithms) {
         DistributedAlgorithm::kNaiveCentralized}) {
     EngineOptions options;
     options.algorithm = algo;
-    auto r = EvaluateDistributed(cluster, "//stock/code", options);
+    auto r = testing::EvaluateOn(cluster, "//stock/code", options);
     ASSERT_TRUE(r.ok()) << AlgorithmName(algo);
     EXPECT_EQ(r->answers.size(), 5u) << AlgorithmName(algo);
   }
@@ -89,14 +88,14 @@ TEST(EngineTest, DispatchesAllAlgorithms) {
                "NaiveCentralized");
 }
 
-TEST(EngineTest, ParseErrorsPropagateThroughStringOverload) {
+TEST(EngineTest, ParseErrorsPropagateThroughEvaluateWorkload) {
   Tree tree = testing::BuildClienteleTree();
   auto doc_r = FragmentByCuts(tree, testing::ClienteleCuts(tree));
   ASSERT_TRUE(doc_r.ok());
   auto doc = std::make_shared<FragmentedDocument>(std::move(doc_r).ValueOrDie());
   Cluster cluster(doc, 2);
 
-  auto r = EvaluateDistributed(cluster, "not [ valid", {});
+  auto r = testing::EvaluateOn(cluster, "not [ valid");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kParseError);
 }
@@ -111,14 +110,13 @@ TEST(NaiveTest, ShipsEveryFragmentOnce) {
 
   auto compiled = CompileXPath("//name", tree.symbols());
   ASSERT_TRUE(compiled.ok());
-  auto r = EvaluateNaiveCentralized(cluster, *compiled);
+  auto r = EvaluateNaiveCentralized(cluster, *compiled,
+                                    MakeTransportFor(cluster).get());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->stats.max_visits(), 1);
   // Data shipped ~ serialized size of the non-local fragments.
   EXPECT_GT(r->stats.data_bytes_shipped, 0u);
-  EngineOptions pax2;
-  pax2.algorithm = DistributedAlgorithm::kPaX2;
-  auto r2 = EvaluateDistributed(cluster, *compiled, pax2);
+  auto r2 = testing::EvaluateOn(cluster, "//name");
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r->answers, r2->answers);
 }
@@ -133,14 +131,36 @@ TEST(TransportLocalDeliveryTest, LocalDeliveryIsFree) {
   auto doc = std::make_shared<FragmentedDocument>(std::move(doc_r).ValueOrDie());
   Cluster single(doc, 1);
 
-  auto compiled = CompileXPath("//broker/name", tree.symbols());
-  ASSERT_TRUE(compiled.ok());
-  EngineOptions pax2;
-  pax2.algorithm = DistributedAlgorithm::kPaX2;
-  auto r = EvaluateDistributed(single, *compiled, pax2);
+  auto r = testing::EvaluateOn(single, "//broker/name");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->stats.total_bytes, 0u);
   EXPECT_EQ(r->stats.total_messages, 0u);
+}
+
+// A missing transport is a caller error, never a hidden fresh transport:
+// the workload entry point and all five algorithm functions refuse it.
+TEST(EngineTest, NullTransportIsInvalidArgument) {
+  Tree tree = testing::BuildClienteleTree();
+  auto doc_r = FragmentByCuts(tree, testing::ClienteleCuts(tree));
+  ASSERT_TRUE(doc_r.ok());
+  auto doc = std::make_shared<FragmentedDocument>(std::move(doc_r).ValueOrDie());
+  Cluster cluster(doc, 2);
+  auto select = CompileXPath("//stock/code", tree.symbols());
+  auto boolean = CompileXPath(".[//stock]", tree.symbols());
+  ASSERT_TRUE(select.ok() && boolean.ok());
+
+  for (const Status& status :
+       {EvaluateWorkload(cluster, "//stock/code", {}, nullptr).status(),
+        EvaluatePaX2(cluster, *select, {}, nullptr).status(),
+        EvaluatePaX3(cluster, *select, {}, nullptr).status(),
+        EvaluatePaX2(cluster, *boolean, {}, nullptr).status(),
+        EvaluateNaiveCentralized(cluster, *select, nullptr).status(),
+        EvaluateParBoX(cluster, *boolean, nullptr).status(),
+        EvaluateReachability(cluster, ReachQuery{0, 1}, nullptr).status()}) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_NE(status.message().find("null transport"), std::string::npos)
+        << status;
+  }
 }
 
 }  // namespace

@@ -42,12 +42,10 @@ class DistributedClienteleTest : public ::testing::Test {
 
   DistributedResult Run(const std::string& query, DistributedAlgorithm algo,
                         bool annotations = false) {
-    auto compiled = CompileXPath(query, doc_->symbols());
-    PAXML_CHECK(compiled.ok());
     EngineOptions options;
     options.algorithm = algo;
     options.pax.use_annotations = annotations;
-    auto r = EvaluateDistributed(*cluster_, *compiled, options);
+    auto r = testing::EvaluateOn(*cluster_, query, options);
     PAXML_CHECK(r.ok());
     return std::move(r).ValueOrDie();
   }
@@ -99,7 +97,8 @@ TEST_F(DistributedClienteleTest, BooleanQueryViaParBoX) {
   auto compiled = CompileXPath(".[//stock/code/text() = \"GOOG\"]",
                                doc_->symbols());
   ASSERT_TRUE(compiled.ok());
-  auto r = EvaluateParBoX(*cluster_, *compiled);
+  auto r =
+      EvaluateParBoX(*cluster_, *compiled, MakeTransportFor(*cluster_).get());
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_TRUE(r->value);
   // ParBoX: every site visited exactly once.
@@ -109,7 +108,8 @@ TEST_F(DistributedClienteleTest, BooleanQueryViaParBoX) {
   auto compiled2 = CompileXPath(".[//stock/code/text() = \"MSFT\"]",
                                 doc_->symbols());
   ASSERT_TRUE(compiled2.ok());
-  auto r2 = EvaluateParBoX(*cluster_, *compiled2);
+  auto r2 =
+      EvaluateParBoX(*cluster_, *compiled2, MakeTransportFor(*cluster_).get());
   ASSERT_TRUE(r2.ok());
   EXPECT_FALSE(r2->value);
 }
@@ -117,7 +117,9 @@ TEST_F(DistributedClienteleTest, BooleanQueryViaParBoX) {
 TEST_F(DistributedClienteleTest, ParBoXRejectsDataSelectingQueries) {
   auto compiled = CompileXPath("//broker/name", doc_->symbols());
   ASSERT_TRUE(compiled.ok());
-  EXPECT_FALSE(EvaluateParBoX(*cluster_, *compiled).ok());
+  EXPECT_FALSE(
+      EvaluateParBoX(*cluster_, *compiled, MakeTransportFor(*cluster_).get())
+          .ok());
 }
 
 TEST_F(DistributedClienteleTest, BooleanQueryThroughPaxDelegation) {
@@ -235,8 +237,10 @@ TEST_F(DistributedClienteleTest, TrafficIndependentOfDataSize) {
   auto qb = CompileXPath(query, big_cluster->doc().symbols());
   ASSERT_TRUE(qs.ok());
   ASSERT_TRUE(qb.ok());
-  auto rs = EvaluateParBoX(*small_cluster, *qs);
-  auto rb = EvaluateParBoX(*big_cluster, *qb);
+  auto rs = EvaluateParBoX(*small_cluster, *qs,
+                           MakeTransportFor(*small_cluster).get());
+  auto rb =
+      EvaluateParBoX(*big_cluster, *qb, MakeTransportFor(*big_cluster).get());
   ASSERT_TRUE(rs.ok());
   ASSERT_TRUE(rb.ok());
   // Same fragment-tree shape (root + 3 children), same query: identical
@@ -276,7 +280,7 @@ TEST_P(DistributedPropertyTest, AllAlgorithmsMatchCentralized) {
         EngineOptions options;
         options.algorithm = algo;
         options.pax.use_annotations = xa;
-        auto r = EvaluateDistributed(cluster, *compiled, options);
+        auto r = testing::EvaluateOn(cluster, query, options);
         ASSERT_TRUE(r.ok()) << AlgorithmName(algo) << " " << query << ": "
                             << r.status();
         EXPECT_EQ(r->ToSourceIds(*doc), centralized.answers)
@@ -328,7 +332,8 @@ TEST_P(DistributedPropertyTest, EntrylessQualifiersMatchCentralized) {
       for (bool xa : {false, true}) {
         PaxOptions options;
         options.use_annotations = xa;
-        auto r = EvaluatePaX2(cluster, *compiled, options);
+        auto r = EvaluatePaX2(cluster, *compiled, options,
+                              MakeTransportFor(cluster).get());
         ASSERT_TRUE(r.ok()) << query << ": " << r.status();
         EXPECT_EQ(r->ToSourceIds(*doc), centralized.answers)
             << (xa ? "PaX2-XA" : "PaX2-NA") << " seed " << GetParam().seed
@@ -362,7 +367,8 @@ TEST_P(DistributedPropertyTest, QualifierKernelMatchesCentralized) {
       for (bool xa : {false, true}) {
         PaxOptions options;
         options.use_annotations = xa;
-        auto r = EvaluatePaX2(cluster, *compiled, options);
+        auto r = EvaluatePaX2(cluster, *compiled, options,
+                              MakeTransportFor(cluster).get());
         ASSERT_TRUE(r.ok()) << query << ": " << r.status();
         EXPECT_EQ(r->ToSourceIds(*doc), centralized.answers)
             << (xa ? "PaX2-XA" : "PaX2-NA") << " seed " << GetParam().seed
@@ -406,7 +412,7 @@ TEST_F(DistributedClienteleTest, SingleSiteCluster) {
   Cluster one(doc_, 1);
   auto compiled = CompileXPath("//stock/code", doc_->symbols());
   ASSERT_TRUE(compiled.ok());
-  auto r = EvaluatePaX2(one, *compiled);
+  auto r = EvaluatePaX2(one, *compiled, {}, MakeTransportFor(one).get());
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->ToSourceIds(*doc_), Centralized("//stock/code"));
 }

@@ -70,11 +70,9 @@ TEST_P(EngineTest, ConcurrentSubmissionsMatchSequential) {
     for (const char* q : {kQueryA, kQueryB, kQueryC}) stream.push_back(q);
   }
 
-  EngineOptions options;
-  options.transport = GetParam();
   std::vector<Result<DistributedResult>> sequential;
   for (const auto& q : stream) {
-    sequential.push_back(EvaluateDistributed(*cluster_, q, options));
+    sequential.push_back(testing::EvaluateOn(*cluster_, q, {}, GetParam()));
   }
 
   Engine engine(*cluster_, Config(4));
@@ -204,9 +202,7 @@ TEST_P(EngineTest, CancelMidRunUnwindsWithoutDisturbingConcurrentRuns) {
 
   // Invariant 5: the concurrent run's answers and accounting are
   // byte-for-byte those of an isolated sequential evaluation.
-  EngineOptions options;
-  options.transport = GetParam();
-  auto baseline = EvaluateDistributed(*cluster_, kQueryB, options);
+  auto baseline = testing::EvaluateOn(*cluster_, kQueryB, {}, GetParam());
   ASSERT_TRUE(baseline.ok());
   const QueryReport& kept = survivor.Wait();
   ASSERT_TRUE(kept.result.ok()) << kept.result.status();
@@ -258,9 +254,7 @@ TEST_P(EngineTest, DeadlineExpiryMidRunUnwindsAtARoundBoundary) {
   const QueryReport& report = expiring.Wait();
   EXPECT_EQ(report.result.status().code(), StatusCode::kDeadlineExceeded);
   // The concurrent, deadline-free run is untouched.
-  EngineOptions options;
-  options.transport = GetParam();
-  auto baseline = EvaluateDistributed(*cluster_, kQueryB, options);
+  auto baseline = testing::EvaluateOn(*cluster_, kQueryB, {}, GetParam());
   ASSERT_TRUE(baseline.ok());
   const QueryReport& kept = unbounded.Wait();
   ASSERT_TRUE(kept.result.ok()) << kept.result.status();
@@ -323,27 +317,6 @@ TEST(EngineLifecycleTest, DestructionDrainsInFlightWork) {
   }  // engine destroyed: drains first
   ASSERT_NE(handle.TryGet(), nullptr);  // completed, not abandoned
   EXPECT_TRUE(handle.TryGet()->result.ok()) << handle.TryGet()->result.status();
-}
-
-TEST(EngineLifecycleTest, PrecompiledSubmissionsEvaluate) {
-  Tree t = testing::BuildClienteleTree();
-  auto doc = FragmentByCuts(t, testing::ClienteleCuts(t));
-  ASSERT_TRUE(doc.ok());
-  auto shared = std::make_shared<FragmentedDocument>(std::move(doc).ValueOrDie());
-  Cluster cluster(shared, 4);
-  cluster.PlaceRootAndSpread();
-
-  auto compiled = CompileXPath("//stock/code", shared->symbols());
-  ASSERT_TRUE(compiled.ok());
-  Engine engine(cluster, {});
-  // Wait()'s reference lives as long as a handle to the query does — keep
-  // the handle, not just the reference.
-  QueryHandle handle = engine.Submit(*compiled);
-  const QueryReport& report = handle.Wait();
-  ASSERT_TRUE(report.result.ok()) << report.result.status();
-  auto direct = EvaluateDistributed(cluster, *compiled);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(report.result->answers, direct->answers);
 }
 
 }  // namespace

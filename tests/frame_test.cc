@@ -35,6 +35,9 @@
 namespace paxml {
 namespace {
 
+using testing::EvaluateOn;
+constexpr TransportKind kSync = TransportKind::kSync;
+
 std::shared_ptr<FragmentedDocument> MakeClienteleDoc() {
   Tree t = testing::BuildClienteleTree();
   auto doc = FragmentByCuts(t, testing::ClienteleCuts(t));
@@ -913,15 +916,15 @@ void ExpectBatchingPreservesEverythingButMessages(const Fixture& fx) {
     for (auto algo : {DistributedAlgorithm::kPaX2, DistributedAlgorithm::kPaX3,
                       DistributedAlgorithm::kNaiveCentralized}) {
       for (auto kind : {TransportKind::kSync, TransportKind::kPooled}) {
-        EngineOptions batched;
-        batched.algorithm = algo;
-        batched.transport = kind;
-        batched.transport_options.batching = true;
-        EngineOptions unbatched = batched;
-        unbatched.transport_options.batching = false;
+        EngineOptions options;
+        options.algorithm = algo;
+        TransportOptions batched;
+        batched.batching = true;
+        TransportOptions unbatched;
+        unbatched.batching = false;
 
-        auto b = EvaluateDistributed(*fx.cluster, query, batched);
-        auto u = EvaluateDistributed(*fx.cluster, query, unbatched);
+        auto b = EvaluateOn(*fx.cluster, query, options, kind, batched);
+        auto u = EvaluateOn(*fx.cluster, query, options, kind, unbatched);
         const std::string label =
             fx.name + "|" + AlgorithmName(algo) + "|" +
             (kind == TransportKind::kSync ? "sync" : "pooled") + "|" + query;
@@ -972,16 +975,16 @@ TEST(BatchingEquivalenceTest, AnswerChunkSizeIsWireInvisible) {
   Fixture fx = GroupedClienteleFixture();
   for (auto algo :
        {DistributedAlgorithm::kPaX2, DistributedAlgorithm::kPaX3}) {
-    EngineOptions tiny;
-    tiny.algorithm = algo;
-    tiny.transport = TransportKind::kSync;
-    tiny.transport_options.answer_chunk_ids = 1;
-    EngineOptions huge = tiny;
-    huge.transport_options.answer_chunk_ids = 1 << 20;
+    EngineOptions options;
+    options.algorithm = algo;
+    TransportOptions tiny;
+    tiny.answer_chunk_ids = 1;
+    TransportOptions huge;
+    huge.answer_chunk_ids = 1 << 20;
 
     for (const std::string& query : fx.queries) {
-      auto t = EvaluateDistributed(*fx.cluster, query, tiny);
-      auto h = EvaluateDistributed(*fx.cluster, query, huge);
+      auto t = EvaluateOn(*fx.cluster, query, options, kSync, tiny);
+      auto h = EvaluateOn(*fx.cluster, query, options, kSync, huge);
       ASSERT_TRUE(t.ok());
       ASSERT_TRUE(h.ok());
       EXPECT_EQ(t->answers, h->answers) << query;
@@ -996,15 +999,15 @@ TEST(BatchingEquivalenceTest, AnswerChunkSizeIsWireInvisible) {
 // Same for the naive baseline's data chunking.
 TEST(BatchingEquivalenceTest, DataChunkSizeIsWireInvisible) {
   Fixture fx = GroupedClienteleFixture();
-  EngineOptions tiny;
-  tiny.algorithm = DistributedAlgorithm::kNaiveCentralized;
-  tiny.transport = TransportKind::kSync;
-  tiny.transport_options.data_chunk_bytes = 16;
-  EngineOptions huge = tiny;
-  huge.transport_options.data_chunk_bytes = 1ull << 30;
+  EngineOptions naive;
+  naive.algorithm = DistributedAlgorithm::kNaiveCentralized;
+  TransportOptions tiny;
+  tiny.data_chunk_bytes = 16;
+  TransportOptions huge;
+  huge.data_chunk_bytes = 1ull << 30;
 
-  auto t = EvaluateDistributed(*fx.cluster, fx.queries[0], tiny);
-  auto h = EvaluateDistributed(*fx.cluster, fx.queries[0], huge);
+  auto t = EvaluateOn(*fx.cluster, fx.queries[0], naive, kSync, tiny);
+  auto h = EvaluateOn(*fx.cluster, fx.queries[0], naive, kSync, huge);
   ASSERT_TRUE(t.ok());
   ASSERT_TRUE(h.ok());
   EXPECT_EQ(t->answers, h->answers);
@@ -1032,16 +1035,13 @@ TEST(FrameCodecTest, EncodedSizeMatchesEncodeExactly) {
 // prices them at zero).
 TEST(FrameCodecTest, WireBytesCountsSealedFrames) {
   Fixture fx = GroupedClienteleFixture();
-  EngineOptions batched;
-  batched.transport = TransportKind::kSync;
-  EngineOptions pooled_batched = batched;
-  pooled_batched.transport = TransportKind::kPooled;
-  EngineOptions unbatched = batched;
-  unbatched.transport_options.batching = false;
+  const std::string& query = fx.queries[0];
+  TransportOptions unbatched;
+  unbatched.batching = false;
 
-  auto b = EvaluateDistributed(*fx.cluster, fx.queries[0], batched);
-  auto p = EvaluateDistributed(*fx.cluster, fx.queries[0], pooled_batched);
-  auto u = EvaluateDistributed(*fx.cluster, fx.queries[0], unbatched);
+  auto b = EvaluateOn(*fx.cluster, query, {}, kSync);
+  auto p = EvaluateOn(*fx.cluster, query, {}, TransportKind::kPooled);
+  auto u = EvaluateOn(*fx.cluster, query, {}, kSync, unbatched);
   ASSERT_TRUE(b.ok() && p.ok() && u.ok());
   EXPECT_GT(b->stats.wire_bytes, 0u);
   EXPECT_EQ(b->stats.wire_bytes, p->stats.wire_bytes);
@@ -1061,14 +1061,13 @@ TEST(AdaptiveFlushTest, EarlyFlushMovesOnlyMessageCounts) {
   for (const std::string& query : fx.queries) {
     for (auto algo : {DistributedAlgorithm::kPaX2, DistributedAlgorithm::kPaX3,
                       DistributedAlgorithm::kNaiveCentralized}) {
-      EngineOptions at_boundary;
-      at_boundary.algorithm = algo;
-      at_boundary.transport = TransportKind::kSync;
-      EngineOptions early = at_boundary;
-      early.transport_options.max_frame_bytes = 8;  // far below a reply
+      EngineOptions options;
+      options.algorithm = algo;
+      TransportOptions early;
+      early.max_frame_bytes = 8;  // far below a reply
 
-      auto b = EvaluateDistributed(*fx.cluster, query, at_boundary);
-      auto e = EvaluateDistributed(*fx.cluster, query, early);
+      auto b = EvaluateOn(*fx.cluster, query, options, kSync);
+      auto e = EvaluateOn(*fx.cluster, query, options, kSync, early);
       const std::string label = std::string(AlgorithmName(algo)) + "|" + query;
       ASSERT_TRUE(b.ok()) << label << ": " << b.status();
       ASSERT_TRUE(e.ok()) << label << ": " << e.status();

@@ -71,14 +71,18 @@ void ExpectStatsEqual(const RunStats& parallel, const RunStats& serial,
   }
 }
 
-EngineOptions Options(DistributedAlgorithm algo, bool annotations,
-                      size_t site_threads) {
+/// `query` on a sync transport whose sites deliver on `site_threads` lanes.
+Result<DistributedResult> Evaluate(const Cluster& cluster,
+                                   const std::string& query,
+                                   DistributedAlgorithm algo, bool annotations,
+                                   size_t site_threads) {
   EngineOptions options;
   options.algorithm = algo;
   options.pax.use_annotations = annotations;
-  options.transport = TransportKind::kSync;
-  options.transport_options.site_threads = site_threads;
-  return options;
+  TransportOptions transport;
+  transport.site_threads = site_threads;
+  return testing::EvaluateOn(cluster, query, options, TransportKind::kSync,
+                             transport);
 }
 
 // ---- Randomized parallel-vs-serial determinism ------------------------------
@@ -112,10 +116,8 @@ TEST_P(ParallelSitePropertyTest, ParallelMatchesSerialExactly) {
         const std::string label = std::string(AlgorithmName(algo)) +
                                   (xa ? "|xa|" : "|") + query + " seed " +
                                   std::to_string(GetParam().seed);
-        auto serial =
-            EvaluateDistributed(cluster, query, Options(algo, xa, 1));
-        auto parallel =
-            EvaluateDistributed(cluster, query, Options(algo, xa, 4));
+        auto serial = Evaluate(cluster, query, algo, xa, 1);
+        auto parallel = Evaluate(cluster, query, algo, xa, 4);
         ASSERT_TRUE(serial.ok()) << label << ": " << serial.status();
         ASSERT_TRUE(parallel.ok()) << label << ": " << parallel.status();
         EXPECT_EQ(parallel->answers, serial->answers) << label;
@@ -146,10 +148,10 @@ TEST(ParallelSiteTest, ParBoXMatchesSerialExactly) {
 
   for (const std::string& query :
        {std::string(".[//a]"), std::string(".[//a/b and //c]")}) {
-    auto serial = EvaluateDistributed(
-        cluster, query, Options(DistributedAlgorithm::kPaX2, false, 1));
-    auto parallel = EvaluateDistributed(
-        cluster, query, Options(DistributedAlgorithm::kPaX2, false, 4));
+    auto serial =
+        Evaluate(cluster, query, DistributedAlgorithm::kPaX2, false, 1);
+    auto parallel =
+        Evaluate(cluster, query, DistributedAlgorithm::kPaX2, false, 4);
     ASSERT_TRUE(serial.ok()) << serial.status();
     ASSERT_TRUE(parallel.ok()) << parallel.status();
     EXPECT_EQ(parallel->answers, serial->answers) << query;
@@ -168,10 +170,10 @@ TEST(ParallelSiteTest, MoreThreadsThanFragmentsIsExact) {
   Cluster cluster(doc, 2);
   cluster.PlaceRootAndSpread();
 
-  auto serial = EvaluateDistributed(
-      cluster, "//a[b]/c", Options(DistributedAlgorithm::kPaX3, false, 1));
-  auto parallel = EvaluateDistributed(
-      cluster, "//a[b]/c", Options(DistributedAlgorithm::kPaX3, false, 16));
+  auto serial =
+      Evaluate(cluster, "//a[b]/c", DistributedAlgorithm::kPaX3, false, 1);
+  auto parallel =
+      Evaluate(cluster, "//a[b]/c", DistributedAlgorithm::kPaX3, false, 16);
   ASSERT_TRUE(serial.ok()) << serial.status();
   ASSERT_TRUE(parallel.ok()) << parallel.status();
   EXPECT_EQ(parallel->answers, serial->answers);

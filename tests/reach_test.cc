@@ -13,19 +13,12 @@
 //    plus the client) reproduces SyncTransport's *exact* RunStats: the
 //    acceptance bar of the workload-agnostic runtime;
 //  * the workload seam — an XML-serving peer rejects a graph run with a
-//    clean error, an unknown family's error enumerates the registered
+//    clean error, an unknown family's error names the known
 //    ones, and the graph store round-trips through its on-disk format.
 
 #include <gtest/gtest.h>
 
-#include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <map>
 #include <memory>
@@ -42,122 +35,21 @@
 #include "graph/digraph.h"
 #include "graph/store.h"
 #include "runtime/socket_transport.h"
+#include "site_process.h"
 #include "test_util.h"
 
 namespace paxml {
 namespace {
 
-// ---- Spawning paxml_site peers (as in socket_transport_test.cc) -------------
+using testing::Deployment;
+using testing::MakeTempDir;
 
-std::string ExeDir() {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  PAXML_CHECK(n > 0);
-  buf[n] = '\0';
-  std::string path(buf);
-  return path.substr(0, path.rfind('/'));
+/// `query` on a fresh transport of the cluster's default kind.
+Result<DistributedResult> Reach(const Cluster& cluster,
+                                const ReachQuery& query) {
+  return EvaluateReachability(cluster, query,
+                              MakeTransportFor(cluster).get());
 }
-
-std::string SiteBinary() {
-  if (const char* env = std::getenv("PAXML_SITE_BIN")) return env;
-  for (const std::string& candidate :
-       {ExeDir() + "/tools/paxml_site", ExeDir() + "/../tools/paxml_site"}) {
-    if (::access(candidate.c_str(), X_OK) == 0) return candidate;
-  }
-  PAXML_CHECK(false);  // build the tool_paxml_site target first
-  return "";
-}
-
-std::string MakeTempDir() {
-  std::string tmpl = "/tmp/paxml_reach_test_XXXXXX";
-  PAXML_CHECK(::mkdtemp(tmpl.data()) != nullptr);
-  return tmpl;
-}
-
-struct SiteProcess {
-  pid_t pid = -1;
-  int port = 0;
-};
-
-std::string PlacementString(const Cluster& cluster) {
-  std::string out;
-  for (size_t f = 0; f < cluster.fragment_count(); ++f) {
-    if (!out.empty()) out += ',';
-    out += std::to_string(cluster.site_of(static_cast<FragmentId>(f)));
-  }
-  return out;
-}
-
-SiteProcess SpawnSite(const std::string& data_dir, const Cluster& cluster,
-                      SiteId site) {
-  int out_pipe[2];
-  PAXML_CHECK(::pipe(out_pipe) == 0);
-
-  const std::string binary = SiteBinary();
-  const std::string site_arg = std::to_string(site);
-  const std::string sites_arg = std::to_string(cluster.site_count());
-  const std::string placement = PlacementString(cluster);
-
-  const pid_t pid = ::fork();
-  PAXML_CHECK(pid >= 0);
-  if (pid == 0) {
-    ::dup2(out_pipe[1], STDOUT_FILENO);
-    ::close(out_pipe[0]);
-    ::close(out_pipe[1]);
-    ::execl(binary.c_str(), binary.c_str(), data_dir.c_str(), "--site",
-            site_arg.c_str(), "--sites", sites_arg.c_str(), "--placement",
-            placement.c_str(), "--port", "0", static_cast<char*>(nullptr));
-    std::perror("execl paxml_site");
-    ::_exit(127);
-  }
-  ::close(out_pipe[1]);
-
-  std::string line;
-  char c;
-  while (line.find('\n') == std::string::npos) {
-    const ssize_t n = ::read(out_pipe[0], &c, 1);
-    if (n <= 0) break;
-    line.push_back(c);
-  }
-  ::close(out_pipe[0]);
-  SiteProcess proc;
-  proc.pid = pid;
-  std::sscanf(line.c_str(), "PAXML_SITE LISTENING %d", &proc.port);
-  PAXML_CHECK(proc.port > 0);  // the site failed to start
-  return proc;
-}
-
-void KillSite(SiteProcess& proc) {
-  if (proc.pid <= 0) return;
-  ::kill(proc.pid, SIGKILL);
-  int status = 0;
-  ::waitpid(proc.pid, &status, 0);
-  proc.pid = -1;
-}
-
-/// One multi-process deployment over an already-saved data directory: one
-/// paxml_site per non-query site, plus the endpoint map for the client.
-class Deployment {
- public:
-  Deployment(const std::string& dir, const Cluster& cluster) {
-    for (size_t s = 0; s < cluster.site_count(); ++s) {
-      const SiteId site = static_cast<SiteId>(s);
-      if (site == cluster.query_site()) continue;
-      sites_[site] = SpawnSite(dir, cluster, site);
-      endpoints_[site] = "127.0.0.1:" + std::to_string(sites_[site].port);
-    }
-  }
-
-  ~Deployment() {
-    for (auto& [site, proc] : sites_) KillSite(proc);
-  }
-
-  const std::map<SiteId, std::string>& endpoints() const { return endpoints_; }
-
- private:
-  std::map<SiteId, SiteProcess> sites_;
-  std::map<SiteId, std::string> endpoints_;
-};
 
 // ---- Exact-equality helpers -------------------------------------------------
 
@@ -238,7 +130,7 @@ TEST(ReachCorrectnessTest, RandomizedMatchesSingleSiteBFS) {
       ReachQuery q;
       q.source = static_cast<NodeId>(rng.NextBounded(n));
       q.target = static_cast<NodeId>(rng.NextBounded(n));
-      auto r = EvaluateReachability(*w.cluster, q);
+      auto r = Reach(*w.cluster, q);
       ASSERT_TRUE(r.ok()) << r.status();
       const std::string label = "seed " + std::to_string(seed) + " " +
                                 FormatReachQuery(q);
@@ -254,13 +146,13 @@ TEST(ReachCorrectnessTest, EdgeCases) {
   GraphWorld w = MakeWorld(20, 1.5, 4, 4, 42);
   // Self-reachability holds even with no self-loop.
   ReachQuery self{3, 3};
-  auto r = EvaluateReachability(*w.cluster, self);
+  auto r = Reach(*w.cluster, self);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->answers, ExpectedAnswer(w, self));
   ASSERT_EQ(r->answers.size(), 1u);
 
   // Out-of-range endpoints are rejected up front.
-  auto bad = EvaluateReachability(*w.cluster, ReachQuery{0, 99});
+  auto bad = Reach(*w.cluster, ReachQuery{0, 99});
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
@@ -495,7 +387,7 @@ TEST(ReachSocketTest, FourProcessDeploymentReproducesSyncExactly) {
     q.target = static_cast<NodeId>(rng.NextBounded(n));
     const std::string label = FormatReachQuery(q);
 
-    auto sync = EvaluateReachability(*w.cluster, q);
+    auto sync = Reach(*w.cluster, q);
     ASSERT_TRUE(sync.ok()) << label << ": " << sync.status();
     EXPECT_EQ(sync->answers, ExpectedAnswer(w, q)) << label;
 
@@ -529,7 +421,7 @@ TEST(ReachSocketTest, EngineSubmitRoutesByWorkload) {
 
   EngineConfig config;
   config.depth = 2;
-  config.remote_endpoints = deployment.endpoints();
+  config.transport_options.remote_endpoints = deployment.endpoints();
   Engine engine(*w.cluster, config);
 
   Rng rng(1);
@@ -540,7 +432,7 @@ TEST(ReachSocketTest, EngineSubmitRoutesByWorkload) {
     QueryHandle h = engine.Submit(FormatReachQuery(q));
     const QueryReport& report = h.Wait();
     ASSERT_TRUE(report.result.ok()) << report.result.status();
-    auto baseline = EvaluateReachability(*w.cluster, q);
+    auto baseline = Reach(*w.cluster, q);
     ASSERT_TRUE(baseline.ok());
     EXPECT_EQ(report.result->answers, baseline->answers);
     ExpectStatsEqual(report.stats, baseline->stats, FormatReachQuery(q));
@@ -673,8 +565,8 @@ TEST(ReachCorrectnessTest, ShippedDataScalesWithCutNotVertices) {
   GraphWorld large = ring_world(400, 4);
   const ReachQuery sq{1, 21};    // wraps through every small arc
   const ReachQuery lq{1, 201};   // wraps through every large arc
-  auto s = EvaluateReachability(*small.cluster, sq);
-  auto l = EvaluateReachability(*large.cluster, lq);
+  auto s = Reach(*small.cluster, sq);
+  auto l = Reach(*large.cluster, lq);
   ASSERT_TRUE(s.ok()) << s.status();
   ASSERT_TRUE(l.ok()) << l.status();
   ASSERT_EQ(s->answers.size(), 1u);

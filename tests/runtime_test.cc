@@ -2,7 +2,7 @@
 // pooled backend, and the headline properties of the refactor —
 // SyncTransport and PooledTransport produce identical answers, visit counts
 // and per-edge byte totals for every algorithm on the clientele and XMark
-// fixtures, and a concurrent EvalBatch over one shared transport matches
+// fixtures, and concurrent Engine submissions over one shared transport match
 // the same queries run sequentially.
 
 #include <gtest/gtest.h>
@@ -452,15 +452,14 @@ void ExpectBackendsAgree(const Fixture& fx) {
                       DistributedAlgorithm::kNaiveCentralized}) {
       for (bool xa : {false, true}) {
         if (algo == DistributedAlgorithm::kNaiveCentralized && xa) continue;
-        EngineOptions sync_options;
-        sync_options.algorithm = algo;
-        sync_options.pax.use_annotations = xa;
-        sync_options.transport = TransportKind::kSync;
-        EngineOptions pooled_options = sync_options;
-        pooled_options.transport = TransportKind::kPooled;
+        EngineOptions options;
+        options.algorithm = algo;
+        options.pax.use_annotations = xa;
 
-        auto sync_r = EvaluateDistributed(*fx.cluster, query, sync_options);
-        auto pooled_r = EvaluateDistributed(*fx.cluster, query, pooled_options);
+        auto sync_r = testing::EvaluateOn(*fx.cluster, query, options,
+                                          TransportKind::kSync);
+        auto pooled_r = testing::EvaluateOn(*fx.cluster, query, options,
+                                            TransportKind::kPooled);
         ASSERT_TRUE(sync_r.ok()) << fx.name << " " << query << ": "
                                  << sync_r.status();
         ASSERT_TRUE(pooled_r.ok()) << fx.name << " " << query << ": "
@@ -494,14 +493,13 @@ TEST(TransportEquivalenceTest, XMarkFixture) {
 // Repeated pooled runs are stable (no schedule-dependent accounting).
 TEST(TransportEquivalenceTest, PooledRunsAreDeterministic) {
   Fixture fx = ClienteleFixture();
-  EngineOptions options;
-  options.algorithm = DistributedAlgorithm::kPaX2;
-  options.transport = TransportKind::kPooled;
   const std::string query = fx.queries[0];
-  auto first = EvaluateDistributed(*fx.cluster, query, options);
+  auto first =
+      testing::EvaluateOn(*fx.cluster, query, {}, TransportKind::kPooled);
   ASSERT_TRUE(first.ok());
   for (int i = 0; i < 10; ++i) {
-    auto r = EvaluateDistributed(*fx.cluster, query, options);
+    auto r =
+        testing::EvaluateOn(*fx.cluster, query, {}, TransportKind::kPooled);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->answers, first->answers);
     EXPECT_EQ(r->stats.edges, first->stats.edges);
@@ -519,7 +517,6 @@ void ExpectBatchMatchesSequential(const Fixture& fx, DistributedAlgorithm algo,
                                   TransportKind kind, size_t stream_depth) {
   EngineOptions options;
   options.algorithm = algo;
-  options.transport = kind;
 
   // A stream with repeats: concurrent evaluations of the *same* query are
   // the sharpest cross-talk probe.
@@ -531,14 +528,17 @@ void ExpectBatchMatchesSequential(const Fixture& fx, DistributedAlgorithm algo,
   std::vector<Result<DistributedResult>> sequential;
   sequential.reserve(stream.size());
   for (const std::string& q : stream) {
-    sequential.push_back(EvaluateDistributed(*fx.cluster, q, options));
+    sequential.push_back(testing::EvaluateOn(*fx.cluster, q, options, kind));
   }
 
-  std::vector<Result<DistributedResult>> batched =
-      EvalBatch(*fx.cluster, stream, options, stream_depth);
+  Engine engine(*fx.cluster, {.depth = stream_depth,
+                              .transport = kind,
+                              .defaults = options});
+  std::vector<QueryHandle> handles;
+  for (const std::string& q : stream) handles.push_back(engine.Submit(q));
 
-  ASSERT_EQ(batched.size(), stream.size());
   for (size_t i = 0; i < stream.size(); ++i) {
+    const Result<DistributedResult>& batched = handles[i].Wait().result;
     const std::string label = fx.name + "|" + AlgorithmName(algo) + "|" +
                               std::string(kind == TransportKind::kSync
                                               ? "sync"
@@ -546,14 +546,14 @@ void ExpectBatchMatchesSequential(const Fixture& fx, DistributedAlgorithm algo,
                               "|" + stream[i];
     ASSERT_TRUE(sequential[i].ok()) << label << ": "
                                     << sequential[i].status();
-    ASSERT_TRUE(batched[i].ok()) << label << ": " << batched[i].status();
-    EXPECT_EQ(batched[i]->answers, sequential[i]->answers) << label;
-    EXPECT_EQ(Visits(batched[i]->stats), Visits(sequential[i]->stats))
+    ASSERT_TRUE(batched.ok()) << label << ": " << batched.status();
+    EXPECT_EQ(batched->answers, sequential[i]->answers) << label;
+    EXPECT_EQ(Visits(batched->stats), Visits(sequential[i]->stats))
         << label;
-    EXPECT_EQ(batched[i]->stats.edges, sequential[i]->stats.edges) << label;
-    EXPECT_EQ(batched[i]->stats.total_bytes, sequential[i]->stats.total_bytes)
+    EXPECT_EQ(batched->stats.edges, sequential[i]->stats.edges) << label;
+    EXPECT_EQ(batched->stats.total_bytes, sequential[i]->stats.total_bytes)
         << label;
-    EXPECT_EQ(batched[i]->stats.rounds, sequential[i]->stats.rounds) << label;
+    EXPECT_EQ(batched->stats.rounds, sequential[i]->stats.rounds) << label;
   }
 }
 
@@ -582,10 +582,8 @@ TEST(SchedulerEquivalenceTest, XMarkBothBackends) {
 // The per-edge map only ever contains cross-site traffic.
 TEST(TransportEquivalenceTest, EdgesExcludeLocalDelivery) {
   Fixture fx = ClienteleFixture();
-  EngineOptions options;
-  options.algorithm = DistributedAlgorithm::kPaX2;
-  options.transport = TransportKind::kSync;
-  auto r = EvaluateDistributed(*fx.cluster, fx.queries[0], options);
+  auto r = testing::EvaluateOn(*fx.cluster, fx.queries[0], {},
+                              TransportKind::kSync);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->stats.edges.empty());
   uint64_t edge_bytes = 0;

@@ -1,7 +1,7 @@
 // Tests for the shared WorkerPool and the multi-query scheduler: per-batch
 // completion latches (reentrancy), round-robin fairness across batches,
-// stream-depth admission, and the EvalBatch engine surface (per-query
-// errors, shared pool reuse, simulated network delay).
+// stream-depth admission, and a stream of Engine submissions on top of it
+// (per-query errors, shared pool reuse, simulated network delay).
 
 #include <gtest/gtest.h>
 
@@ -388,9 +388,9 @@ TEST(QuerySchedulerTest, AdmissionLimitShrinksUnderPoolSaturation) {
   EXPECT_EQ(scheduler.admission_limit(), 4u);
 }
 
-// ---- EvalBatch --------------------------------------------------------------
+// ---- A stream of Engine submissions -----------------------------------------
 
-class EvalBatchTest : public ::testing::Test {
+class EngineStreamTest : public ::testing::Test {
  protected:
   void SetUp() override {
     Tree t = testing::BuildClienteleTree();
@@ -405,57 +405,58 @@ class EvalBatchTest : public ::testing::Test {
   std::unique_ptr<Cluster> cluster_;
 };
 
-TEST_F(EvalBatchTest, PerQueryErrorsDoNotDisturbTheStream) {
+TEST_F(EngineStreamTest, PerQueryErrorsDoNotDisturbTheStream) {
   std::vector<std::string> stream = {
       "clientele/client/broker/name",
       "this is not xpath ((",
       "//stock/code",
   };
-  std::vector<double> latencies;
-  auto results = EvalBatch(*cluster_, stream, {}, 2, &latencies);
-  ASSERT_EQ(results.size(), 3u);
-  ASSERT_EQ(latencies.size(), 3u);
+  Engine engine(*cluster_, {.depth = 2});
+  std::vector<QueryHandle> handles;
+  for (const std::string& q : stream) handles.push_back(engine.Submit(q));
 
-  EXPECT_TRUE(results[0].ok()) << results[0].status();
-  EXPECT_FALSE(results[1].ok());
-  EXPECT_TRUE(results[2].ok()) << results[2].status();
+  EXPECT_TRUE(handles[0].Wait().result.ok())
+      << handles[0].Wait().result.status();
+  EXPECT_FALSE(handles[1].Wait().result.ok());
+  const QueryReport& last = handles[2].Wait();
+  ASSERT_TRUE(last.result.ok()) << last.result.status();
+  EXPECT_GE(last.latency_seconds, last.queue_seconds);
 
-  auto lone = EvaluateDistributed(*cluster_, stream[2]);
+  auto lone = testing::EvaluateOn(*cluster_, stream[2]);
   ASSERT_TRUE(lone.ok());
-  EXPECT_EQ(results[2]->answers, lone->answers);
+  EXPECT_EQ(last.result->answers, lone->answers);
 }
 
-TEST_F(EvalBatchTest, EmptyStreamIsANoOp) {
-  EXPECT_TRUE(EvalBatch(*cluster_, {}).empty());
-}
-
-TEST_F(EvalBatchTest, SharedPoolServesRepeatedBatches) {
+TEST_F(EngineStreamTest, SharedPoolServesRepeatedBatches) {
   // The cluster hands every pooled consumer the same WorkerPool: a stream
   // of batches must not spawn per-run pools.
   auto pool = cluster_->worker_pool();
   ASSERT_NE(pool, nullptr);
   EXPECT_EQ(cluster_->worker_pool().get(), pool.get());
 
-  EngineOptions options;
-  options.transport = TransportKind::kPooled;
-  std::vector<std::string> stream(6, "clientele/client/broker/name");
   for (int wave = 0; wave < 3; ++wave) {
-    auto results = EvalBatch(*cluster_, stream, options, 3);
-    for (const auto& r : results) ASSERT_TRUE(r.ok()) << r.status();
+    Engine engine(*cluster_, {.depth = 3, .transport = TransportKind::kPooled});
+    std::vector<QueryHandle> handles;
+    for (int i = 0; i < 6; ++i) {
+      handles.push_back(engine.Submit("clientele/client/broker/name"));
+    }
+    for (const QueryHandle& h : handles) {
+      ASSERT_TRUE(h.Wait().result.ok()) << h.Wait().result.status();
+    }
   }
 }
 
 // A cluster that realizes network delay still computes identical results —
 // the model only stretches wall time.
-TEST_F(EvalBatchTest, SimulatedNetworkDelayDoesNotChangeAnswers) {
+TEST_F(EngineStreamTest, SimulatedNetworkDelayDoesNotChangeAnswers) {
   ClusterOptions options;
   options.simulated_network = NetworkCostModel{};  // the paper's LAN
   Cluster delayed(doc_, 4, options);
   delayed.PlaceRootAndSpread();
 
   const std::string query = "clientele/client/broker/name";
-  auto plain = EvaluateDistributed(*cluster_, query);
-  auto slowed = EvaluateDistributed(delayed, query);
+  auto plain = testing::EvaluateOn(*cluster_, query);
+  auto slowed = testing::EvaluateOn(delayed, query);
   ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(slowed.ok());
   EXPECT_EQ(plain->answers, slowed->answers);

@@ -245,19 +245,6 @@ TEST_F(ServingTest, FailedQueriesAreNotCached) {
   EXPECT_EQ(stats.insertions, 0u);
 }
 
-TEST_F(ServingTest, CompiledQuerySubmissionsBypassTheCache) {
-  Engine engine(*cluster_, CacheConfig(1));
-  auto compiled = CompileXPath(kQueryA, doc_->symbols());
-  ASSERT_TRUE(compiled.ok());
-  for (int i = 0; i < 2; ++i) {
-    QueryReport report = engine.Submit(*compiled).TakeReport();
-    ASSERT_TRUE(report.result.ok());
-    EXPECT_FALSE(report.served_from_cache);
-  }
-  const AnswerCache::Stats stats = engine.answer_cache()->stats();
-  EXPECT_EQ(stats.hits + stats.misses + stats.coalesced, 0u);
-}
-
 // The multi-front-end deployment: engines over the same cluster share one
 // cache; an answer computed by one front-end serves the other's clients.
 TEST_F(ServingTest, SharedCacheServesAcrossEngines) {
@@ -280,13 +267,11 @@ TEST_F(ServingTest, SharedCacheServesAcrossEngines) {
 // Cached and uncached answers stay bit-identical under a concurrent
 // mixed-priority stream (the TSan job runs this suite).
 TEST_F(ServingTest, ConcurrentMixedPrioritySubmissionsBitIdentical) {
-  EngineOptions options;
-  options.transport = TransportKind::kPooled;
   std::vector<std::string> queries = {kQueryA, kQueryB,
                                       "//market/stock/code"};
   std::vector<std::vector<GlobalNodeId>> reference;
   for (const std::string& q : queries) {
-    auto r = EvaluateDistributed(*cluster_, q, options);
+    auto r = testing::EvaluateOn(*cluster_, q, {}, TransportKind::kPooled);
     ASSERT_TRUE(r.ok());
     reference.push_back(r->answers);
   }

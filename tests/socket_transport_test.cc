@@ -2,25 +2,27 @@
 //
 // Each test saves a fragmented document to disk, spawns one real
 // `paxml_site` process per remote site on loopback (ephemeral ports, read
-// back from the child's stdout), and drives evaluations through the
-// ordinary entry points with TransportOptions::remote_endpoints /
-// EngineConfig::remote_endpoints set. The acceptance bar is the PR-4
-// guarantee made end-to-end: a multi-process run reproduces
-// SyncTransport's *exact* RunStats — answers, rounds, visits, byte totals,
-// per-edge byte/message/envelope splits — for PaX2, PaX3 and the naive
-// baseline, including on the paper's four-machine FT2 placement.
+// back from the child's stdout; tests/site_process.h), and drives
+// evaluations through EvaluateWorkload on a socket transport, or through
+// an Engine whose transport_options.remote_endpoints name the peers. The
+// acceptance bar is the in-process equality guarantee made end-to-end: a
+// multi-process run reproduces SyncTransport's *exact* RunStats — answers,
+// rounds, visits, byte totals, per-edge byte/message/envelope splits — for
+// PaX2, PaX3 and the naive baseline, including on the paper's four-machine
+// FT2 placement.
 //
 // Failure semantics (invariant 5) are pinned too: killing a site process
 // mid-session surfaces a clean NetworkError on runs that touch it, with no
-// hang, while runs confined to the surviving sites are undisturbed.
+// hang, while runs confined to the surviving sites are undisturbed; and a
+// spawned peer dies with the process that spawned it.
 
 #include <gtest/gtest.h>
 
-#include <signal.h>
-#include <sys/types.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -40,139 +42,14 @@
 #include "runtime/socket_server.h"
 #include "runtime/socket_transport.h"
 #include "serving/fragment_memo.h"
+#include "site_process.h"
 #include "test_util.h"
 
 namespace paxml {
 namespace {
 
-// ---- Locating the paxml_site binary and scratch space -----------------------
-
-std::string ExeDir() {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  PAXML_CHECK(n > 0);
-  buf[n] = '\0';
-  std::string path(buf);
-  return path.substr(0, path.rfind('/'));
-}
-
-std::string SiteBinary() {
-  if (const char* env = std::getenv("PAXML_SITE_BIN")) return env;
-  // Test binaries live in the build root; tools/ sits next to them.
-  for (const std::string& candidate :
-       {ExeDir() + "/tools/paxml_site", ExeDir() + "/../tools/paxml_site"}) {
-    if (::access(candidate.c_str(), X_OK) == 0) return candidate;
-  }
-  PAXML_CHECK(false);  // build the tool_paxml_site target first
-  return "";
-}
-
-std::string MakeTempDir() {
-  std::string tmpl = "/tmp/paxml_socket_test_XXXXXX";
-  PAXML_CHECK(::mkdtemp(tmpl.data()) != nullptr);
-  return tmpl;
-}
-
-// ---- Spawning site processes ------------------------------------------------
-
-struct SiteProcess {
-  pid_t pid = -1;
-  int port = 0;
-};
-
-std::string PlacementString(const Cluster& cluster) {
-  std::string out;
-  for (size_t f = 0; f < cluster.doc().size(); ++f) {
-    if (!out.empty()) out += ',';
-    out += std::to_string(cluster.site_of(static_cast<FragmentId>(f)));
-  }
-  return out;
-}
-
-/// fork/execs one paxml_site on an ephemeral loopback port and reads the
-/// bound port from its "PAXML_SITE LISTENING <port>" line.
-SiteProcess SpawnSite(const std::string& doc_dir, const Cluster& cluster,
-                      SiteId site, bool compress = false) {
-  int out_pipe[2];
-  PAXML_CHECK(::pipe(out_pipe) == 0);
-
-  const std::string binary = SiteBinary();
-  const std::string site_arg = std::to_string(site);
-  const std::string sites_arg = std::to_string(cluster.site_count());
-  const std::string placement = PlacementString(cluster);
-
-  const pid_t pid = ::fork();
-  PAXML_CHECK(pid >= 0);
-  if (pid == 0) {
-    ::dup2(out_pipe[1], STDOUT_FILENO);
-    ::close(out_pipe[0]);
-    ::close(out_pipe[1]);
-    std::vector<const char*> argv = {
-        binary.c_str(),  doc_dir.c_str(), "--site", site_arg.c_str(),
-        "--sites",       sites_arg.c_str(), "--placement", placement.c_str(),
-        "--port",        "0"};
-    if (compress) argv.push_back("--compress");
-    argv.push_back(nullptr);
-    ::execv(binary.c_str(), const_cast<char* const*>(argv.data()));
-    std::perror("execv paxml_site");
-    ::_exit(127);
-  }
-  ::close(out_pipe[1]);
-
-  // Read the child's announcement line.
-  std::string line;
-  char c;
-  while (line.find('\n') == std::string::npos) {
-    const ssize_t n = ::read(out_pipe[0], &c, 1);
-    if (n <= 0) break;
-    line.push_back(c);
-  }
-  ::close(out_pipe[0]);
-  SiteProcess proc;
-  proc.pid = pid;
-  std::sscanf(line.c_str(), "PAXML_SITE LISTENING %d", &proc.port);
-  PAXML_CHECK(proc.port > 0);  // the site failed to start
-  return proc;
-}
-
-void KillSite(SiteProcess& proc, int sig = SIGKILL) {
-  if (proc.pid <= 0) return;
-  ::kill(proc.pid, sig);
-  int status = 0;
-  ::waitpid(proc.pid, &status, 0);
-  proc.pid = -1;
-}
-
-/// One multi-process deployment: the document saved to disk, one paxml_site
-/// per non-query site, and the endpoint map that points a client at them.
-class Deployment {
- public:
-  Deployment(std::shared_ptr<const FragmentedDocument> doc,
-             const Cluster& cluster, bool compress = false)
-      : dir_(MakeTempDir()) {
-    PAXML_CHECK(SaveDocument(*doc, dir_).ok());
-    for (size_t s = 0; s < cluster.site_count(); ++s) {
-      const SiteId site = static_cast<SiteId>(s);
-      if (site == cluster.query_site()) continue;
-      sites_[site] = SpawnSite(dir_, cluster, site, compress);
-      endpoints_[site] = "127.0.0.1:" + std::to_string(sites_[site].port);
-    }
-  }
-
-  ~Deployment() {
-    for (auto& [site, proc] : sites_) KillSite(proc);
-    // Leave the scratch directory for post-mortems; /tmp is ephemeral.
-  }
-
-  const std::map<SiteId, std::string>& endpoints() const { return endpoints_; }
-
-  void KillSiteProcess(SiteId site) { KillSite(sites_.at(site)); }
-
- private:
-  std::string dir_;
-  std::map<SiteId, SiteProcess> sites_;
-  std::map<SiteId, std::string> endpoints_;
-};
+using testing::Deployment;
+using testing::EvaluateOn;
 
 // ---- Exact-equality helpers -------------------------------------------------
 
@@ -251,23 +128,39 @@ uint64_t EnvSplitPct() {
   return 0;
 }
 
-EngineOptions SyncOptions(DistributedAlgorithm algo, bool annotations) {
+EngineOptions Options(DistributedAlgorithm algo, bool annotations) {
   EngineOptions options;
   options.algorithm = algo;
   options.pax.use_annotations = annotations;
-  options.transport = TransportKind::kSync;
   return options;
 }
 
-EngineOptions SocketOptions(DistributedAlgorithm algo, bool annotations,
-                            const std::map<SiteId, std::string>& endpoints) {
-  EngineOptions options;
-  options.algorithm = algo;
-  options.pax.use_annotations = annotations;
-  options.transport_options.remote_endpoints = endpoints;
-  options.transport_options.site_threads = EnvSiteThreads();
-  options.transport_options.split_threshold_pct = EnvSplitPct();
+/// The client side of a deployment, with the CI smoke hooks applied.
+TransportOptions SocketOptions(const std::map<SiteId, std::string>& endpoints) {
+  TransportOptions options;
+  options.remote_endpoints = endpoints;
+  options.site_threads = EnvSiteThreads();
+  options.split_threshold_pct = EnvSplitPct();
   return options;
+}
+
+/// `query` on the in-process reference backend.
+Result<DistributedResult> RunSync(const Cluster& cluster,
+                                  const std::string& query,
+                                  DistributedAlgorithm algo, bool annotations,
+                                  TransportOptions options = {}) {
+  return EvaluateOn(cluster, query, Options(algo, annotations),
+                    TransportKind::kSync, std::move(options));
+}
+
+/// `query` over the peers `options.remote_endpoints` names.
+Result<DistributedResult> RunSocket(const Cluster& cluster,
+                                    const std::string& query,
+                                    DistributedAlgorithm algo,
+                                    bool annotations,
+                                    TransportOptions options) {
+  return EvaluateOn(cluster, query, Options(algo, annotations),
+                    TransportKind::kSocket, std::move(options));
 }
 
 // ---- Clientele: every algorithm, with and without annotations ---------------
@@ -299,7 +192,7 @@ ClienteleWorld MakeClienteleWorld() {
 
 TEST(SocketTransportTest, ClienteleReproducesSyncExactly) {
   ClienteleWorld w = MakeClienteleWorld();
-  Deployment deployment(w.doc, *w.cluster);
+  Deployment deployment(*w.doc, *w.cluster);
 
   const std::vector<std::string> queries = {
       "clientele/client[country/text() = \"US\"]/"
@@ -314,11 +207,9 @@ TEST(SocketTransportTest, ClienteleReproducesSyncExactly) {
       for (bool annotations : {false, true}) {
         const std::string label = std::string(AlgorithmName(algo)) +
                                   (annotations ? "|xa|" : "|") + query;
-        auto sync = EvaluateDistributed(*w.cluster, query,
-                                        SyncOptions(algo, annotations));
-        auto socket = EvaluateDistributed(
-            *w.cluster, query,
-            SocketOptions(algo, annotations, deployment.endpoints()));
+        auto sync = RunSync(*w.cluster, query, algo, annotations);
+        auto socket = RunSocket(*w.cluster, query, algo, annotations,
+                                SocketOptions(deployment.endpoints()));
         ASSERT_TRUE(sync.ok()) << label << ": " << sync.status();
         ASSERT_TRUE(socket.ok()) << label << ": " << socket.status();
         EXPECT_EQ(socket->answers, sync->answers) << label;
@@ -332,16 +223,12 @@ TEST(SocketTransportTest, ClienteleReproducesSyncExactly) {
 // the wire identically too.
 TEST(SocketTransportTest, BooleanQueryViaParBoX) {
   ClienteleWorld w = MakeClienteleWorld();
-  Deployment deployment(w.doc, *w.cluster);
+  Deployment deployment(*w.doc, *w.cluster);
 
   const std::string query = ".[//market/name/text() = \"TSE\"]";
-  auto sync = EvaluateDistributed(*w.cluster, query,
-                                  SyncOptions(DistributedAlgorithm::kPaX2,
-                                              false));
-  auto socket = EvaluateDistributed(
-      *w.cluster, query,
-      SocketOptions(DistributedAlgorithm::kPaX2, false,
-                    deployment.endpoints()));
+  auto sync = RunSync(*w.cluster, query, DistributedAlgorithm::kPaX2, false);
+  auto socket = RunSocket(*w.cluster, query, DistributedAlgorithm::kPaX2,
+                          false, SocketOptions(deployment.endpoints()));
   ASSERT_TRUE(sync.ok()) << sync.status();
   ASSERT_TRUE(socket.ok()) << socket.status();
   EXPECT_EQ(socket->answers, sync->answers);
@@ -354,17 +241,15 @@ TEST(SocketTransportTest, FT2PaperPlacementReproducesSyncExactly) {
   // A scaled-down FT2 keeps the test fast; the placement and protocol are
   // the paper's (bench/harness.h).
   bench::Workload w = bench::MakeFT2Paper(0.05);
-  Deployment deployment(w.doc, *w.cluster);
+  Deployment deployment(*w.doc, *w.cluster);
 
   for (const auto& q : xmark::ExperimentQueries()) {
     for (auto algo : {DistributedAlgorithm::kPaX2, DistributedAlgorithm::kPaX3,
                       DistributedAlgorithm::kNaiveCentralized}) {
       const std::string label = std::string(AlgorithmName(algo)) + "|" + q.name;
-      auto sync =
-          EvaluateDistributed(*w.cluster, q.text, SyncOptions(algo, false));
-      auto socket = EvaluateDistributed(
-          *w.cluster, q.text,
-          SocketOptions(algo, false, deployment.endpoints()));
+      auto sync = RunSync(*w.cluster, q.text, algo, false);
+      auto socket = RunSocket(*w.cluster, q.text, algo, false,
+                              SocketOptions(deployment.endpoints()));
       ASSERT_TRUE(sync.ok()) << label << ": " << sync.status();
       ASSERT_TRUE(socket.ok()) << label << ": " << socket.status();
       EXPECT_EQ(socket->answers, sync->answers) << label;
@@ -379,19 +264,17 @@ TEST(SocketTransportTest, FT2PaperPlacementReproducesSyncExactly) {
 // RunStats — the capture-and-replay plane end-to-end over real processes.
 TEST(SocketTransportTest, FT2ParallelSitesReproduceSyncExactly) {
   bench::Workload w = bench::MakeFT2Paper(0.05);
-  Deployment deployment(w.doc, *w.cluster);
+  Deployment deployment(*w.doc, *w.cluster);
 
   for (const auto& q : xmark::ExperimentQueries()) {
     for (auto algo : {DistributedAlgorithm::kPaX2, DistributedAlgorithm::kPaX3,
                       DistributedAlgorithm::kNaiveCentralized}) {
       const std::string label =
           std::string(AlgorithmName(algo)) + "|threads=4|" + q.name;
-      auto sync =
-          EvaluateDistributed(*w.cluster, q.text, SyncOptions(algo, false));
-      EngineOptions parallel =
-          SocketOptions(algo, false, deployment.endpoints());
-      parallel.transport_options.site_threads = 4;
-      auto socket = EvaluateDistributed(*w.cluster, q.text, parallel);
+      auto sync = RunSync(*w.cluster, q.text, algo, false);
+      TransportOptions parallel = SocketOptions(deployment.endpoints());
+      parallel.site_threads = 4;
+      auto socket = RunSocket(*w.cluster, q.text, algo, false, parallel);
       ASSERT_TRUE(sync.ok()) << label << ": " << sync.status();
       ASSERT_TRUE(socket.ok()) << label << ": " << socket.status();
       EXPECT_EQ(socket->answers, sync->answers) << label;
@@ -409,19 +292,18 @@ TEST(SocketTransportTest, FT2ParallelSitesReproduceSyncExactly) {
 // carry the peers' pool counters back, proving the path fired.
 TEST(SocketTransportTest, ForcedSplitReproducesSyncExactly) {
   ClienteleWorld w = MakeClienteleWorld();
-  Deployment deployment(w.doc, *w.cluster);
+  Deployment deployment(*w.doc, *w.cluster);
 
   uint64_t split_pool_tasks = 0;
   for (const std::string& query :
        {std::string("//stock/code"), std::string("clientele/client/broker"),
         std::string("//market//buy")}) {
-    auto sync = EvaluateDistributed(
-        *w.cluster, query, SyncOptions(DistributedAlgorithm::kPaX2, true));
-    EngineOptions split = SocketOptions(DistributedAlgorithm::kPaX2, true,
-                                        deployment.endpoints());
-    split.transport_options.site_threads = 4;
-    split.transport_options.split_threshold_pct = 1;
-    auto socket = EvaluateDistributed(*w.cluster, query, split);
+    auto sync = RunSync(*w.cluster, query, DistributedAlgorithm::kPaX2, true);
+    TransportOptions split = SocketOptions(deployment.endpoints());
+    split.site_threads = 4;
+    split.split_threshold_pct = 1;
+    auto socket =
+        RunSocket(*w.cluster, query, DistributedAlgorithm::kPaX2, true, split);
     ASSERT_TRUE(sync.ok()) << query << ": " << sync.status();
     ASSERT_TRUE(socket.ok()) << query << ": " << socket.status();
     EXPECT_EQ(socket->answers, sync->answers) << query;
@@ -441,20 +323,15 @@ TEST(SocketTransportTest, ForcedSplitReproducesSyncExactly) {
 // rounds of one run, so nothing observable may change).
 TEST(SocketTransportTest, ConcurrentRunsOnOnePeerReproduceSoloStats) {
   ClienteleWorld w = MakeClienteleWorld();
-  Deployment deployment(w.doc, *w.cluster);
+  Deployment deployment(*w.doc, *w.cluster);
 
   const std::string query_a =
       "clientele/client[country/text() = \"US\"]/"
       "broker[market/name/text() = \"NASDAQ\"]/name";
   const std::string query_b = "//market[name/text() = \"NASDAQ\"]//buy";
-  auto compiled_a = CompileXPath(query_a, w.doc->symbols());
-  auto compiled_b = CompileXPath(query_b, w.doc->symbols());
-  ASSERT_TRUE(compiled_a.ok()) << compiled_a.status();
-  ASSERT_TRUE(compiled_b.ok()) << compiled_b.status();
-
-  EngineOptions options = SyncOptions(DistributedAlgorithm::kPaX2, false);
-  auto solo_a = EvaluateDistributed(*w.cluster, *compiled_a, options);
-  auto solo_b = EvaluateDistributed(*w.cluster, *compiled_b, options);
+  const EngineOptions options = Options(DistributedAlgorithm::kPaX2, false);
+  auto solo_a = EvaluateOn(*w.cluster, query_a, options, TransportKind::kSync);
+  auto solo_b = EvaluateOn(*w.cluster, query_b, options, TransportKind::kSync);
   ASSERT_TRUE(solo_a.ok()) << solo_a.status();
   ASSERT_TRUE(solo_b.ok()) << solo_b.status();
 
@@ -471,10 +348,10 @@ TEST(SocketTransportTest, ConcurrentRunsOnOnePeerReproduceSoloStats) {
     Result<DistributedResult> got_a = Status::Internal("unset");
     Result<DistributedResult> got_b = Status::Internal("unset");
     std::thread ta([&] {
-      got_a = EvaluateDistributed(*w.cluster, *compiled_a, options, &socket);
+      got_a = EvaluateWorkload(*w.cluster, query_a, options, &socket);
     });
     std::thread tb([&] {
-      got_b = EvaluateDistributed(*w.cluster, *compiled_b, options, &socket);
+      got_b = EvaluateWorkload(*w.cluster, query_b, options, &socket);
     });
     ta.join();
     tb.join();
@@ -509,15 +386,13 @@ TEST(SocketTransportTest, ConcurrentRunsDegradeCleanlyWhenServerCapsRounds) {
   });
 
   // Remaining remote sites are served by real processes.
-  Deployment deployment(w.doc, *w.cluster);
+  Deployment deployment(*w.doc, *w.cluster);
   std::map<SiteId, std::string> endpoints = deployment.endpoints();
   endpoints[served] = "127.0.0.1:" + std::to_string(*port);
 
   const std::string query = "//stock/code";
-  auto compiled = CompileXPath(query, w.doc->symbols());
-  ASSERT_TRUE(compiled.ok()) << compiled.status();
-  EngineOptions options = SyncOptions(DistributedAlgorithm::kPaX2, false);
-  auto solo = EvaluateDistributed(*w.cluster, *compiled, options);
+  const EngineOptions options = Options(DistributedAlgorithm::kPaX2, false);
+  auto solo = EvaluateOn(*w.cluster, query, options, TransportKind::kSync);
   ASSERT_TRUE(solo.ok()) << solo.status();
 
   Result<DistributedResult> got_a = Status::Internal("unset");
@@ -531,10 +406,10 @@ TEST(SocketTransportTest, ConcurrentRunsDegradeCleanlyWhenServerCapsRounds) {
     topts.peer_concurrent_rounds = 4;  // the capped server serializes anyway
     SocketTransport socket(topts);
     std::thread ta([&] {
-      got_a = EvaluateDistributed(*w.cluster, *compiled, options, &socket);
+      got_a = EvaluateWorkload(*w.cluster, query, options, &socket);
     });
     std::thread tb([&] {
-      got_b = EvaluateDistributed(*w.cluster, *compiled, options, &socket);
+      got_b = EvaluateWorkload(*w.cluster, query, options, &socket);
     });
     ta.join();
     tb.join();
@@ -561,7 +436,7 @@ TEST(SocketTransportTest, ConcurrentRunsDegradeCleanlyWhenServerCapsRounds) {
 // for bit.
 TEST(SocketTransportTest, CompressedFT2ReproducesSyncModelExactly) {
   bench::Workload w = bench::MakeFT2Paper(0.05);
-  Deployment deployment(w.doc, *w.cluster, /*compress=*/true);
+  Deployment deployment(*w.doc, *w.cluster, /*compress=*/true);
 
   constexpr uint64_t kThreshold = 128;
   uint64_t compressed_frames = 0;
@@ -572,13 +447,13 @@ TEST(SocketTransportTest, CompressedFT2ReproducesSyncModelExactly) {
                       DistributedAlgorithm::kNaiveCentralized}) {
       const std::string label =
           std::string(AlgorithmName(algo)) + "|z|" + q.name;
-      EngineOptions sync_options = SyncOptions(algo, false);
-      sync_options.transport_options.compress_min_bytes = kThreshold;
-      auto sync = EvaluateDistributed(*w.cluster, q.text, sync_options);
-      EngineOptions socket_options =
-          SocketOptions(algo, false, deployment.endpoints());
-      socket_options.transport_options.compress_min_bytes = kThreshold;
-      auto socket = EvaluateDistributed(*w.cluster, q.text, socket_options);
+      TransportOptions sync_options;
+      sync_options.compress_min_bytes = kThreshold;
+      auto sync = RunSync(*w.cluster, q.text, algo, false, sync_options);
+      TransportOptions socket_options = SocketOptions(deployment.endpoints());
+      socket_options.compress_min_bytes = kThreshold;
+      auto socket =
+          RunSocket(*w.cluster, q.text, algo, false, socket_options);
       ASSERT_TRUE(sync.ok()) << label << ": " << sync.status();
       ASSERT_TRUE(socket.ok()) << label << ": " << socket.status();
       EXPECT_EQ(socket->answers, sync->answers) << label;
@@ -586,8 +461,7 @@ TEST(SocketTransportTest, CompressedFT2ReproducesSyncModelExactly) {
 
       // Compression must leave the logical ledger untouched: identical to
       // a run that never heard of the codec.
-      auto plain =
-          EvaluateDistributed(*w.cluster, q.text, SyncOptions(algo, false));
+      auto plain = RunSync(*w.cluster, q.text, algo, false);
       ASSERT_TRUE(plain.ok()) << label << ": " << plain.status();
       ExpectLogicalStatsEqual(socket->stats, plain->stats, label + "|plain");
 
@@ -608,17 +482,16 @@ TEST(SocketTransportTest, CompressedFT2ReproducesSyncModelExactly) {
 // local edges, which is exactly the fallback's documented shape).
 TEST(SocketTransportTest, DeclinedCompressionOfferRunsRawAndCorrect) {
   ClienteleWorld w = MakeClienteleWorld();
-  Deployment deployment(w.doc, *w.cluster);  // no --compress
+  Deployment deployment(*w.doc, *w.cluster);  // no --compress
 
   for (const std::string& query :
        {std::string("//stock/code"),
         std::string("clientele/client/broker/name")}) {
-    auto sync = EvaluateDistributed(
-        *w.cluster, query, SyncOptions(DistributedAlgorithm::kPaX2, false));
-    EngineOptions options = SocketOptions(DistributedAlgorithm::kPaX2, false,
-                                          deployment.endpoints());
-    options.transport_options.compress_min_bytes = 64;
-    auto socket = EvaluateDistributed(*w.cluster, query, options);
+    auto sync = RunSync(*w.cluster, query, DistributedAlgorithm::kPaX2, false);
+    TransportOptions options = SocketOptions(deployment.endpoints());
+    options.compress_min_bytes = 64;
+    auto socket = RunSocket(*w.cluster, query, DistributedAlgorithm::kPaX2,
+                            false, options);
     ASSERT_TRUE(sync.ok()) << query << ": " << sync.status();
     ASSERT_TRUE(socket.ok()) << query << ": " << socket.status();
     EXPECT_EQ(socket->answers, sync->answers) << query;
@@ -750,10 +623,9 @@ TEST(SocketTransportTest, RejectedHandshakeFailsTheFirstRoundCleanly) {
   peer.join();
   CloseFd(*listen_fd);
   EXPECT_FALSE(socket.EnsureConnected().ok());
-  auto compiled = CompileXPath("//stock/code", w.doc->symbols());
-  ASSERT_TRUE(compiled.ok()) << compiled.status();
-  EngineOptions options = SyncOptions(DistributedAlgorithm::kPaX2, false);
-  auto got = EvaluateDistributed(*w.cluster, *compiled, options, &socket);
+  auto got = EvaluateWorkload(*w.cluster, "//stock/code",
+                              Options(DistributedAlgorithm::kPaX2, false),
+                              &socket);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kNetworkError) << got.status();
   EXPECT_NE(got.status().message().find("peer rejected handshake"),
@@ -778,15 +650,15 @@ TEST(SocketTransportTest, MemoPeersWithLanesReproduceSyncExactly) {
   for (const std::string& query :
        {std::string("//stock/code"),
         std::string("clientele/client[country/text() = \"US\"]/broker/name")}) {
-    auto sync = EvaluateDistributed(
-        *w.cluster, query, SyncOptions(DistributedAlgorithm::kPaX2, false));
+    auto sync = RunSync(*w.cluster, query, DistributedAlgorithm::kPaX2, false);
     ASSERT_TRUE(sync.ok()) << query << ": " << sync.status();
-    EngineOptions options =
-        SocketOptions(DistributedAlgorithm::kPaX2, false, peers.endpoints());
-    options.transport_options.site_threads = 4;
-    options.transport_options.split_threshold_pct = 0;
-    auto recording = EvaluateDistributed(*w.cluster, query, options);
-    auto replaying = EvaluateDistributed(*w.cluster, query, options);
+    TransportOptions options = SocketOptions(peers.endpoints());
+    options.site_threads = 4;
+    options.split_threshold_pct = 0;
+    auto recording = RunSocket(*w.cluster, query, DistributedAlgorithm::kPaX2,
+                               false, options);
+    auto replaying = RunSocket(*w.cluster, query, DistributedAlgorithm::kPaX2,
+                               false, options);
     ASSERT_TRUE(recording.ok()) << query << ": " << recording.status();
     ASSERT_TRUE(replaying.ok()) << query << ": " << replaying.status();
     EXPECT_EQ(recording->answers, sync->answers) << query;
@@ -809,21 +681,20 @@ TEST(SocketTransportTest, MemoPeersWithLanesReproduceSyncExactly) {
 // pinned in frame_test.cc; this is the it-actually-reaches-the-peer half.)
 TEST(SocketTransportTest, NonDefaultChunkKnobsReproduceSyncExactly) {
   ClienteleWorld w = MakeClienteleWorld();
-  Deployment deployment(w.doc, *w.cluster);
+  Deployment deployment(*w.doc, *w.cluster);
 
   const std::string query = "//stock/code";
   for (auto algo : {DistributedAlgorithm::kPaX2,
                     DistributedAlgorithm::kNaiveCentralized}) {
     const std::string label = std::string(AlgorithmName(algo)) + "|chunks";
-    EngineOptions sync_options = SyncOptions(algo, false);
-    sync_options.transport_options.answer_chunk_ids = 3;
-    sync_options.transport_options.data_chunk_bytes = 7;
-    auto sync = EvaluateDistributed(*w.cluster, query, sync_options);
-    EngineOptions socket_options =
-        SocketOptions(algo, false, deployment.endpoints());
-    socket_options.transport_options.answer_chunk_ids = 3;
-    socket_options.transport_options.data_chunk_bytes = 7;
-    auto socket = EvaluateDistributed(*w.cluster, query, socket_options);
+    TransportOptions sync_options;
+    sync_options.answer_chunk_ids = 3;
+    sync_options.data_chunk_bytes = 7;
+    auto sync = RunSync(*w.cluster, query, algo, false, sync_options);
+    TransportOptions socket_options = SocketOptions(deployment.endpoints());
+    socket_options.answer_chunk_ids = 3;
+    socket_options.data_chunk_bytes = 7;
+    auto socket = RunSocket(*w.cluster, query, algo, false, socket_options);
     ASSERT_TRUE(sync.ok()) << label << ": " << sync.status();
     ASSERT_TRUE(socket.ok()) << label << ": " << socket.status();
     EXPECT_EQ(socket->answers, sync->answers) << label;
@@ -835,11 +706,11 @@ TEST(SocketTransportTest, NonDefaultChunkKnobsReproduceSyncExactly) {
 
 TEST(SocketTransportTest, EngineSubmitWorksUnchangedOverSockets) {
   ClienteleWorld w = MakeClienteleWorld();
-  Deployment deployment(w.doc, *w.cluster);
+  Deployment deployment(*w.doc, *w.cluster);
 
   EngineConfig config;
   config.depth = 3;
-  config.remote_endpoints = deployment.endpoints();
+  config.transport_options.remote_endpoints = deployment.endpoints();
   config.transport_options.site_threads = EnvSiteThreads();
   Engine engine(*w.cluster, config);
 
@@ -858,9 +729,8 @@ TEST(SocketTransportTest, EngineSubmitWorksUnchangedOverSockets) {
     const QueryReport& report = handles[i].Wait();
     ASSERT_TRUE(report.result.ok())
         << queries[i] << ": " << report.result.status();
-    auto baseline = EvaluateDistributed(
-        *w.cluster, queries[i], SyncOptions(DistributedAlgorithm::kPaX2,
-                                            false));
+    auto baseline =
+        RunSync(*w.cluster, queries[i], DistributedAlgorithm::kPaX2, false);
     ASSERT_TRUE(baseline.ok());
     EXPECT_EQ(report.result->answers, baseline->answers) << queries[i];
     ExpectStatsEqual(report.stats, baseline->stats, queries[i]);
@@ -876,21 +746,19 @@ TEST(SocketTransportTest, DialFailureIsACleanError) {
   std::map<SiteId, std::string> endpoints = {{1, "127.0.0.1:1"},
                                              {2, "127.0.0.1:1"},
                                              {3, "127.0.0.1:1"}};
-  auto r = EvaluateDistributed(
-      *w.cluster, "//stock/code",
-      SocketOptions(DistributedAlgorithm::kPaX2, false, endpoints));
+  auto r = RunSocket(*w.cluster, "//stock/code", DistributedAlgorithm::kPaX2,
+                     false, SocketOptions(endpoints));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNetworkError);
 }
 
 TEST(SocketTransportTest, QuerySiteMustBeLocal) {
   ClienteleWorld w = MakeClienteleWorld();
-  Deployment deployment(w.doc, *w.cluster);
+  Deployment deployment(*w.doc, *w.cluster);
   std::map<SiteId, std::string> endpoints = deployment.endpoints();
   endpoints[0] = endpoints.begin()->second;  // claim S_Q is remote
-  auto r = EvaluateDistributed(
-      *w.cluster, "//stock/code",
-      SocketOptions(DistributedAlgorithm::kPaX2, false, endpoints));
+  auto r = RunSocket(*w.cluster, "//stock/code", DistributedAlgorithm::kPaX2,
+                     false, SocketOptions(endpoints));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
@@ -899,7 +767,7 @@ TEST(SocketTransportTest, QuerySiteMustBeLocal) {
 // while runs confined to the surviving sites are undisturbed (invariant 5).
 TEST(SocketTransportTest, KilledSiteFailsItsRunsAndSparesOthers) {
   ClienteleWorld w = MakeClienteleWorld();
-  Deployment deployment(w.doc, *w.cluster);
+  Deployment deployment(*w.doc, *w.cluster);
 
   // With annotations, this qualifier-free query prunes the market
   // fragments: F2 (site 2) and F3 (site 3) contain no broker/name path.
@@ -908,8 +776,8 @@ TEST(SocketTransportTest, KilledSiteFailsItsRunsAndSparesOthers) {
   const std::string wide = "//stock/code";
 
   // Pin the premise: the narrow query's traffic never touches site 3.
-  auto narrow_sync = EvaluateDistributed(
-      *w.cluster, narrow, SyncOptions(DistributedAlgorithm::kPaX2, true));
+  auto narrow_sync =
+      RunSync(*w.cluster, narrow, DistributedAlgorithm::kPaX2, true);
   ASSERT_TRUE(narrow_sync.ok());
   EXPECT_EQ(narrow_sync->stats.per_site[3].visits, 0);
   for (const auto& [edge, e] : narrow_sync->stats.edges) {
@@ -919,7 +787,7 @@ TEST(SocketTransportTest, KilledSiteFailsItsRunsAndSparesOthers) {
 
   EngineConfig config;
   config.depth = 2;
-  config.remote_endpoints = deployment.endpoints();
+  config.transport_options.remote_endpoints = deployment.endpoints();
   config.transport_options.site_threads = EnvSiteThreads();
   Engine engine(*w.cluster, config);
 
@@ -938,17 +806,54 @@ TEST(SocketTransportTest, KilledSiteFailsItsRunsAndSparesOthers) {
   EXPECT_EQ(doomed_report.result.status().code(), StatusCode::kNetworkError);
 
   // A concurrent-capable engine keeps serving runs on the healthy sites.
-  // engine_options.transport is ignored per submission; the shared socket
-  // plane is fixed at EngineConfig time.
   SubmitOptions spared_options;
-  spared_options.engine_options = SyncOptions(DistributedAlgorithm::kPaX2, true);
+  spared_options.engine_options = Options(DistributedAlgorithm::kPaX2, true);
   QueryHandle spared = engine.Submit(narrow, spared_options);
   const QueryReport& spared_report = spared.Wait();
   ASSERT_TRUE(spared_report.result.ok()) << spared_report.result.status();
-  auto baseline = EvaluateDistributed(
-      *w.cluster, narrow, SyncOptions(DistributedAlgorithm::kPaX2, true));
+  auto baseline =
+      RunSync(*w.cluster, narrow, DistributedAlgorithm::kPaX2, true);
   ASSERT_TRUE(baseline.ok());
   EXPECT_EQ(spared_report.result->answers, baseline->answers);
+}
+
+// A peer outlives no spawner: this process becomes a subreaper, an
+// intermediate process spawns a site and exits without reaping it, and the
+// orphaned site — reparented here — must end by SIGKILL within a bound.
+TEST(SocketTransportTest, SpawnedPeerDiesWithItsSpawner) {
+  ClienteleWorld w = MakeClienteleWorld();
+  const std::string dir = testing::MakeTempDir();
+  ASSERT_TRUE(SaveDocument(*w.doc, dir).ok());
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  int pid_pipe[2];
+  ASSERT_EQ(::pipe(pid_pipe), 0);
+  const pid_t spawner = ::fork();
+  ASSERT_GE(spawner, 0);
+  if (spawner == 0) {
+    const pid_t site = testing::SpawnSite(dir, *w.cluster, 1).pid;
+    const bool reported = ::write(pid_pipe[1], &site, sizeof(site)) > 0;
+    ::_exit(reported ? 0 : 1);
+  }
+  ::close(pid_pipe[1]);
+  pid_t site = -1;
+  const ssize_t n = ::read(pid_pipe[0], &site, sizeof(site));
+  ::close(pid_pipe[0]);
+  ::waitpid(spawner, nullptr, 0);
+  ASSERT_EQ(n, static_cast<ssize_t>(sizeof(site)));
+
+  int status = 0;
+  pid_t reaped = 0;
+  for (int i = 0; i < 500 && reaped == 0; ++i) {  // 5 s
+    reaped = ::waitpid(site, &status, WNOHANG);
+    if (reaped == 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (reaped == 0) {
+    ::kill(site, SIGKILL);
+    ::waitpid(site, nullptr, 0);
+  }
+  ::prctl(PR_SET_CHILD_SUBREAPER, 0);
+  ASSERT_EQ(reaped, site) << "the orphaned site outlived its spawner";
+  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL) << status;
 }
 
 }  // namespace

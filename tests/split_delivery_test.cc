@@ -62,15 +62,20 @@ void ExpectStatsEqual(const RunStats& split, const RunStats& serial,
   }
 }
 
-EngineOptions Options(DistributedAlgorithm algo, bool annotations,
-                      size_t site_threads, uint64_t split_pct) {
+/// `query` on a sync transport with `site_threads` lanes per site and
+/// intra-fragment splitting offered at `split_pct` (0: off).
+Result<DistributedResult> Evaluate(const Cluster& cluster,
+                                   const std::string& query,
+                                   DistributedAlgorithm algo, bool annotations,
+                                   size_t site_threads, uint64_t split_pct) {
   EngineOptions options;
   options.algorithm = algo;
   options.pax.use_annotations = annotations;
-  options.transport = TransportKind::kSync;
-  options.transport_options.site_threads = site_threads;
-  options.transport_options.split_threshold_pct = split_pct;
-  return options;
+  TransportOptions transport;
+  transport.site_threads = site_threads;
+  transport.split_threshold_pct = split_pct;
+  return testing::EvaluateOn(cluster, query, options, TransportKind::kSync,
+                             transport);
 }
 
 // ---- Randomized split-vs-serial determinism ---------------------------------
@@ -106,10 +111,8 @@ TEST_P(SplitDeliveryPropertyTest, SplitMatchesSerialExactly) {
         const std::string label = std::string(AlgorithmName(algo)) +
                                   (xa ? "|xa|" : "|") + query + " seed " +
                                   std::to_string(GetParam().seed);
-        auto serial =
-            EvaluateDistributed(cluster, query, Options(algo, xa, 1, 0));
-        auto split =
-            EvaluateDistributed(cluster, query, Options(algo, xa, 4, 1));
+        auto serial = Evaluate(cluster, query, algo, xa, 1, 0);
+        auto split = Evaluate(cluster, query, algo, xa, 4, 1);
         ASSERT_TRUE(serial.ok()) << label << ": " << serial.status();
         ASSERT_TRUE(split.ok()) << label << ": " << split.status();
         EXPECT_EQ(split->answers, serial->answers) << label;
@@ -154,10 +157,10 @@ TEST(SplitDeliveryTest, OneFragmentPerSiteSplitsAndMatchesSerial) {
   for (const std::string& query :
        {std::string("//a"), std::string("//a/b"), std::string("//a//b"),
         std::string("root/*/a"), std::string("//*")}) {
-    auto serial = EvaluateDistributed(
-        cluster, query, Options(DistributedAlgorithm::kPaX2, true, 1, 0));
-    auto split = EvaluateDistributed(
-        cluster, query, Options(DistributedAlgorithm::kPaX2, true, 4, 1));
+    auto serial =
+        Evaluate(cluster, query, DistributedAlgorithm::kPaX2, true, 1, 0);
+    auto split =
+        Evaluate(cluster, query, DistributedAlgorithm::kPaX2, true, 4, 1);
     ASSERT_TRUE(serial.ok()) << query << ": " << serial.status();
     ASSERT_TRUE(split.ok()) << query << ": " << split.status();
     EXPECT_EQ(split->answers, serial->answers) << query;
@@ -192,10 +195,10 @@ TEST(SplitDeliveryTest, DeadSubtreeStillReportsItsVirtualTop) {
   uint64_t split_pool_tasks = 0;
   for (const std::string& query :
        {std::string("root/x/a/b"), std::string("root/x/a")}) {
-    auto serial = EvaluateDistributed(
-        cluster, query, Options(DistributedAlgorithm::kPaX2, true, 1, 0));
-    auto split = EvaluateDistributed(
-        cluster, query, Options(DistributedAlgorithm::kPaX2, true, 4, 1));
+    auto serial =
+        Evaluate(cluster, query, DistributedAlgorithm::kPaX2, true, 1, 0);
+    auto split =
+        Evaluate(cluster, query, DistributedAlgorithm::kPaX2, true, 4, 1);
     ASSERT_TRUE(serial.ok()) << query << ": " << serial.status();
     ASSERT_TRUE(split.ok()) << query << ": " << split.status();
     EXPECT_FALSE(serial->answers.empty()) << query;
@@ -222,10 +225,10 @@ TEST(SplitDeliveryTest, SingleThreadWithThresholdIsTheSerialPath) {
 
   for (const std::string& query :
        {std::string("//a/b"), std::string("//a[b]/c")}) {
-    auto serial = EvaluateDistributed(
-        cluster, query, Options(DistributedAlgorithm::kPaX2, true, 1, 0));
-    auto gated = EvaluateDistributed(
-        cluster, query, Options(DistributedAlgorithm::kPaX2, true, 1, 1));
+    auto serial =
+        Evaluate(cluster, query, DistributedAlgorithm::kPaX2, true, 1, 0);
+    auto gated =
+        Evaluate(cluster, query, DistributedAlgorithm::kPaX2, true, 1, 1);
     ASSERT_TRUE(serial.ok()) << serial.status();
     ASSERT_TRUE(gated.ok()) << gated.status();
     EXPECT_EQ(gated->answers, serial->answers) << query;
@@ -246,10 +249,10 @@ TEST(SplitDeliveryTest, WholeSegmentThresholdIsExact) {
   cluster.PlaceRootAndSpread();
 
   for (const std::string& query : PropertyQueryBattery()) {
-    auto serial = EvaluateDistributed(
-        cluster, query, Options(DistributedAlgorithm::kPaX2, true, 1, 0));
-    auto split = EvaluateDistributed(
-        cluster, query, Options(DistributedAlgorithm::kPaX2, true, 4, 100));
+    auto serial =
+        Evaluate(cluster, query, DistributedAlgorithm::kPaX2, true, 1, 0);
+    auto split =
+        Evaluate(cluster, query, DistributedAlgorithm::kPaX2, true, 4, 100);
     ASSERT_TRUE(serial.ok()) << query << ": " << serial.status();
     ASSERT_TRUE(split.ok()) << query << ": " << split.status();
     EXPECT_EQ(split->answers, serial->answers) << query;

@@ -71,11 +71,7 @@ TEST_F(StorageTest, LoadedDocumentEvaluatesIdentically) {
   Cluster cluster(loaded, 3);
   const char* query =
       "//broker[//stock/code/text() = \"GOOG\"]/name";
-  auto compiled = CompileXPath(query, symbols);
-  ASSERT_TRUE(compiled.ok());
-  EngineOptions eo;
-  eo.algorithm = DistributedAlgorithm::kPaX2;
-  auto r = EvaluateDistributed(cluster, *compiled, eo);
+  auto r = testing::EvaluateOn(cluster, query);
   ASSERT_TRUE(r.ok()) << r.status();
 
   auto expected = EvaluateCentralized(tree, query);

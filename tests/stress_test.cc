@@ -25,7 +25,7 @@ void ExpectAllAgree(const Tree& tree, std::shared_ptr<FragmentedDocument> doc,
       EngineOptions options;
       options.algorithm = algo;
       options.pax.use_annotations = xa;
-      auto r = EvaluateDistributed(cluster, *compiled, options);
+      auto r = testing::EvaluateOn(cluster, query, options);
       ASSERT_TRUE(r.ok()) << AlgorithmName(algo) << " " << query << ": "
                           << r.status();
       EXPECT_EQ(r->ToSourceIds(*doc), expected.answers)
@@ -153,11 +153,7 @@ TEST(StressTest, ResidualFormulasStayCompact) {
   Cluster cluster(doc, 8);
   cluster.PlaceRootAndSpread();
 
-  auto compiled = CompileXPath(".[//x[y/text() = \"v\"]]", tree.symbols());
-  ASSERT_TRUE(compiled.ok());
-  EngineOptions eo;
-  eo.algorithm = DistributedAlgorithm::kPaX2;
-  auto r = EvaluateDistributed(cluster, *compiled, eo);
+  auto r = testing::EvaluateOn(cluster, ".[//x[y/text() = \"v\"]]");
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->answers.size(), 1u);
   // Traffic: the root fragment's residual is an OR over 200 child variables

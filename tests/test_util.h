@@ -5,16 +5,33 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "core/workload.h"
 #include "eval/centralized.h"
+#include "runtime/transport.h"
 #include "xml/builder.h"
 #include "xml/tree.h"
 
 namespace paxml::testing {
+
+/// Evaluates `query` on a fresh transport of `kind` (unset: the cluster's
+/// default, or sockets when `transport_options` names remote endpoints).
+/// The one call the backend- and knob-equivalence tests loop over.
+inline Result<DistributedResult> EvaluateOn(
+    const Cluster& cluster, const std::string& query,
+    const EngineOptions& options = {},
+    std::optional<TransportKind> kind = std::nullopt,
+    TransportOptions transport_options = {}) {
+  std::unique_ptr<Transport> transport =
+      MakeTransportFor(cluster, kind, std::move(transport_options));
+  return EvaluateWorkload(cluster, query, options, transport.get());
+}
 
 /// Builds the investment-clientele tree of Fig. 1 of the paper:
 ///

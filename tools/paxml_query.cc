@@ -5,8 +5,8 @@
 //                 [--remote SITE=HOST:PORT[,SITE=HOST:PORT...]]
 //
 // Loads a directory written by paxml_fragment / SaveDocument, simulates a
-// cluster of N sites (default: one per fragment), evaluates the query, and
-// prints the answers as XML (one per line). --stats adds the run's
+// cluster of N sites (default: one per fragment), evaluates the query
+// through an Engine session, and prints the answers as XML (one per line). --stats adds the run's
 // visit/traffic/time accounting; --refs ships answer references instead of
 // subtrees; --xa enables XPath annotations.
 //
@@ -45,7 +45,8 @@ int main(int argc, char** argv) {
   }
   const std::string dir = argv[1];
   const std::string query_text = argv[2];
-  EngineOptions options;
+  EngineConfig config;
+  EngineOptions& options = config.defaults;
   options.algorithm = DistributedAlgorithm::kPaX2;
   bool stats = false;
   size_t sites = 0;
@@ -86,7 +87,7 @@ int main(int argc, char** argv) {
             end == nullptr
                 ? std::string(eq + 1)
                 : std::string(eq + 1, static_cast<size_t>(end - (eq + 1)));
-        options.transport_options
+        config.transport_options
             .remote_endpoints[static_cast<SiteId>(site)] = endpoint;
         p = end == nullptr ? eq + 1 + endpoint.size() : end + 1;
       }
@@ -107,15 +108,14 @@ int main(int argc, char** argv) {
   Cluster cluster(doc, sites);
   cluster.PlaceRootAndSpread();
 
-  auto query = CompileXPath(query_text, symbols);
-  if (!query.ok()) {
-    std::fprintf(stderr, "query error: %s\n", query.status().ToString().c_str());
-    return 1;
-  }
-
-  auto result = EvaluateDistributed(cluster, *query, options);
+  Engine engine(cluster, config);
+  const QueryReport report = engine.Submit(query_text).TakeReport();
+  const Result<DistributedResult>& result = report.result;
   if (!result.ok()) {
-    std::fprintf(stderr, "evaluation error: %s\n",
+    std::fprintf(stderr, "%s error: %s\n",
+                 result.status().code() == StatusCode::kParseError
+                     ? "query"
+                     : "evaluation",
                  result.status().ToString().c_str());
     return 1;
   }
