@@ -16,13 +16,9 @@
 // are hard PAXML_CHECKs so the CI smoke run catches message-count
 // regressions.
 //
-// Table 5 measures the wire-efficiency pair on the same deployment
-// (DESIGN.md §13): delta+varint answer-id streams against the absolute
-// varints they replaced, and size-gated lz4 frame compression on top.
-// Gated: the logical ledger is bit-identical with compression on, the raw
-// frame encodings are unchanged (wire_raw_bytes of the compressed run
-// equals wire_bytes of the raw run), the answer streams shrink >= 30%
-// under delta coding, and compression strictly shrinks wire bytes further.
+// Table 5 measures delta answer streams on the same deployment (DESIGN.md
+// §13): delta+varint answer-id streams against the absolute varints they
+// replaced. Gated: the answer streams shrink >= 30% under delta coding.
 // Emits BENCH_wire.json for the perf trajectory.
 
 #include <cstdio>
@@ -79,8 +75,7 @@ void FrameBatchingTable() {
 
   Workload w = MakeFT2Paper(1.0);
   // wire(B) is RunStats::wire_bytes: what the socket backend actually
-  // writes — frame headers plus materialized payloads, no phantom bytes —
-  // the denominator a frame-compression hook would shrink.
+  // writes — frame headers plus materialized payloads, no phantom bytes.
   TablePrinter table({"query", "envelopes", "msgs", "msgs(batch)", "msg/round",
                       "drop%", "wire(B)", "lat(ms)", "lat(batch,ms)"});
   uint64_t messages = 0;
@@ -123,102 +118,53 @@ void FrameBatchingTable() {
   PAXML_CHECK_LE(batched_messages * 10, messages * 7);
 }
 
-RunStats EvalWireStats(const Workload& w, const std::string& query,
-                       uint64_t compress_min_bytes) {
-  TransportOptions transport;
-  transport.compress_min_bytes = compress_min_bytes;
-  return Evaluate(w, query, {}, transport).stats;
-}
-
 void WireEfficiencyTable() {
-  // The threshold the CI deployment would run with: small enough that a
-  // batched answer frame at quick-mode scale is still eligible.
-  constexpr uint64_t kZMin = 128;
-
   std::printf(
-      "\nTable 5 — wire efficiency (FT2 x1 on the paper's 4 machines, PaX2; "
-      "delta answer streams + lz4 frames >= %llu B)\n",
-      static_cast<unsigned long long>(kZMin));
-  // abs(B) is what the answer-id streams cost before this PR (absolute
-  // varints, RunStats::delta_logical_bytes); delta(B) is what they cost
-  // now (delta varints). wire(B)/wire+z(B) are the full frame streams raw
-  // and with size-gated compression.
-  TablePrinter table({"query", "abs(B)", "delta(B)", "drop%", "wire(B)",
-                      "wire+z(B)", "zdrop%", "frames-z"});
+      "\nTable 5 — delta answer streams (FT2 x1 on the paper's 4 machines, "
+      "PaX2)\n");
+  // abs(B) is what the answer-id streams would cost as absolute varints
+  // (RunStats::delta_logical_bytes, the paper-model price); delta(B) is
+  // what they cost delta-coded. wire(B) is the full frame stream.
+  TablePrinter table({"query", "abs(B)", "delta(B)", "drop%", "wire(B)"});
 
   Workload w = MakeFT2Paper(1.0);
-  uint64_t abs_total = 0, delta_total = 0;
-  uint64_t raw_total = 0, z_total = 0, z_frames = 0;
+  uint64_t abs_total = 0, delta_total = 0, wire_total = 0;
   JsonValue rows = JsonValue::Array();
   for (const auto& q : xmark::ExperimentQueries()) {
-    RunStats raw = EvalWireStats(w, q.text, /*compress_min_bytes=*/0);
-    RunStats z = EvalWireStats(w, q.text, kZMin);
-
-    // Compression is invisible to the logical ledger...
-    PAXML_CHECK_EQ(z.total_bytes, raw.total_bytes);
-    PAXML_CHECK_EQ(z.answer_bytes, raw.answer_bytes);
-    PAXML_CHECK_EQ(z.total_envelopes, raw.total_envelopes);
-    PAXML_CHECK_EQ(z.total_messages, raw.total_messages);
-    PAXML_CHECK_EQ(z.rounds, raw.rounds);
-    PAXML_CHECK_EQ(z.delta_logical_bytes, raw.delta_logical_bytes);
-    PAXML_CHECK_EQ(z.delta_wire_bytes, raw.delta_wire_bytes);
-    // ...and to the raw frame encodings: only the on-the-wire form shrank.
-    PAXML_CHECK_EQ(z.wire_raw_bytes, raw.wire_bytes);
-
-    abs_total += raw.delta_logical_bytes;
-    delta_total += raw.delta_wire_bytes;
-    raw_total += raw.wire_bytes;
-    z_total += z.wire_bytes;
-    z_frames += z.wire_frames_compressed;
+    const RunStats s = Evaluate(w, q.text, {}).stats;
+    abs_total += s.delta_logical_bytes;
+    delta_total += s.delta_wire_bytes;
+    wire_total += s.wire_bytes;
 
     const double drop =
-        raw.delta_logical_bytes == 0
+        s.delta_logical_bytes == 0
             ? 0.0
-            : 100.0 * (1.0 - static_cast<double>(raw.delta_wire_bytes) /
-                                 static_cast<double>(raw.delta_logical_bytes));
-    const double zdrop =
-        100.0 * (1.0 - static_cast<double>(z.wire_bytes) /
-                           static_cast<double>(raw.wire_bytes));
-    table.AddRow({q.name, std::to_string(raw.delta_logical_bytes),
-                  std::to_string(raw.delta_wire_bytes),
-                  StringFormat("%.0f%%", drop),
-                  std::to_string(raw.wire_bytes), std::to_string(z.wire_bytes),
-                  StringFormat("%.0f%%", zdrop),
-                  std::to_string(z.wire_frames_compressed)});
+            : 100.0 * (1.0 - static_cast<double>(s.delta_wire_bytes) /
+                                 static_cast<double>(s.delta_logical_bytes));
+    table.AddRow({q.name, std::to_string(s.delta_logical_bytes),
+                  std::to_string(s.delta_wire_bytes),
+                  StringFormat("%.0f%%", drop), std::to_string(s.wire_bytes)});
     rows.Add(JsonValue::Object()
                  .Set("query", q.name)
-                 .Set("answer_abs_bytes", raw.delta_logical_bytes)
-                 .Set("answer_delta_bytes", raw.delta_wire_bytes)
-                 .Set("wire_bytes", raw.wire_bytes)
-                 .Set("wire_z_bytes", z.wire_bytes)
-                 .Set("frames_compressed", z.wire_frames_compressed));
+                 .Set("answer_abs_bytes", s.delta_logical_bytes)
+                 .Set("answer_delta_bytes", s.delta_wire_bytes)
+                 .Set("wire_bytes", s.wire_bytes));
   }
 
-  // The acceptance floor (ISSUE/ROADMAP item 5): delta coding alone takes
-  // >= 30% off the answer-id streams across the experiment queries, and
-  // size-gated compression strictly shrinks the wire further — with at
-  // least one frame actually compressed, so the gate cannot pass vacuously.
+  // The acceptance floor: delta coding takes >= 30% off the answer-id
+  // streams across the experiment queries.
   PAXML_CHECK_LE(delta_total * 10, abs_total * 7);
-  PAXML_CHECK_GT(z_frames, 0u);
-  PAXML_CHECK_LT(z_total, raw_total);
-  std::printf(
-      "(gated: logical ledger identical with compression on; answer streams "
-      "%.0f%% smaller delta-coded; %llu frames compressed, wire %llu -> "
-      "%llu B.)\n",
-      100.0 * (1.0 - static_cast<double>(delta_total) /
-                         static_cast<double>(abs_total)),
-      static_cast<unsigned long long>(z_frames),
-      static_cast<unsigned long long>(raw_total),
-      static_cast<unsigned long long>(z_total));
+  std::printf("(gated: answer streams %.0f%% smaller delta-coded; wire %llu "
+              "B.)\n",
+              100.0 * (1.0 - static_cast<double>(delta_total) /
+                                 static_cast<double>(abs_total)),
+              static_cast<unsigned long long>(wire_total));
 
   EmitBenchJson("BENCH_wire.json",
                 BenchJsonHeader("wire")
-                    .Set("compress_min_bytes", kZMin)
                     .Set("answer_abs_bytes", abs_total)
                     .Set("answer_delta_bytes", delta_total)
-                    .Set("wire_bytes", raw_total)
-                    .Set("wire_z_bytes", z_total)
-                    .Set("frames_compressed", z_frames)
+                    .Set("wire_bytes", wire_total)
                     .Set("queries", std::move(rows)));
 }
 

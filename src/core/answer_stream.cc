@@ -11,9 +11,6 @@ void ShipAnswersStreamed(SiteContext& ctx, const Tree& tree,
                          FragmentId fragment,
                          const std::vector<NodeId>& answers,
                          AnswerShipMode mode, bool account_ids) {
-  const size_t chunk_ids =
-      std::max<size_t>(1, ctx.transport().options().answer_chunk_ids);
-
   // Header chunk: the AnswerUpMessage prefix. The receiver decodes the
   // merged part as one ordinary AnswerUpMessage (core/messages.h).
   Envelope head;
@@ -38,8 +35,8 @@ void ShipAnswersStreamed(SiteContext& ctx, const Tree& tree,
   // wire, while the frame ships the smaller delta bytes.
   EnvelopeStream stream(ctx, std::move(head));
   DeltaIdEncoder delta;
-  for (size_t i = 0; i < answers.size(); i += chunk_ids) {
-    const size_t n = std::min(chunk_ids, answers.size() - i);
+  for (size_t i = 0; i < answers.size(); i += kAnswerChunkIds) {
+    const size_t n = std::min(kAnswerChunkIds, answers.size() - i);
     ByteWriter ids;
     uint64_t logical = 0;
     for (size_t j = 0; j < n; ++j) {
@@ -55,17 +52,15 @@ void ShipAnswersStreamed(SiteContext& ctx, const Tree& tree,
 
 void ShipDataStreamed(SiteContext& ctx, FragmentId fragment,
                       uint64_t total_bytes) {
-  const uint64_t chunk_bytes =
-      std::max<uint64_t>(1, ctx.transport().options().data_chunk_bytes);
-
   Envelope head;
   head.to = ctx.query_site();
   head.category = PayloadCategory::kData;
   head.parts.push_back({MessageKind::kDataShip, fragment, {}, false});
 
   EnvelopeStream stream(ctx, std::move(head));
-  for (uint64_t shipped = 0; shipped < total_bytes; shipped += chunk_bytes) {
-    stream.Append({}, std::min(chunk_bytes, total_bytes - shipped));
+  for (uint64_t shipped = 0; shipped < total_bytes;
+       shipped += kDataChunkBytes) {
+    stream.Append({}, std::min(kDataChunkBytes, total_bytes - shipped));
   }
   stream.Close();
 }

@@ -15,6 +15,8 @@
 #ifndef PAXML_CORE_ANSWER_STREAM_H_
 #define PAXML_CORE_ANSWER_STREAM_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/site_eval.h"
@@ -23,12 +25,20 @@
 
 namespace paxml {
 
+/// Node ids per answer chunk. Chunks extend the open frame and concatenate
+/// to the exact AnswerUpMessage encoding, so the size never shows on the
+/// wire; it only bounds what one append materializes.
+inline constexpr size_t kAnswerChunkIds = 256;
+
+/// Phantom bytes per chunk of a streamed raw-data shipment.
+inline constexpr uint64_t kDataChunkBytes = 64 * 1024;
+
 /// Ships `fragment`'s settled answers from `ctx`'s site to the
-/// coordinator as a streamed AnswerUpMessage: chunk size comes from the
-/// transport's options (answer_chunk_ids). `account_ids` mirrors the old
-/// per-algorithm flag — false when the id list merely indexes answers
-/// that already travel as self-describing phantom XML (the concrete-init
-/// single-visit paths), so only AnswerBytes is accounted.
+/// coordinator as a streamed AnswerUpMessage in chunks of kAnswerChunkIds
+/// ids. `account_ids` mirrors the old per-algorithm flag — false when the
+/// id list merely indexes answers that already travel as self-describing
+/// phantom XML (the concrete-init single-visit paths), so only AnswerBytes
+/// is accounted.
 void ShipAnswersStreamed(SiteContext& ctx, const Tree& tree,
                          FragmentId fragment,
                          const std::vector<NodeId>& answers,
@@ -36,8 +46,8 @@ void ShipAnswersStreamed(SiteContext& ctx, const Tree& tree,
 
 /// Ships one fragment's raw serialized data (the naive baseline) as a
 /// streamed kDataShip envelope: `total_bytes` modeled phantom bytes are
-/// appended in transport-configured chunks (data_chunk_bytes) instead of
-/// one monolithic shipment.
+/// appended in chunks of kDataChunkBytes instead of one monolithic
+/// shipment.
 void ShipDataStreamed(SiteContext& ctx, FragmentId fragment,
                       uint64_t total_bytes);
 

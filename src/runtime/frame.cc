@@ -189,8 +189,7 @@ void AccountEnvelopeBytes(const Envelope& env, RunStats* stats) {
 }
 
 void AccountFrame(const Frame& frame, RunStats* stats) {
-  const uint64_t raw = frame.EncodedSize();
-  AccountFrameWire(frame, stats, {raw, raw, false});
+  AccountFrameWire(frame, stats, FrameWireInfo{frame.EncodedSize()});
 }
 
 void AccountFrameWire(const Frame& frame, RunStats* stats,
@@ -199,12 +198,10 @@ void AccountFrameWire(const Frame& frame, RunStats* stats,
     if (env.accounted) AccountEnvelopeBytes(env, stats);
   }
   // Every frame is physically written, control-plane or not: wire_bytes is
-  // what a socket moves (post-compression), wire_raw_bytes the plain
-  // encoding, while the counters below follow the paper's model (request
-  // frames are free, phantom bytes are counted).
-  stats->wire_bytes += wire.wire_bytes;
-  stats->wire_raw_bytes += wire.raw_bytes;
-  if (wire.compressed) ++stats->wire_frames_compressed;
+  // what a socket moves, while the counters below follow the paper's model
+  // (request frames are free, phantom bytes are counted).
+  stats->wire_bytes += wire.bytes;
+  stats->wire_raw_bytes += wire.bytes;
   if (!frame.Accounted()) return;
   PAXML_CHECK_LT(static_cast<size_t>(frame.to), stats->per_site.size());
   PAXML_CHECK(frame.from == kNullSite ||

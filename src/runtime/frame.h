@@ -87,15 +87,12 @@ void AccountEnvelopeBytes(const Envelope& env, RunStats* stats);
 /// Accounts a delivered frame into `stats`: every accounted envelope's
 /// bytes plus — if the frame is accounted at all — one message on the
 /// frame's edge. Applying this to a Decode()d copy of a frame reproduces
-/// the exact RunStats deltas of the original (tested property). This
-/// overload models a plain uncompressed wire (raw == wire == EncodedSize).
+/// the exact RunStats deltas of the original (tested property). The wire
+/// counters grow by EncodedSize().
 void AccountFrame(const Frame& frame, RunStats* stats);
 
-/// Same, but with the frame's actual wire sizes: `wire.raw_bytes` feeds
-/// wire_raw_bytes, `wire.wire_bytes` feeds wire_bytes, and a compressed
-/// frame bumps wire_frames_compressed. Every logical counter (messages,
-/// envelopes, byte splits) is identical between the two overloads — the
-/// wire split is the ONLY thing compression may move.
+/// Same, with the frame's wire size already known (`wire.bytes`, the
+/// kFrame record payload a socket wrote or read).
 void AccountFrameWire(const Frame& frame, RunStats* stats,
                       const FrameWireInfo& wire);
 

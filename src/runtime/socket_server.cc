@@ -74,11 +74,7 @@ class PeerPlane : public Transport {
     auto it = client_run_.find(frame.run);
     PAXML_CHECK(it != client_run_.end());
     frame.run = it->second;
-    // The plane options carry the *negotiated* threshold (0 when the
-    // connection declined compression), so replies gate exactly as the
-    // client's outbound frames do — the two directions price identically.
-    *wire = EncodeFrameForWire(frame, options().compress_min_bytes,
-                               &pending_[frame.run]);
+    *wire = AppendFrameRecord(frame, &pending_[frame.run]);
     return true;
   }
 
@@ -107,14 +103,13 @@ struct RunState {
 
 SiteServer::SiteServer(const Cluster* cluster, SiteId site,
                        SiteProgramFactory factory, size_t max_site_threads,
-                       std::shared_ptr<FragmentMemo> memo, bool allow_compress,
+                       std::shared_ptr<FragmentMemo> memo,
                        size_t max_concurrent_rounds)
     : cluster_(cluster),
       site_(site),
       factory_(std::move(factory)),
       max_site_threads_(max_site_threads),
       memo_(std::move(memo)),
-      allow_compress_(allow_compress),
       max_concurrent_rounds_(max_concurrent_rounds) {
   PAXML_CHECK(site >= 0 &&
               static_cast<size_t>(site) < cluster->site_count());
@@ -175,10 +170,6 @@ Status SiteServer::ServeConnection(int fd) {
   // fan out and join inside each DeliverTimed.
   size_t site_threads = 1;
   std::shared_ptr<WorkerPool> site_pool;
-  // Whether this connection accepted compression at Hello. Gates both
-  // directions: kFrameZ from the client is only legal when true, and the
-  // PeerPlane's replies only compress when true (via its mirrored options).
-  bool conn_compress = false;
   // Every write to the connection — a round's reply batch, an error, the
   // hello ack — happens under write_mu, so concurrent rounds' records
   // never interleave on the wire.
@@ -280,15 +271,9 @@ Status SiteServer::ServeConnection(int fd) {
       }
       options.peer_concurrent_rounds = rounds;
       if (rounds > 1) rounds_pool = std::make_shared<WorkerPool>(rounds);
-      // Compression: the client offers it with a threshold; accepted only
-      // when the operator allowed it. Declined, the threshold is zeroed so
-      // the replies stay raw.
-      conn_compress = allow_compress_ && options.compress_min_bytes > 0;
-      if (!conn_compress) options.compress_min_bytes = 0;
       plane = std::make_unique<PeerPlane>(site_, std::move(options));
       HelloAckRecord ack;
       ack.site = site_;
-      ack.compress = conn_compress;
       std::string bytes;
       AppendControlRecord(RecordType::kHelloAck, ack, &bytes);
       hello_done = true;
@@ -381,18 +366,17 @@ Status SiteServer::ServeConnection(int fd) {
         runs.erase(it);
         return Status::OK();
       }
-      case RecordType::kFrame:
-      case RecordType::kFrameZ: {
-        PAXML_ASSIGN_OR_RETURN(ReceivedFrame received,
-                               DecodeFrameRecord(record, conn_compress));
-        if (received.frame.to != site_) {
+      case RecordType::kFrame: {
+        PAXML_ASSIGN_OR_RETURN(Frame frame, DecodeFrameRecord(record));
+        if (frame.to != site_) {
           return Status::NetworkError("frame for a site this peer does not serve");
         }
-        PAXML_RETURN_NOT_OK(reassembler.Accept(received.frame));
-        auto it = runs.find(received.frame.run);
+        PAXML_RETURN_NOT_OK(reassembler.Accept(frame));
+        auto it = runs.find(frame.run);
         if (it == runs.end()) return Status::OK();  // races a close: drop
-        received.frame.run = it->second->local_run;
-        return plane->InjectFrame(std::move(received.frame), &received.wire);
+        frame.run = it->second->local_run;
+        return plane->InjectFrame(std::move(frame),
+                                  FrameWireInfo{record.payload.size()});
       }
       case RecordType::kRoundStart: {
         PAXML_ASSIGN_OR_RETURN(RoundStartRecord start,

@@ -69,17 +69,14 @@ class SiteServer {
   /// memoization for every run this server delivers: the memo is
   /// process-wide, so repeated queries reuse entries across connections and
   /// runs, and each round's savings are reported back in the RoundDone
-  /// record (serving/fragment_memo.h). `allow_compress` (paxml_site
-  /// --compress) lets the server accept a client's compression offer at
-  /// Hello; off, every offer is declined and the connection runs raw
-  /// frames.
+  /// record (serving/fragment_memo.h).
   /// `max_concurrent_rounds` caps the cross-run round fan-out a client's
   /// Hello may request (paxml_site --rounds; 0 = honor the client, bounded
   /// at 16): like the thread cap, the operator knows the machine's budget.
   SiteServer(const Cluster* cluster, SiteId site, SiteProgramFactory factory,
              size_t max_site_threads = 0,
              std::shared_ptr<FragmentMemo> memo = nullptr,
-             bool allow_compress = false, size_t max_concurrent_rounds = 0);
+             size_t max_concurrent_rounds = 0);
   ~SiteServer();
 
   SiteServer(const SiteServer&) = delete;
@@ -110,7 +107,6 @@ class SiteServer {
   SiteProgramFactory factory_;
   size_t max_site_threads_ = 0;
   std::shared_ptr<FragmentMemo> memo_;
-  bool allow_compress_ = false;
   size_t max_concurrent_rounds_ = 0;
   int listen_fd_ = -1;
   std::atomic<bool> shutdown_{false};

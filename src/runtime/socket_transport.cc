@@ -88,10 +88,6 @@ SocketTransport::SocketTransport(TransportOptions options)
           } else if (decoded->site != site) {
             status = Status::NetworkError(
                 "peer at " + endpoint + " serves a different site");
-          } else {
-            // A peer that declined the offer simply runs uncompressed.
-            conn->compress =
-                this->options().compress_min_bytes > 0 && decoded->compress;
           }
         } else {
           status = ack.status();
@@ -153,11 +149,8 @@ bool SocketTransport::TakeSealedFrameLocked(Frame& frame,
   if (!remote(frame.to)) return false;
   Connection* conn = ConnectionFor(frame.to);
   PAXML_CHECK(conn != nullptr);  // every remote site was dialed
-  // Compress only when the connection negotiated it; a peer that declined
-  // gets (and the run's stats record) plain raw frames.
-  const uint64_t threshold = conn->compress ? options().compress_min_bytes : 0;
   std::string bytes;
-  *wire = EncodeFrameForWire(frame, threshold, &bytes);
+  *wire = AppendFrameRecord(frame, &bytes);
   std::lock_guard<std::mutex> lock(net_mu_);
   if (!conn->alive) {
     // The frame is lost with its peer; make sure the run reports it even
@@ -370,22 +363,21 @@ void SocketTransport::ReceiverLoop(Connection* conn) {
 Status SocketTransport::HandleRecord(Connection& conn, WireRecord record) {
   ByteReader reader(record.payload);
   switch (record.type) {
-    case RecordType::kFrame:
-    case RecordType::kFrameZ: {
-      PAXML_ASSIGN_OR_RETURN(ReceivedFrame received,
-                             DecodeFrameRecord(record, conn.compress));
-      if (received.frame.from != conn.site) {
+    case RecordType::kFrame: {
+      PAXML_ASSIGN_OR_RETURN(Frame frame, DecodeFrameRecord(record));
+      if (frame.from != conn.site) {
         return Status::NetworkError("frame from a site the peer does not serve");
       }
       {
         std::lock_guard<std::mutex> lock(net_mu_);
-        PAXML_RETURN_NOT_OK(conn.reassembler.Accept(received.frame));
+        PAXML_RETURN_NOT_OK(conn.reassembler.Accept(frame));
       }
       // Injection accounts the frame (the codec reproduces the sender's
-      // logical deltas exactly; the record's own sizes feed the wire
-      // split) and mailboxes it; frames for since-closed runs are dropped
+      // logical deltas exactly; the record's payload size is its wire
+      // bytes) and mailboxes it; frames for since-closed runs are dropped
       // inside.
-      return InjectFrame(std::move(received.frame), &received.wire);
+      return InjectFrame(std::move(frame),
+                         FrameWireInfo{record.payload.size()});
     }
     case RecordType::kRoundDone: {
       PAXML_ASSIGN_OR_RETURN(RoundDoneRecord done,

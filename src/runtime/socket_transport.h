@@ -87,10 +87,6 @@ class SocketTransport : public Transport {
     Status status;              ///< why the connection died (net_mu_)
     std::string outbox;         ///< encoded records awaiting a flush (net_mu_)
     FrameReassembler reassembler;  ///< incoming sequence check (net_mu_)
-    /// The peer accepted the client's compression offer at Hello.
-    /// Written once during the constructor handshake, before the receiver
-    /// thread exists; immutable afterwards, so reads need no lock.
-    bool compress = false;
     std::mutex io_mu;           ///< serializes fd writes
     std::thread receiver;
   };

@@ -220,15 +220,12 @@ void Transport::SealEdgeLocked(RunId run, RunBinding& binding,
   frame.to = edge.second;
   frame.sequence = binding.next_frame_sequence[edge]++;
   frame.envelopes = std::move(staged.envelopes);
-  // Hook first: a socket backend encodes (and maybe compresses) the frame
-  // for its peer and reports the actual wire sizes; the in-process default
-  // models the identical sizes from the options, so every backend accounts
-  // the same numbers.
+  // Hook first: a socket backend encodes the frame for its peer and
+  // reports the record's size; the in-process default accounts the same
+  // size without encoding, so every backend accounts the same numbers.
   FrameWireInfo wire;
   const bool taken = TakeSealedFrameLocked(frame, &wire);
-  if (!taken) {
-    wire = EncodeFrameForWire(frame, options_.compress_min_bytes, nullptr);
-  }
+  if (!taken) wire.bytes = frame.EncodedSize();
   AccountFrameWire(frame, binding.stats, wire);
   if (taken) return;  // bound for a peer's wire
   auto& box = binding.mailboxes[static_cast<size_t>(edge.second)];
@@ -271,7 +268,7 @@ void Transport::FlushRun(RunId run) {
   FlushRunLocked(run, BindingLocked(run));
 }
 
-Status Transport::InjectFrame(Frame frame, const FrameWireInfo* wire) {
+Status Transport::InjectFrame(Frame frame, FrameWireInfo wire) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = runs_.find(frame.run);
   // Mail for a run that has since closed legitimately races CloseRun (an
@@ -287,11 +284,7 @@ Status Transport::InjectFrame(Frame frame, const FrameWireInfo* wire) {
       static_cast<size_t>(frame.from) >= binding.mailboxes.size()) {
     return Status::ParseError("frame: source site out of range");
   }
-  const FrameWireInfo info =
-      wire != nullptr
-          ? *wire
-          : EncodeFrameForWire(frame, options_.compress_min_bytes, nullptr);
-  AccountFrameWire(frame, binding.stats, info);
+  AccountFrameWire(frame, binding.stats, wire);
   FrameWireInfo relay_unused;
   if (TakeSealedFrameLocked(frame, &relay_unused)) {
     return Status::OK();  // relay onward

@@ -28,7 +28,9 @@
 // it every per-message cost in NetworkCostModel — shrinks. Staging is keyed
 // by run, so concurrent evaluations never share a frame. TransportOptions
 // is the escape hatch: batching=false restores the historical
-// envelope-per-message plane.
+// envelope-per-message plane. A sealed frame has one wire form, a kFrame
+// record holding Frame::Encode (runtime/wire.h): a socket writes it, and
+// in-process backends account its size without writing it.
 //
 // Three backends deliver mail:
 //   * SyncTransport    — sequential, deterministic; the reference semantics.
@@ -155,24 +157,19 @@ struct WirePart {
   }
 };
 
-/// Behavior knobs of the message plane, shared by every backend.
+/// Behavior knobs of the message plane, shared by every backend. The four
+/// that shape the frames a site seals — max_frame_bytes, site_threads,
+/// split_threshold_pct and peer_concurrent_rounds — are mirrored to
+/// paxml_site peers in the Hello record (runtime/wire.h), so a peer seals
+/// exactly the frames an in-process site would. Chunk sizes of streamed
+/// shipments are constants (core/answer_stream.h): chunk boundaries never
+/// show on the wire.
 struct TransportOptions {
   /// Coalesce each round's envelopes per (run, destination edge) into one
   /// Frame at the round boundary (the default). Off restores the seed's
   /// envelope-per-message accounting — the escape hatch for comparisons
   /// and for callers that need Send-time accounting.
   bool batching = true;
-
-  /// Streamed answer shipments (core/answer_stream.h) append their id list
-  /// in chunks of at most this many node ids, so no site materializes one
-  /// monolithic answer payload. The chunk boundaries are invisible on the
-  /// wire: chunks extend the open frame and concatenate to the exact
-  /// AnswerUpMessage encoding.
-  size_t answer_chunk_ids = 256;
-
-  /// Chunk size for streamed raw-data shipments (the naive baseline's
-  /// modeled fragment transfer), in phantom bytes per chunk.
-  uint64_t data_chunk_bytes = 64 * 1024;
 
   /// Adaptive flush (0 = off): seal an edge's frame as soon as its staged
   /// envelopes exceed this many wire bytes instead of waiting for the round
@@ -217,16 +214,6 @@ struct TransportOptions {
   /// Rounds of one run are never reordered (the client's per-run barrier
   /// already serializes them), so each run's RunStats are unchanged.
   uint64_t peer_concurrent_rounds = 1;
-
-  /// Frame compression threshold (0 = off): a sealed frame whose encoding
-  /// is at least this many bytes is compressed (common/lz4.h) before it
-  /// hits the wire, when the paxml_site peer accepted the offer at Hello
-  /// (in-process backends model the same gate so sync == pooled ==
-  /// socket wire accounting stays exact). Compression is
-  /// invisible to every logical counter — total_bytes, answer_bytes,
-  /// per-edge splits, visits — and shows up only in RunStats::wire_bytes
-  /// (vs wire_raw_bytes) and the modeled/wall latency.
-  uint64_t compress_min_bytes = 0;
 
   /// Remote deployment map of the socket backend: site -> "host:port" of
   /// the paxml_site process serving it. Sites absent from the map (the
@@ -282,13 +269,10 @@ struct Envelope {
 /// identically.
 void AppendPartBytes(WirePart& part, std::string_view bytes, uint64_t logical);
 
-/// How one sealed frame actually went on (or would go on) the wire:
-/// `raw_bytes` is the plain Frame::Encode size, `wire_bytes` the bytes
-/// written after optional compression (== raw_bytes when not compressed).
+/// What one sealed frame put (or would put) on the wire: the payload of
+/// its kFrame record, always Frame::EncodedSize() (runtime/wire.h).
 struct FrameWireInfo {
-  uint64_t raw_bytes = 0;
-  uint64_t wire_bytes = 0;
-  bool compressed = false;
+  uint64_t bytes = 0;
 };
 
 /// Message plane between the sites of one Cluster. Owns the per-run per-site
@@ -407,25 +391,24 @@ class Transport {
 
   /// Subclass hook, called under the transport lock when a staged edge has
   /// sealed, BEFORE the frame is accounted. Return true to take the frame
-  /// off the local plane — a socket backend queues its encoding for the
-  /// destination's connection — filling `*wire` with the sizes it actually
-  /// put on the wire (the caller accounts them); return false for the
-  /// default local delivery, leaving `*wire` untouched (the caller models
-  /// the wire sizes from TransportOptions so in-process runs reproduce the
-  /// socket numbers exactly).
+  /// off the local plane — a socket backend queues its kFrame record for
+  /// the destination's connection — filling `*wire` with the bytes it put
+  /// on the wire (the caller accounts them); return false for the default
+  /// local delivery, leaving `*wire` untouched (the caller accounts
+  /// Frame::EncodedSize(), the same number, so in-process runs reproduce
+  /// the socket numbers exactly).
   virtual bool TakeSealedFrameLocked(Frame& frame, FrameWireInfo* wire);
 
   /// Delivers a frame received from elsewhere (a peer's socket) into the
   /// run's mailboxes, accounting it exactly as a locally sealed frame
   /// (AccountFrameWire — the codec round-trips everything accounting
-  /// needs, so re-decoded frames reproduce RunStats). `wire` carries the
-  /// received record's actual sizes; null models them from the options
-  /// (in-process tests). Frames for runs that have already closed are
+  /// needs, so re-decoded frames reproduce RunStats). `wire` is the
+  /// received kFrame record's payload size. Frames for runs that have already closed are
   /// dropped silently: remote mail legitimately races CloseRun. Frames
   /// whose destination TakeSealedFrameLocked claims are relayed onward
   /// instead of mailboxed. Errors mean wire-invalid site ids, never a
   /// crash — decoded input is untrusted.
-  Status InjectFrame(Frame frame, const FrameWireInfo* wire = nullptr);
+  Status InjectFrame(Frame frame, FrameWireInfo wire);
 
   /// Hook pair around a run's lifetime, called *outside* the transport
   /// lock: after OpenRun registered the binding (a socket backend announces

@@ -11,7 +11,6 @@
 #include <cstring>
 
 #include "common/logging.h"
-#include "common/lz4.h"
 #include "common/string_util.h"
 #include "runtime/frame.h"
 
@@ -78,7 +77,6 @@ const char* RecordTypeName(RecordType type) {
     case RecordType::kRoundStart: return "round-start";
     case RecordType::kRoundDone: return "round-done";
     case RecordType::kError: return "error";
-    case RecordType::kFrameZ: return "frame-z";
   }
   return "?";
 }
@@ -116,7 +114,7 @@ Result<std::optional<WireRecord>> RecordBuffer::Next() {
   if (buf_.size() - pos_ - 4 < length) return std::optional<WireRecord>();
   const uint8_t type = static_cast<uint8_t>(buf_[pos_ + 4]);
   if (type < static_cast<uint8_t>(RecordType::kHello) ||
-      type > static_cast<uint8_t>(RecordType::kFrameZ)) {
+      type > static_cast<uint8_t>(RecordType::kError)) {
     return Status::ParseError("wire: unknown record type");
   }
   WireRecord record;
@@ -155,13 +153,10 @@ void FrameReassembler::CloseRun(RunId run) {
 void HelloRecord::Encode(ByteWriter* out) const {
   out->PutU32(version);
   out->PutVarint(EncodeId(site));
-  out->PutVarint(options.answer_chunk_ids);
-  out->PutVarint(options.data_chunk_bytes);
   out->PutVarint(options.max_frame_bytes);
   out->PutVarint(options.site_threads);
   out->PutVarint(options.split_threshold_pct);
   out->PutVarint(options.peer_concurrent_rounds);
-  out->PutVarint(options.compress_min_bytes);
 }
 
 Result<HelloRecord> HelloRecord::Decode(ByteReader* in) {
@@ -174,31 +169,23 @@ Result<HelloRecord> HelloRecord::Decode(ByteReader* in) {
   }
   PAXML_ASSIGN_OR_RETURN(uint64_t site, in->GetVarint());
   PAXML_ASSIGN_OR_RETURN(r.site, DecodeId(site));
-  PAXML_ASSIGN_OR_RETURN(uint64_t answer_chunk_ids, in->GetVarint());
-  r.options.answer_chunk_ids = static_cast<size_t>(answer_chunk_ids);
-  PAXML_ASSIGN_OR_RETURN(r.options.data_chunk_bytes, in->GetVarint());
   PAXML_ASSIGN_OR_RETURN(r.options.max_frame_bytes, in->GetVarint());
   PAXML_ASSIGN_OR_RETURN(uint64_t site_threads, in->GetVarint());
   r.options.site_threads = static_cast<size_t>(site_threads);
   PAXML_ASSIGN_OR_RETURN(r.options.split_threshold_pct, in->GetVarint());
   PAXML_ASSIGN_OR_RETURN(r.options.peer_concurrent_rounds, in->GetVarint());
-  PAXML_ASSIGN_OR_RETURN(r.options.compress_min_bytes, in->GetVarint());
   PAXML_RETURN_NOT_OK(ExpectEnd(in));
   return r;
 }
 
 void HelloAckRecord::Encode(ByteWriter* out) const {
   out->PutVarint(EncodeId(site));
-  out->PutU8(compress ? 1 : 0);
 }
 
 Result<HelloAckRecord> HelloAckRecord::Decode(ByteReader* in) {
   HelloAckRecord r;
   PAXML_ASSIGN_OR_RETURN(uint64_t site, in->GetVarint());
   PAXML_ASSIGN_OR_RETURN(r.site, DecodeId(site));
-  PAXML_ASSIGN_OR_RETURN(uint8_t compress, in->GetU8());
-  if (compress > 1) return Status::ParseError("wire: bad compress flag");
-  r.compress = compress != 0;
   PAXML_RETURN_NOT_OK(ExpectEnd(in));
   return r;
 }
@@ -308,83 +295,21 @@ Result<ErrorRecord> ErrorRecord::Decode(ByteReader* in) {
   return r;
 }
 
-void AppendFrameRecord(const Frame& frame, std::string* out) {
+FrameWireInfo AppendFrameRecord(const Frame& frame, std::string* out) {
   ByteWriter w;
   frame.Encode(&w);
   AppendRecord(RecordType::kFrame, w.bytes(), out);
+  return FrameWireInfo{w.size()};
 }
 
-FrameWireInfo EncodeFrameForWire(const Frame& frame,
-                                 uint64_t compress_min_bytes,
-                                 std::string* out) {
-  FrameWireInfo info;
-  info.raw_bytes = frame.EncodedSize();
-  info.wire_bytes = info.raw_bytes;
-  const bool eligible =
-      compress_min_bytes > 0 && info.raw_bytes >= compress_min_bytes;
-  // The accounting-only fast path: nothing to write, nothing to compress —
-  // the sizes are fully determined without materializing the encoding.
-  if (!eligible && out == nullptr) return info;
-
-  ByteWriter w;
-  frame.Encode(&w);
-  if (eligible) {
-    const std::string z = Lz4Compress(w.bytes());
-    const uint64_t z_payload = VarintSize(info.raw_bytes) + z.size();
-    // No-expansion rule, applied identically on every side: a frame that
-    // does not shrink ships raw, so modeled and actual wire bytes agree.
-    if (z_payload < info.raw_bytes) {
-      info.wire_bytes = z_payload;
-      info.compressed = true;
-      if (out != nullptr) {
-        ByteWriter payload;
-        payload.PutVarint(info.raw_bytes);
-        payload.PutBytes(z.data(), z.size());
-        AppendRecord(RecordType::kFrameZ, payload.bytes(), out);
-      }
-      return info;
-    }
-  }
-  if (out != nullptr) AppendRecord(RecordType::kFrame, w.bytes(), out);
-  return info;
-}
-
-Result<ReceivedFrame> DecodeFrameRecord(const WireRecord& record,
-                                        bool allow_compressed) {
-  ReceivedFrame received;
-  if (record.type == RecordType::kFrame) {
-    ByteReader reader(record.payload);
-    PAXML_ASSIGN_OR_RETURN(received.frame, Frame::Decode(&reader));
-    if (!reader.AtEnd()) {
-      return Status::ParseError("wire: trailing bytes after frame");
-    }
-    received.wire.raw_bytes = record.payload.size();
-    received.wire.wire_bytes = record.payload.size();
-    return received;
-  }
-  PAXML_CHECK(record.type == RecordType::kFrameZ);  // caller routes types
-  if (!allow_compressed) {
-    return Status::NetworkError(
-        "wire: compressed frame on a connection that never negotiated "
-        "compression");
-  }
+Result<Frame> DecodeFrameRecord(const WireRecord& record) {
+  PAXML_CHECK(record.type == RecordType::kFrame);  // caller routes types
   ByteReader reader(record.payload);
-  PAXML_ASSIGN_OR_RETURN(uint64_t raw_size, reader.GetVarint());
-  if (raw_size == 0 || raw_size > kMaxRecordBytes) {
-    return Status::ParseError("wire: bad declared frame size");
+  PAXML_ASSIGN_OR_RETURN(Frame frame, Frame::Decode(&reader));
+  if (!reader.AtEnd()) {
+    return Status::ParseError("wire: trailing bytes after frame");
   }
-  PAXML_ASSIGN_OR_RETURN(
-      std::string raw,
-      Lz4Decompress(reader.rest(), static_cast<size_t>(raw_size)));
-  ByteReader frame_reader(raw);
-  PAXML_ASSIGN_OR_RETURN(received.frame, Frame::Decode(&frame_reader));
-  if (!frame_reader.AtEnd()) {
-    return Status::ParseError("wire: trailing bytes after compressed frame");
-  }
-  received.wire.raw_bytes = raw_size;
-  received.wire.wire_bytes = record.payload.size();
-  received.wire.compressed = true;
-  return received;
+  return frame;
 }
 
 // ---- Sockets ----------------------------------------------------------------

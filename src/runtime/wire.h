@@ -37,7 +37,7 @@
 namespace paxml {
 
 /// The one wire version (client and peer share a tree); others get kError.
-inline constexpr uint32_t kWireProtocolVersion = 7;
+inline constexpr uint32_t kWireProtocolVersion = 8;
 
 /// Upper bound on one record's length field: a corrupt length must be a
 /// parse error, not a gigabyte allocation.
@@ -45,14 +45,13 @@ inline constexpr uint64_t kMaxRecordBytes = 1ull << 30;
 
 enum class RecordType : uint8_t {
   kHello = 1,      ///< client -> peer: version, site dialed, plane options
-  kHelloAck,       ///< peer -> client: the site served, compression accepted
+  kHelloAck,       ///< peer -> client: the site served
   kOpenRun,        ///< client -> peer: run id, RunSpec, placement fingerprint
   kCloseRun,       ///< client -> peer: drop the run's mail and program
   kFrame,          ///< either direction: one Frame::Encode buffer
   kRoundStart,     ///< client -> peer: deliver the site's pending mail now
   kRoundDone,      ///< peer -> client: round executed (duration + status)
   kError,          ///< peer -> client: a run failed remotely
-  kFrameZ,         ///< either direction: varint raw size + lz4 block
 };
 
 const char* RecordTypeName(RecordType type);
@@ -107,13 +106,12 @@ struct HelloRecord {
   uint32_t version = kWireProtocolVersion;
   SiteId site = kNullSite;  ///< the site the client expects this peer to be
 
-  /// The client transport's options. The Hello carries the mirrored ones —
-  /// answer_chunk_ids, data_chunk_bytes, max_frame_bytes, site_threads,
-  /// split_threshold_pct, peer_concurrent_rounds and compress_min_bytes,
-  /// named once in Encode/Decode — and the rest decode as defaults. The
-  /// peer seals its replies under them, so both sides seal byte-identical
-  /// frames, after capping threads and rounds (paxml_site --threads,
-  /// --rounds). compress_min_bytes > 0 is the client's compression offer.
+  /// The client transport's options. The Hello carries the four mirrored
+  /// ones — max_frame_bytes, site_threads, split_threshold_pct and
+  /// peer_concurrent_rounds, named once in Encode/Decode — and the rest
+  /// decode as defaults. The peer seals its replies under them, so both
+  /// sides seal byte-identical frames, after capping threads and rounds
+  /// (paxml_site --threads, --rounds).
   TransportOptions options;
 
   void Encode(ByteWriter* out) const;
@@ -122,9 +120,6 @@ struct HelloRecord {
 
 struct HelloAckRecord {
   SiteId site = kNullSite;
-  /// The peer accepted the compression offer (paxml_site --compress): both
-  /// directions of the connection compress at the client's threshold.
-  bool compress = false;
 
   void Encode(ByteWriter* out) const;
   static Result<HelloAckRecord> Decode(ByteReader* in);
@@ -201,38 +196,18 @@ void AppendControlRecord(RecordType type, const R& record, std::string* out) {
   AppendRecord(type, w.bytes(), out);
 }
 
-/// One complete kFrame record (never compressed).
-void AppendFrameRecord(const Frame& frame, std::string* out);
-
-/// THE frame-record encoder, shared by the client transport, the peer's
-/// reply plane and the in-process accounting model — one code path is what
-/// keeps sync == pooled == socket wire accounting exact. Encodes `frame`
-/// and, when `compress_min_bytes` > 0 and the plain encoding is at least
-/// that large, compresses it (common/lz4.h); a compressed payload that
-/// fails to shrink below the raw one falls back to raw (both sides apply
-/// the same deterministic rule). When `out` is non-null the complete
-/// record (kFrame or kFrameZ) is appended; null just models the sizes —
-/// the no-materialization fast path for in-process transports with
-/// compression off. The returned FrameWireInfo prices the record payload
+/// THE frame-record encoder, shared by the client transport and the peer's
+/// reply plane: appends one kFrame record holding `frame`'s Frame::Encode
+/// buffer to `out`. The returned FrameWireInfo prices the record payload
 /// (the unit wire_bytes has always counted; the 5-byte record header is
-/// excluded, as before).
-FrameWireInfo EncodeFrameForWire(const Frame& frame,
-                                 uint64_t compress_min_bytes,
-                                 std::string* out);
+/// excluded). It is always Frame::EncodedSize(), the size in-process
+/// transports account without materializing the encoding, so sync ==
+/// pooled == socket wire accounting is exact.
+FrameWireInfo AppendFrameRecord(const Frame& frame, std::string* out);
 
-/// A decoded kFrame/kFrameZ record plus how it arrived.
-struct ReceivedFrame {
-  Frame frame;
-  FrameWireInfo wire;
-};
-
-/// Decodes a kFrame or kFrameZ record. A kFrameZ on a connection that
-/// never negotiated compression (`allow_compressed` false) is a clean
-/// NetworkError — never silent corruption; truncated or oversized
-/// compressed payloads, declared-size mismatches and trailing bytes are
+/// Decodes a kFrame record. A corrupt frame or trailing bytes after it are
 /// clean parse errors.
-Result<ReceivedFrame> DecodeFrameRecord(const WireRecord& record,
-                                        bool allow_compressed);
+Result<Frame> DecodeFrameRecord(const WireRecord& record);
 
 // ---- Sockets ----------------------------------------------------------------
 //

@@ -29,12 +29,6 @@ std::string RunStats::ToString() const {
       static_cast<unsigned long long>(answer_bytes),
       static_cast<unsigned long long>(data_bytes_shipped),
       static_cast<unsigned long long>(wire_bytes));
-  if (wire_raw_bytes != wire_bytes || wire_frames_compressed > 0) {
-    out += StringFormat(
-        "wire-raw=%llu frames-compressed=%llu\n",
-        static_cast<unsigned long long>(wire_raw_bytes),
-        static_cast<unsigned long long>(wire_frames_compressed));
-  }
   if (delta_logical_bytes > 0) {
     out += StringFormat(
         "delta-coded: logical=%llu wire=%llu\n",

@@ -147,17 +147,12 @@ struct RunStats {
   /// total_bytes in both directions: it adds the frame/part headers but
   /// excludes phantom bytes (modeled payloads no real bytes back). Control
   /// frames count too — they are written even though they are free in the
-  /// paper's model. Zero with batching off (no frames exist); the natural
-  /// input for a frame-level compression hook.
+  /// paper's model. Zero with batching off (no frames exist).
   uint64_t wire_bytes = 0;
 
-  /// The frames' plain (uncompressed) encoded sizes — == wire_bytes when
-  /// frame compression is off or never fired. The pair makes the
-  /// compression ratio observable without touching any logical counter.
+  /// Always equal to wire_bytes: frames have one encoding on the wire. Kept
+  /// for readers that report it (the repository benchmark does).
   uint64_t wire_raw_bytes = 0;
-
-  /// How many sealed frames actually shipped compressed (kFrameZ records).
-  uint64_t wire_frames_compressed = 0;
 
   /// Answer-delta codec effect: logical bytes of delta-transcoded parts
   /// (what the paper's model charges — absolute varint ids) vs the bytes

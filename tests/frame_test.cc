@@ -20,9 +20,11 @@
 #include <string>
 #include <vector>
 
-#include "common/lz4.h"
 #include "common/rng.h"
+#include "core/answer_stream.h"
 #include "core/engine.h"
+#include "core/messages.h"
+#include "core/site_eval.h"
 #include "fragment/fragmenter.h"
 #include "runtime/frame.h"
 #include "runtime/site_runtime.h"
@@ -288,102 +290,7 @@ TEST(FrameCodecTest, DecodeRejectsBadPartFlags) {
   EXPECT_FALSE(Frame::Decode(&in).ok());
 }
 
-// ---- LZ4-style block codec (common/lz4.h) -----------------------------------
-
-std::string RepetitivePayload(size_t n) {
-  std::string s;
-  while (s.size() < n) s += "abcabcabdabcabcabe0123456789";
-  s.resize(n);
-  return s;
-}
-
-/// Bytes with no repeated 4-gram: a 4-byte little-endian counter. The
-/// greedy matcher finds nothing, so compression expands (token overhead).
-std::string IncompressiblePayload(size_t words) {
-  std::string s;
-  for (uint32_t i = 0; i < words; ++i) {
-    s.push_back(static_cast<char>(i & 0xff));
-    s.push_back(static_cast<char>((i >> 8) & 0xff));
-    s.push_back(static_cast<char>((i >> 16) & 0xff));
-    s.push_back(static_cast<char>(0x80 | (i >> 24)));
-  }
-  return s;
-}
-
-TEST(Lz4Test, RoundTripsStructuredAndRandomPayloads) {
-  Rng rng(99);
-  std::vector<std::string> payloads = {
-      "", "a", "abcd", "aaaa", std::string(100000, 'x'),
-      RepetitivePayload(5000), IncompressiblePayload(2000)};
-  for (int i = 0; i < 30; ++i) {
-    payloads.push_back(rng.NextString(rng.NextBounded(3000)));
-  }
-  // Frame encodings are the real input distribution.
-  for (int i = 0; i < 20; ++i) {
-    ByteWriter w;
-    RandomFrame(rng).Encode(&w);
-    payloads.push_back(std::move(w).Take());
-  }
-  for (const std::string& raw : payloads) {
-    const std::string z = Lz4Compress(raw);
-    auto back = Lz4Decompress(z, raw.size());
-    ASSERT_TRUE(back.ok()) << back.status();
-    EXPECT_EQ(*back, raw);
-  }
-}
-
-TEST(Lz4Test, CompressesRepetitiveDataWell) {
-  const std::string raw = RepetitivePayload(10000);
-  const std::string z = Lz4Compress(raw);
-  EXPECT_LT(z.size() * 4, raw.size());  // comfortably under 25%
-}
-
-TEST(Lz4Test, DecompressRejectsCorruption) {
-  // A unique tail keeps the final sequence's literals non-empty, so every
-  // truncation below genuinely loses payload bytes. (Cutting a trailing
-  // *empty* final sequence would still decode to the full declared size —
-  // harmless, but not what this test is probing.)
-  const std::string raw = RepetitivePayload(2000) + IncompressiblePayload(8);
-  const std::string z = Lz4Compress(raw);
-
-  // Truncations: every prefix must fail cleanly (wrong final size at the
-  // very least), never read out of bounds.
-  for (size_t cut = 0; cut < z.size(); ++cut) {
-    EXPECT_FALSE(Lz4Decompress(z.substr(0, cut), raw.size()).ok()) << cut;
-  }
-  // Declared-size mismatches in both directions.
-  EXPECT_FALSE(Lz4Decompress(z, raw.size() - 1).ok());
-  EXPECT_FALSE(Lz4Decompress(z, raw.size() + 1).ok());
-  // A match offset pointing before the start of the output.
-  std::string bad;
-  bad.push_back(static_cast<char>(0x04));  // 0 literals, match_len 4+4
-  bad.push_back(static_cast<char>(0x09));  // offset 9 into empty output
-  bad.push_back(static_cast<char>(0x00));
-  EXPECT_FALSE(Lz4Decompress(bad, 8).ok());
-}
-
-// ---- Wire frame records: size-gated compression (runtime/wire.h) ------------
-
-/// A frame whose payload compresses well (repeated answer-id shapes).
-Frame CompressibleFrame() {
-  Frame frame;
-  frame.run = 9;
-  frame.from = 2;
-  frame.to = 0;
-  frame.sequence = 1;
-  Envelope env;
-  env.run = 9;
-  env.from = 2;
-  env.to = 0;
-  env.category = PayloadCategory::kAnswer;
-  // The unique tail keeps the compressed block's final literals non-empty,
-  // so the truncation sweep below always removes real payload.
-  env.parts.push_back({MessageKind::kAnswerUp, 1,
-                       RepetitivePayload(4000) + IncompressiblePayload(8),
-                       true});
-  frame.envelopes.push_back(env);
-  return frame;
-}
+// ---- Wire frame records (runtime/wire.h) ------------------------------------
 
 /// Runs `bytes` through RecordBuffer and returns the single record inside.
 WireRecord OneRecord(const std::string& bytes) {
@@ -396,158 +303,62 @@ WireRecord OneRecord(const std::string& bytes) {
   return std::move(**record);
 }
 
-TEST(FrameWireTest, ModelOnlyPathMatchesMaterializedEncoding) {
+// A frame has one wire form: a kFrame record holding Frame::Encode, priced
+// at EncodedSize() — the number in-process transports account without
+// encoding — and decoding back to a byte-identical frame.
+TEST(FrameWireTest, FrameRecordHoldsTheEncodingAndPricesEncodedSize) {
   Rng rng(31);
   for (int iter = 0; iter < 50; ++iter) {
     const Frame frame = RandomFrame(rng);
-    for (uint64_t threshold : {uint64_t{0}, uint64_t{1}, uint64_t{1 << 20}}) {
-      const FrameWireInfo modeled =
-          EncodeFrameForWire(frame, threshold, nullptr);
-      std::string bytes;
-      const FrameWireInfo real = EncodeFrameForWire(frame, threshold, &bytes);
-      EXPECT_EQ(modeled.raw_bytes, real.raw_bytes);
-      EXPECT_EQ(modeled.wire_bytes, real.wire_bytes);
-      EXPECT_EQ(modeled.compressed, real.compressed);
-      EXPECT_EQ(real.raw_bytes, frame.EncodedSize());
-      // The record payload is exactly the priced wire bytes (+5-byte
-      // record header, which wire_bytes has never counted).
-      EXPECT_EQ(bytes.size(), real.wire_bytes + 5);
-    }
+    std::string bytes;
+    const FrameWireInfo wire = AppendFrameRecord(frame, &bytes);
+    EXPECT_EQ(wire.bytes, frame.EncodedSize());
+    // The record payload is exactly the priced wire bytes (+5-byte record
+    // header, which wire_bytes has never counted).
+    EXPECT_EQ(bytes.size(), wire.bytes + 5);
+
+    const WireRecord record = OneRecord(bytes);
+    ASSERT_EQ(record.type, RecordType::kFrame);
+    auto decoded = DecodeFrameRecord(record);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    ByteWriter reencoded;
+    decoded->Encode(&reencoded);
+    EXPECT_EQ(reencoded.bytes(), record.payload);
   }
 }
 
-TEST(FrameWireTest, CompressedFrameRoundTripsWithExactAccounting) {
-  const Frame frame = CompressibleFrame();
+TEST(FrameWireTest, FrameRecordCorruptionIsClean) {
+  Rng rng(32);
+  const Frame frame = RandomFrame(rng);
   std::string bytes;
-  const FrameWireInfo wire = EncodeFrameForWire(frame, 64, &bytes);
-  EXPECT_TRUE(wire.compressed);
-  EXPECT_LT(wire.wire_bytes, wire.raw_bytes);
-  EXPECT_EQ(wire.raw_bytes, frame.EncodedSize());
-
+  AppendFrameRecord(frame, &bytes);
   const WireRecord record = OneRecord(bytes);
-  EXPECT_EQ(record.type, RecordType::kFrameZ);
-  auto received = DecodeFrameRecord(record, /*allow_compressed=*/true);
-  ASSERT_TRUE(received.ok()) << received.status();
-  EXPECT_EQ(received->wire.raw_bytes, wire.raw_bytes);
-  EXPECT_EQ(received->wire.wire_bytes, wire.wire_bytes);
-  EXPECT_TRUE(received->wire.compressed);
 
-  // The decoded frame re-encodes byte-identically, and the *logical*
-  // accounting it produces is exactly the uncompressed frame's — only the
-  // wire split differs.
-  ByteWriter reencoded;
-  received->frame.Encode(&reencoded);
-  ByteWriter plain;
-  frame.Encode(&plain);
-  EXPECT_EQ(reencoded.bytes(), plain.bytes());
-
-  RunStats raw_stats, z_stats;
-  raw_stats.per_site.resize(kSiteCount);
-  z_stats.per_site.resize(kSiteCount);
-  AccountFrame(frame, &raw_stats);
-  AccountFrameWire(received->frame, &z_stats, received->wire);
-  EXPECT_EQ(z_stats.total_bytes, raw_stats.total_bytes);
-  EXPECT_EQ(z_stats.answer_bytes, raw_stats.answer_bytes);
-  EXPECT_EQ(z_stats.total_messages, raw_stats.total_messages);
-  EXPECT_EQ(z_stats.edges, raw_stats.edges);
-  EXPECT_EQ(z_stats.wire_raw_bytes, raw_stats.wire_raw_bytes);
-  EXPECT_LT(z_stats.wire_bytes, raw_stats.wire_bytes);
-  EXPECT_EQ(z_stats.wire_frames_compressed, 1u);
-}
-
-TEST(FrameWireTest, FramesBelowThresholdStayRaw) {
-  const Frame frame = CompressibleFrame();
-  std::string bytes;
-  const FrameWireInfo wire =
-      EncodeFrameForWire(frame, frame.EncodedSize() + 1, &bytes);
-  EXPECT_FALSE(wire.compressed);
-  EXPECT_EQ(wire.wire_bytes, wire.raw_bytes);
-  EXPECT_EQ(OneRecord(bytes).type, RecordType::kFrame);
-}
-
-TEST(FrameWireTest, IncompressibleFramesFallBackToRaw) {
-  Frame frame;
-  frame.run = 1;
-  frame.from = 1;
-  frame.to = 0;
-  Envelope env;
-  env.parts.push_back(
-      {MessageKind::kAnswerUp, 0, IncompressiblePayload(500), true});
-  frame.envelopes.push_back(env);
-
-  std::string bytes;
-  const FrameWireInfo wire = EncodeFrameForWire(frame, 1, &bytes);
-  EXPECT_FALSE(wire.compressed);
-  EXPECT_EQ(wire.wire_bytes, wire.raw_bytes);
-  EXPECT_EQ(OneRecord(bytes).type, RecordType::kFrame);
-}
-
-TEST(FrameWireTest, CompressedRecordOnRawConnectionIsRejected) {
-  std::string bytes;
-  EncodeFrameForWire(CompressibleFrame(), 64, &bytes);
-  const WireRecord record = OneRecord(bytes);
-  ASSERT_EQ(record.type, RecordType::kFrameZ);
-  auto received = DecodeFrameRecord(record, /*allow_compressed=*/false);
-  EXPECT_FALSE(received.ok());
-  // A clean protocol error, not silent corruption or a crash.
-  EXPECT_EQ(received.status().code(), StatusCode::kNetworkError);
-}
-
-TEST(FrameWireTest, CompressedRecordCorruptionIsClean) {
-  std::string bytes;
-  EncodeFrameForWire(CompressibleFrame(), 64, &bytes);
-  const WireRecord record = OneRecord(bytes);
-  ASSERT_EQ(record.type, RecordType::kFrameZ);
-
-  // Truncating the compressed payload anywhere fails cleanly.
+  // Truncating the payload anywhere fails cleanly.
   for (size_t cut = 0; cut < record.payload.size(); ++cut) {
-    WireRecord truncated{RecordType::kFrameZ, record.payload.substr(0, cut)};
-    EXPECT_FALSE(DecodeFrameRecord(truncated, true).ok()) << cut;
+    WireRecord truncated{RecordType::kFrame, record.payload.substr(0, cut)};
+    EXPECT_FALSE(DecodeFrameRecord(truncated).ok()) << cut;
   }
-
-  // Declared-size mismatch: replace the leading raw-size varint.
-  {
-    ByteReader reader(record.payload);
-    auto declared = reader.GetVarint();
-    ASSERT_TRUE(declared.ok());
-    const std::string block(reader.rest());
-    for (uint64_t lie : {*declared - 1, *declared + 1, uint64_t{0},
-                         kMaxRecordBytes + 1}) {
-      ByteWriter w;
-      w.PutVarint(lie);
-      w.PutBytes(block.data(), block.size());
-      WireRecord lied{RecordType::kFrameZ, std::move(w).Take()};
-      EXPECT_FALSE(DecodeFrameRecord(lied, true).ok()) << lie;
-    }
-  }
-
-  // Raw kFrame records with trailing bytes are rejected too.
-  {
-    ByteWriter plain;
-    CompressibleFrame().Encode(&plain);
-    WireRecord padded{RecordType::kFrame, plain.bytes() + "x"};
-    EXPECT_FALSE(DecodeFrameRecord(padded, true).ok());
-  }
+  // Trailing bytes after the frame are rejected.
+  WireRecord padded{RecordType::kFrame, record.payload + "x"};
+  EXPECT_FALSE(DecodeFrameRecord(padded).ok());
 }
 
 // ---- Hello negotiation records ----------------------------------------------
 
-// Every message-plane knob a client runs with must survive the Hello: the
-// peer mirrors them so both sides seal identical frames. This pins the
-// full set — answer_chunk_ids AND data_chunk_bytes included — so a new
-// knob that skips the Hello fails here, not as a socket-vs-sync accounting
-// drift in a four-process test. The byte layout is pinned too: there is
-// one form, and any change to it must bump kWireProtocolVersion.
+// Every message-plane knob that shapes a sealed frame must survive the
+// Hello: the peer mirrors them so both sides seal identical frames. This
+// pins the set — exactly four fields — so a new knob that skips the Hello
+// fails here, not as a socket-vs-sync accounting drift in a four-process
+// test. The byte layout is pinned too: there is one form, and any change
+// to it must bump kWireProtocolVersion.
 HelloRecord AllKnobsHello() {
   HelloRecord hello;
   hello.site = 3;
-  hello.options.answer_chunk_ids = 17;
-  hello.options.data_chunk_bytes = 4242;
   hello.options.max_frame_bytes = 9000;
   hello.options.site_threads = 5;
   hello.options.split_threshold_pct = 7;
   hello.options.peer_concurrent_rounds = 2;
-  hello.options.compress_min_bytes = 512;
   return hello;
 }
 
@@ -558,16 +369,13 @@ TEST(HelloRecordTest, RoundTripCarriesEveryMirroredKnob) {
 
   ByteWriter w;
   hello.Encode(&w);
-  EXPECT_EQ(w.bytes(), std::string("\x07\x00\x00\x00"  // version 7, u32 LE
+  EXPECT_EQ(w.bytes(), std::string("\x08\x00\x00\x00"  // version 8, u32 LE
                                    "\x04"              // site 3, +1-biased
-                                   "\x11"              // answer_chunk_ids
-                                   "\x92\x21"          // data_chunk_bytes
                                    "\xa8\x46"          // max_frame_bytes
                                    "\x05"              // site_threads
                                    "\x07"              // split_threshold_pct
-                                   "\x02"              // peer_concurrent_rounds
-                                   "\x80\x04",         // compress_min_bytes
-                                   15));
+                                   "\x02",             // peer_concurrent_rounds
+                                   10));
   ByteReader r(w.bytes());
   auto decoded = HelloRecord::Decode(&r);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
@@ -575,13 +383,10 @@ TEST(HelloRecordTest, RoundTripCarriesEveryMirroredKnob) {
   EXPECT_EQ(decoded->version, kWireProtocolVersion);
   EXPECT_EQ(decoded->site, 3);
   const TransportOptions& o = decoded->options;
-  EXPECT_EQ(o.answer_chunk_ids, 17u);
-  EXPECT_EQ(o.data_chunk_bytes, 4242u);
   EXPECT_EQ(o.max_frame_bytes, 9000u);
   EXPECT_EQ(o.site_threads, 5u);
   EXPECT_EQ(o.split_threshold_pct, 7u);
   EXPECT_EQ(o.peer_concurrent_rounds, 2u);
-  EXPECT_EQ(o.compress_min_bytes, 512u);
   // Everything else decodes as the defaults.
   EXPECT_TRUE(o.batching);
   EXPECT_TRUE(o.remote_endpoints.empty());
@@ -605,23 +410,16 @@ TEST(HelloRecordTest, EveryOtherVersionIsRejected) {
   }
 }
 
-TEST(HelloAckRecordTest, RoundTripCarriesTheCompressionAnswer) {
-  for (bool compress : {false, true}) {
-    HelloAckRecord ack;
-    ack.site = 2;
-    ack.compress = compress;
-    ByteWriter w;
-    ack.Encode(&w);
-    EXPECT_EQ(w.bytes(), std::string("\x03", 1) + (compress ? '\x01' : '\x00'));
-    ByteReader r(w.bytes());
-    auto decoded = HelloAckRecord::Decode(&r);
-    ASSERT_TRUE(decoded.ok()) << decoded.status();
-    EXPECT_EQ(decoded->site, 2);
-    EXPECT_EQ(decoded->compress, compress);
-  }
-  const std::string bad_flag("\x03\x02", 2);
-  ByteReader r(bad_flag);
-  EXPECT_FALSE(HelloAckRecord::Decode(&r).ok());
+TEST(HelloAckRecordTest, RoundTripCarriesTheSite) {
+  HelloAckRecord ack;
+  ack.site = 2;
+  ByteWriter w;
+  ack.Encode(&w);
+  EXPECT_EQ(w.bytes(), std::string("\x03", 1));
+  ByteReader r(w.bytes());
+  auto decoded = HelloAckRecord::Decode(&r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->site, 2);
 }
 
 // A control record is exactly its fields: every strict prefix (a peer that
@@ -649,7 +447,6 @@ TEST(ControlRecordTest, TruncatedAndTrailingBytesAreRejected) {
   ExpectStrictDecode(AllKnobsHello(), "hello");
   HelloAckRecord ack;
   ack.site = 2;
-  ack.compress = true;
   ExpectStrictDecode(ack, "hello-ack");
   RoundDoneRecord done;
   done.run = 11;
@@ -969,53 +766,102 @@ TEST(BatchingEquivalenceTest, XMarkGroupedSites) {
   ExpectBatchingPreservesEverythingButMessages(XMarkFixture());
 }
 
-// Answer-stream chunk size is invisible on the wire: extreme chunk sizes
-// produce identical accounting, byte-for-byte.
-TEST(BatchingEquivalenceTest, AnswerChunkSizeIsWireInvisible) {
-  Fixture fx = GroupedClienteleFixture();
-  for (auto algo :
-       {DistributedAlgorithm::kPaX2, DistributedAlgorithm::kPaX3}) {
-    EngineOptions options;
-    options.algorithm = algo;
-    TransportOptions tiny;
-    tiny.answer_chunk_ids = 1;
-    TransportOptions huge;
-    huge.answer_chunk_ids = 1 << 20;
+// ---- Streamed shipments at the fixed chunk sizes (core/answer_stream.h) ----
 
-    for (const std::string& query : fx.queries) {
-      auto t = EvaluateOn(*fx.cluster, query, options, kSync, tiny);
-      auto h = EvaluateOn(*fx.cluster, query, options, kSync, huge);
-      ASSERT_TRUE(t.ok());
-      ASSERT_TRUE(h.ok());
-      EXPECT_EQ(t->answers, h->answers) << query;
-      EXPECT_EQ(t->stats.total_bytes, h->stats.total_bytes) << query;
-      EXPECT_EQ(t->stats.answer_bytes, h->stats.answer_bytes) << query;
-      EXPECT_EQ(t->stats.total_messages, h->stats.total_messages) << query;
-      EXPECT_EQ(t->stats.total_envelopes, h->stats.total_envelopes) << query;
-    }
+/// One run of a two-site cluster, shipping from site 1 to S_Q = site 0.
+struct ShipRun {
+  std::shared_ptr<FragmentedDocument> doc = MakeClienteleDoc();
+  Cluster cluster{doc, 2};
+  SyncTransport transport;
+  RunStats stats;
+  RunId run = kNullRun;
+
+  ShipRun() {
+    stats.per_site.resize(2);
+    run = transport.OpenRun(&cluster, &stats);
   }
+  ~ShipRun() { transport.CloseRun(run); }
+  SiteContext Context() { return SiteContext(1, &cluster, &transport, run); }
+};
+
+// An answer list spanning several chunks of kAnswerChunkIds ids arrives as
+// ONE part equal to the one-shot AnswerUpMessage encoding: the same bytes
+// (one delta stream across the chunk boundaries), the same logical size
+// and the same modeled answer payload.
+TEST(AnswerStreamTest, LongAnswerListStreamsAsOneAnswerUpPart) {
+  // Uneven id gaps (text children of varying count) so the delta coding
+  // crossing each chunk boundary is exercised.
+  Tree tree;
+  const NodeId root = tree.AddElement(kNullNode, "r");
+  std::vector<NodeId> answers;
+  for (size_t i = 0; i < 3 * kAnswerChunkIds + 17; ++i) {
+    const NodeId item = tree.AddElement(root, "item");
+    for (size_t t = 0; t < i % 3; ++t) tree.AddText(item, "text");
+    answers.push_back(item);
+  }
+  constexpr FragmentId kFragment = 1;
+
+  ShipRun ship;
+  SiteContext ctx = ship.Context();
+  ShipAnswersStreamed(ctx, tree, kFragment, answers, AnswerShipMode::kSubtrees,
+                      /*account_ids=*/true);
+  std::vector<Envelope> mail = ship.transport.Drain(ship.run, 0);
+  ASSERT_EQ(mail.size(), 1u);
+  ASSERT_EQ(mail[0].parts.size(), 1u);
+  const WirePart& part = mail[0].parts[0];
+
+  const AnswerUpMessage one_shot{kFragment, answers};
+  ByteWriter encoded;
+  one_shot.Encode(&encoded);
+  uint64_t logical = VarintSize(kFragment) + VarintSize(answers.size());
+  for (NodeId v : answers) logical += VarintSize(static_cast<uint64_t>(v));
+
+  EXPECT_EQ(part.kind, MessageKind::kAnswerUp);
+  EXPECT_EQ(part.bytes, encoded.bytes());
+  EXPECT_EQ(part.logical_bytes, logical);
+  const uint64_t phantom =
+      AnswerBytes(tree, answers, AnswerShipMode::kSubtrees);
+  EXPECT_EQ(mail[0].phantom_bytes, phantom);
+  EXPECT_EQ(ship.stats.total_messages, 1u);
+  EXPECT_EQ(ship.stats.total_envelopes, 1u);
+  EXPECT_EQ(ship.stats.answer_bytes, logical + phantom);
+  ByteReader reader(part.bytes);
+  auto decoded = AnswerUpMessage::Decode(&reader);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(*decoded, one_shot);
 }
 
-// Same for the naive baseline's data chunking.
-TEST(BatchingEquivalenceTest, DataChunkSizeIsWireInvisible) {
-  Fixture fx = GroupedClienteleFixture();
-  EngineOptions naive;
-  naive.algorithm = DistributedAlgorithm::kNaiveCentralized;
-  TransportOptions tiny;
-  tiny.data_chunk_bytes = 16;
-  TransportOptions huge;
-  huge.data_chunk_bytes = 1ull << 30;
+// A naive data ship larger than kDataChunkBytes prices exactly what one
+// unchunked ship of the same phantom bytes does.
+TEST(AnswerStreamTest, ChunkedDataShipPricesLikeOneShip) {
+  constexpr uint64_t kTotal = 3 * kDataChunkBytes + 123;
+  constexpr FragmentId kFragment = 1;
 
-  auto t = EvaluateOn(*fx.cluster, fx.queries[0], naive, kSync, tiny);
-  auto h = EvaluateOn(*fx.cluster, fx.queries[0], naive, kSync, huge);
-  ASSERT_TRUE(t.ok());
-  ASSERT_TRUE(h.ok());
-  EXPECT_EQ(t->answers, h->answers);
-  EXPECT_EQ(t->stats.total_bytes, h->stats.total_bytes);
-  EXPECT_EQ(t->stats.data_bytes_shipped, h->stats.data_bytes_shipped);
-  EXPECT_EQ(t->stats.total_messages, h->stats.total_messages);
+  ShipRun streamed;
+  SiteContext streamed_ctx = streamed.Context();
+  ShipDataStreamed(streamed_ctx, kFragment, kTotal);
+  std::vector<Envelope> mail = streamed.transport.Drain(streamed.run, 0);
+  ASSERT_EQ(mail.size(), 1u);
+  EXPECT_EQ(mail[0].phantom_bytes, kTotal);
+
+  ShipRun whole;
+  SiteContext whole_ctx = whole.Context();
+  Envelope ship;
+  ship.to = 0;
+  ship.category = PayloadCategory::kData;
+  ship.phantom_bytes = kTotal;
+  ship.parts.push_back({MessageKind::kDataShip, kFragment, {}, false});
+  whole_ctx.Send(std::move(ship));
+  EXPECT_EQ(whole.transport.Drain(whole.run, 0).size(), 1u);
+
+  EXPECT_EQ(streamed.stats.total_bytes, whole.stats.total_bytes);
+  EXPECT_EQ(streamed.stats.data_bytes_shipped, whole.stats.data_bytes_shipped);
+  EXPECT_EQ(streamed.stats.data_bytes_shipped, kTotal);
+  EXPECT_EQ(streamed.stats.total_messages, whole.stats.total_messages);
+  EXPECT_EQ(streamed.stats.total_envelopes, whole.stats.total_envelopes);
+  EXPECT_EQ(streamed.stats.wire_bytes, whole.stats.wire_bytes);
+  EXPECT_EQ(streamed.stats.edges, whole.stats.edges);
 }
-
 
 // ---- EncodedSize: the wire_bytes unit ---------------------------------------
 
@@ -1170,6 +1016,21 @@ TEST(RecordBufferTest, CorruptFramingIsACleanParseError) {
     RecordBuffer buf;
     buf.Append(wire);
     EXPECT_FALSE(buf.Next().ok());
+  }
+  {
+    // Type 9 was the compressed-frame record of wire versions 5-7; it is
+    // an unknown type now, refused before any payload is looked at.
+    std::string wire;
+    AppendRecord(RecordType::kFrame, "x", &wire);
+    wire[4] = static_cast<char>(9);
+    RecordBuffer buf;
+    buf.Append(wire);
+    auto next = buf.Next();
+    ASSERT_FALSE(next.ok());
+    EXPECT_EQ(next.status().code(), StatusCode::kParseError);
+    EXPECT_NE(next.status().message().find("unknown record type"),
+              std::string::npos)
+        << next.status();
   }
   {
     // A zero length field.

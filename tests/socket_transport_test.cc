@@ -59,14 +59,13 @@ std::vector<int> Visits(const RunStats& s) {
   return v;
 }
 
-/// The logical ledger — every count the paper's guarantees are stated in,
-/// plus the full per-site and per-edge splits. This is the half frame
-/// compression must never disturb, so fallback tests (where wire accounting
-/// legitimately differs between runs) assert exactly this. The delta-codec
-/// fields are envelope-level and deterministic, so they belong here too.
-/// Timing fields are wall-clock and excluded.
-void ExpectLogicalStatsEqual(const RunStats& socket, const RunStats& sync,
-                             const std::string& label) {
+/// Every count the paper's guarantees are stated in, the full per-site and
+/// per-edge splits, and the wire bytes (each frame is priced by its one
+/// kFrame encoding, whichever backend sealed it). The delta-codec fields
+/// are envelope-level and deterministic, so they belong here too. Timing
+/// fields are wall-clock and excluded.
+void ExpectStatsEqual(const RunStats& socket, const RunStats& sync,
+                      const std::string& label) {
   EXPECT_EQ(socket.rounds, sync.rounds) << label;
   EXPECT_EQ(Visits(socket), Visits(sync)) << label;
   EXPECT_EQ(socket.total_messages, sync.total_messages) << label;
@@ -76,6 +75,8 @@ void ExpectLogicalStatsEqual(const RunStats& socket, const RunStats& sync,
   EXPECT_EQ(socket.data_bytes_shipped, sync.data_bytes_shipped) << label;
   EXPECT_EQ(socket.delta_logical_bytes, sync.delta_logical_bytes) << label;
   EXPECT_EQ(socket.delta_wire_bytes, sync.delta_wire_bytes) << label;
+  EXPECT_EQ(socket.wire_bytes, sync.wire_bytes) << label;
+  EXPECT_EQ(socket.wire_raw_bytes, sync.wire_raw_bytes) << label;
   EXPECT_EQ(socket.edges, sync.edges) << label;
   ASSERT_EQ(socket.per_site.size(), sync.per_site.size()) << label;
   for (size_t s = 0; s < sync.per_site.size(); ++s) {
@@ -91,18 +92,6 @@ void ExpectLogicalStatsEqual(const RunStats& socket, const RunStats& sync,
               sync.per_site[s].messages_received)
         << label << " site " << s;
   }
-}
-
-/// The logical ledger plus the wire split. Applies whenever both runs price
-/// frames with the same threshold — including compressed deployments,
-/// because EncodeFrameForWire is the one shared pricing path.
-void ExpectStatsEqual(const RunStats& socket, const RunStats& sync,
-                      const std::string& label) {
-  ExpectLogicalStatsEqual(socket, sync, label);
-  EXPECT_EQ(socket.wire_bytes, sync.wire_bytes) << label;
-  EXPECT_EQ(socket.wire_raw_bytes, sync.wire_raw_bytes) << label;
-  EXPECT_EQ(socket.wire_frames_compressed, sync.wire_frames_compressed)
-      << label;
 }
 
 /// CI smoke hook: PAXML_SITE_THREADS=N re-runs every socket test in this
@@ -377,7 +366,7 @@ TEST(SocketTransportTest, ConcurrentRunsDegradeCleanlyWhenServerCapsRounds) {
   SiteServer server(w.cluster.get(), served,
                     MakeSiteProgramFactory(w.cluster.get()),
                     /*max_site_threads=*/0, /*memo=*/nullptr,
-                    /*allow_compress=*/false, /*max_concurrent_rounds=*/1);
+                    /*max_concurrent_rounds=*/1);
   auto port = server.Listen("127.0.0.1", 0);
   ASSERT_TRUE(port.ok()) << port.status();
   std::thread serving([&] {
@@ -423,80 +412,6 @@ TEST(SocketTransportTest, ConcurrentRunsDegradeCleanlyWhenServerCapsRounds) {
   EXPECT_EQ(got_b->answers, solo->answers);
   ExpectStatsEqual(got_a->stats, solo->stats, "capped|run A");
   ExpectStatsEqual(got_b->stats, solo->stats, "capped|run B");
-}
-
-// ---- Frame compression over real processes (DESIGN.md §13) ------------------
-
-// With --compress servers and a client threshold, eligible frames travel
-// as lz4 kFrameZ records in both directions. Because EncodeFrameForWire is
-// the single shared pricing path, a SyncTransport run with the *same*
-// threshold models the socket run's wire accounting exactly — so the full
-// stats-equality bar applies unchanged, now covering the compressed wire
-// split, and the logical ledger must match a plain uncompressed run bit
-// for bit.
-TEST(SocketTransportTest, CompressedFT2ReproducesSyncModelExactly) {
-  bench::Workload w = bench::MakeFT2Paper(0.05);
-  Deployment deployment(*w.doc, *w.cluster, /*compress=*/true);
-
-  constexpr uint64_t kThreshold = 128;
-  uint64_t compressed_frames = 0;
-  uint64_t raw_bytes = 0;
-  uint64_t wire_bytes = 0;
-  for (const auto& q : xmark::ExperimentQueries()) {
-    for (auto algo : {DistributedAlgorithm::kPaX2,
-                      DistributedAlgorithm::kNaiveCentralized}) {
-      const std::string label =
-          std::string(AlgorithmName(algo)) + "|z|" + q.name;
-      TransportOptions sync_options;
-      sync_options.compress_min_bytes = kThreshold;
-      auto sync = RunSync(*w.cluster, q.text, algo, false, sync_options);
-      TransportOptions socket_options = SocketOptions(deployment.endpoints());
-      socket_options.compress_min_bytes = kThreshold;
-      auto socket =
-          RunSocket(*w.cluster, q.text, algo, false, socket_options);
-      ASSERT_TRUE(sync.ok()) << label << ": " << sync.status();
-      ASSERT_TRUE(socket.ok()) << label << ": " << socket.status();
-      EXPECT_EQ(socket->answers, sync->answers) << label;
-      ExpectStatsEqual(socket->stats, sync->stats, label);
-
-      // Compression must leave the logical ledger untouched: identical to
-      // a run that never heard of the codec.
-      auto plain = RunSync(*w.cluster, q.text, algo, false);
-      ASSERT_TRUE(plain.ok()) << label << ": " << plain.status();
-      ExpectLogicalStatsEqual(socket->stats, plain->stats, label + "|plain");
-
-      compressed_frames += socket->stats.wire_frames_compressed;
-      raw_bytes += socket->stats.wire_raw_bytes;
-      wire_bytes += socket->stats.wire_bytes;
-    }
-  }
-  // The workload must actually exercise the codec, and it must help.
-  EXPECT_GT(compressed_frames, 0u);
-  EXPECT_LT(wire_bytes, raw_bytes);
-}
-
-// A v5 client offering compression to v5 servers run *without* --compress:
-// the offer is declined in the HelloAck and every remote frame travels
-// raw. Answers and the logical ledger still match the plain sync run (wire
-// accounting is not compared — the client still models its threshold on
-// local edges, which is exactly the fallback's documented shape).
-TEST(SocketTransportTest, DeclinedCompressionOfferRunsRawAndCorrect) {
-  ClienteleWorld w = MakeClienteleWorld();
-  Deployment deployment(*w.doc, *w.cluster);  // no --compress
-
-  for (const std::string& query :
-       {std::string("//stock/code"),
-        std::string("clientele/client/broker/name")}) {
-    auto sync = RunSync(*w.cluster, query, DistributedAlgorithm::kPaX2, false);
-    TransportOptions options = SocketOptions(deployment.endpoints());
-    options.compress_min_bytes = 64;
-    auto socket = RunSocket(*w.cluster, query, DistributedAlgorithm::kPaX2,
-                            false, options);
-    ASSERT_TRUE(sync.ok()) << query << ": " << sync.status();
-    ASSERT_TRUE(socket.ok()) << query << ": " << socket.status();
-    EXPECT_EQ(socket->answers, sync->answers) << query;
-    ExpectLogicalStatsEqual(socket->stats, sync->stats, query);
-  }
 }
 
 // ---- One wire version ------------------------------------------------------
@@ -672,36 +587,6 @@ TEST(SocketTransportTest, MemoPeersWithLanesReproduceSyncExactly) {
   }
 }
 
-// ---- Non-default message-plane knobs ----------------------------------------
-
-// Pins the Hello mirroring of the chunking knobs end-to-end: with a
-// non-default answer_chunk_ids *and* data_chunk_bytes the peers must seal
-// byte-identical frames, or message/envelope/byte counts diverge from the
-// in-process run. (The record-level round trip of every Hello field is
-// pinned in frame_test.cc; this is the it-actually-reaches-the-peer half.)
-TEST(SocketTransportTest, NonDefaultChunkKnobsReproduceSyncExactly) {
-  ClienteleWorld w = MakeClienteleWorld();
-  Deployment deployment(*w.doc, *w.cluster);
-
-  const std::string query = "//stock/code";
-  for (auto algo : {DistributedAlgorithm::kPaX2,
-                    DistributedAlgorithm::kNaiveCentralized}) {
-    const std::string label = std::string(AlgorithmName(algo)) + "|chunks";
-    TransportOptions sync_options;
-    sync_options.answer_chunk_ids = 3;
-    sync_options.data_chunk_bytes = 7;
-    auto sync = RunSync(*w.cluster, query, algo, false, sync_options);
-    TransportOptions socket_options = SocketOptions(deployment.endpoints());
-    socket_options.answer_chunk_ids = 3;
-    socket_options.data_chunk_bytes = 7;
-    auto socket = RunSocket(*w.cluster, query, algo, false, socket_options);
-    ASSERT_TRUE(sync.ok()) << label << ": " << sync.status();
-    ASSERT_TRUE(socket.ok()) << label << ": " << socket.status();
-    EXPECT_EQ(socket->answers, sync->answers) << label;
-    ExpectStatsEqual(socket->stats, sync->stats, label);
-  }
-}
-
 // ---- The session API, unchanged over sockets --------------------------------
 
 TEST(SocketTransportTest, EngineSubmitWorksUnchangedOverSockets) {
@@ -854,6 +739,50 @@ TEST(SocketTransportTest, SpawnedPeerDiesWithItsSpawner) {
   ::prctl(PR_SET_CHILD_SUBREAPER, 0);
   ASSERT_EQ(reaped, site) << "the orphaned site outlived its spawner";
   EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL) << status;
+}
+
+// ---- paxml_site argument validation -----------------------------------------
+
+// Numeric flags are strict and --compress is gone: each malformed command
+// line exits 2 with the usage line before the server binds. Every case is
+// one token away from the valid line, which does start listening.
+TEST(PaxmlSiteCliTest, MalformedFlagsExitWithUsageBeforeListening) {
+  ClienteleWorld w = MakeClienteleWorld();
+  const std::string dir = testing::SaveToTempDir(*w.doc);
+  const std::string sites = std::to_string(w.cluster->site_count());
+  auto command = [&](const std::string& site, const std::string& site_count,
+                     const std::string& port) {
+    return std::vector<std::string>{
+        dir,  "--site", site, "--sites", site_count, "--placement",
+        testing::PlacementString(*w.cluster), "--port", port};
+  };
+
+  const testing::SiteExit valid =
+      testing::RunSiteToExit(command("1", sites, "0"));
+  EXPECT_EQ(valid.exit_code, -1) << "the valid line must listen: "
+                                 << valid.output;
+
+  std::vector<std::vector<std::string>> malformed = {
+      command("x", sites, "0"),    // not a number
+      command("1", sites, "7x"),   // trailing junk
+      command("1", "-1", "0"),     // negative count
+      command(sites, sites, "0"),  // site out of range
+      command("1", sites, "65536"),
+      command("1", sites, ""),
+  };
+  malformed.push_back(command("1", sites, "0"));
+  malformed.back().push_back("--compress");  // the removed flag
+
+  for (const std::vector<std::string>& args : malformed) {
+    std::string label;
+    for (size_t i = 1; i < args.size(); ++i) label += args[i] + " ";
+    const testing::SiteExit got = testing::RunSiteToExit(args);
+    EXPECT_EQ(got.exit_code, 2) << label << "\n" << got.output;
+    EXPECT_EQ(got.output.find("PAXML_SITE LISTENING"), std::string::npos)
+        << label;
+    EXPECT_NE(got.output.find("usage: paxml_site"), std::string::npos)
+        << label << "\n" << got.output;
+  }
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 //
 //   $ paxml_site DATADIR --site N --sites K --placement 0,1,1,2,...
 //                [--host 127.0.0.1] [--port P] [--threads T] [--memo]
-//                [--compress]
+//                [--rounds R]
 //
 // Serves either workload family: a directory written by SaveDocument (XML
 // fragments; every machine of a deployment holds the same directory;
@@ -11,7 +11,7 @@
 // store file). Reconstructs the cluster the client describes — K sites,
 // the given fragment->site placement, which must match the client's bit
 // for bit — and serves its site's share of every announced evaluation over
-// TCP (runtime/socket_server.h); the workload registry (core/workload.h)
+// TCP (runtime/socket_server.h); MakeSiteProgramFactory (core/workload.h)
 // resolves each announced RunSpec to the right family's program, and a
 // client evaluating the other family is rejected with a workload-mismatch
 // error.
@@ -26,7 +26,8 @@
 //
 // The client and this peer must speak the same wire version (both are
 // built from one tree); a Hello of any other version is refused with an
-// error record and the connection is closed.
+// error record and the connection is closed. Every frame travels as one
+// plain kFrame record in both directions.
 //
 // A client's Hello may ask for intra-site parallel delivery (the
 // site_threads transport knob); the server then fans a round's
@@ -42,22 +43,20 @@
 // out. Answers and accounted RunStats are unchanged; each round's savings
 // travel back in the RoundDone record.
 //
-// --compress lets the server accept a client's frame-compression offer
-// (TransportOptions::compress_min_bytes on the client side): frames at or
-// above the client's threshold travel as lz4-compressed kFrameZ records in
-// both directions. Logical accounting is unchanged — only wire bytes
-// shrink. Without the flag every offer is declined and connections run raw
-// frames.
-//
 // --rounds R caps how many independent runs' rounds one connection may
 // deliver concurrently when a client's Hello asks for cross-run fan-out
 // (the peer_concurrent_rounds transport knob; default: honor the client,
 // bounded at 16). Each run's RunStats stay exactly its
 // solo RunStats — only independent runs overlap.
+//
+// Numeric flags are strict: the whole value is decimal digits within the
+// flag's range (--site below --sites, --sites 1..65536, --port 0..65535,
+// --threads 0..64, --rounds 0..16). Anything else — and any unknown flag —
+// prints the usage line and exits 2 before the server binds.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -77,7 +76,23 @@ void Usage() {
   std::fprintf(stderr,
                "usage: paxml_site DATADIR --site N --sites K "
                "--placement 0,1,... [--host H] [--port P] [--threads T] "
-               "[--memo] [--compress] [--rounds R]\n");
+               "[--memo] [--rounds R]\n");
+}
+
+/// A numeric flag value: the whole token is decimal digits and the value
+/// lies in [lo, hi]. `hi` bounds every step, so the accumulator cannot
+/// overflow.
+bool ParseCount(const char* text, uint64_t lo, uint64_t hi, uint64_t* out) {
+  if (*text == '\0') return false;
+  uint64_t v = 0;
+  for (const char* p = text; *p != '\0'; ++p) {
+    if (*p < '0' || *p > '9') return false;
+    v = v * 10 + static_cast<uint64_t>(*p - '0');
+    if (v > hi) return false;
+  }
+  if (v < lo) return false;
+  *out = v;
+  return true;
 }
 
 /// Loads whichever workload the directory holds: a graph store when its
@@ -116,44 +131,51 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string dir = argv[1];
-  SiteId site = kNullSite;
-  size_t site_count = 0;
+  constexpr uint64_t kMaxSites = 1 << 16;
+  uint64_t site = kMaxSites;  // required: out of range until given
+  uint64_t site_count = 0;
   std::vector<SiteId> placement;
   std::string host = "127.0.0.1";
-  int port = 0;
-  size_t max_threads = 0;  // 0 = honor the client's Hello
+  uint64_t port = 0;
+  uint64_t max_threads = 0;  // 0 = honor the client's Hello
   bool memo = false;
-  bool compress = false;
-  size_t max_rounds = 0;  // 0 = honor the client's Hello
+  uint64_t max_rounds = 0;  // 0 = honor the client's Hello
 
   for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--site") == 0 && i + 1 < argc) {
-      site = static_cast<SiteId>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--sites") == 0 && i + 1 < argc) {
-      site_count = static_cast<size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--placement") == 0 && i + 1 < argc) {
-      if (!ParsePlacement(argv[++i], &placement)) {
-        Usage();
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--host") == 0 && i + 1 < argc) {
-      host = argv[++i];
-    } else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      max_threads = static_cast<size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--memo") == 0) {
+    const std::string flag = argv[i];
+    if (flag == "--memo") {
       memo = true;
-    } else if (std::strcmp(argv[i], "--compress") == 0) {
-      compress = true;
-    } else if (std::strcmp(argv[i], "--rounds") == 0 && i + 1 < argc) {
-      max_rounds = static_cast<size_t>(std::atoll(argv[++i]));
-    } else {
+      continue;
+    }
+    // Every other flag takes a value.
+    if (i + 1 == argc) {
+      Usage();
+      return 2;
+    }
+    const char* value = argv[++i];
+    bool ok = false;
+    if (flag == "--placement") {
+      ok = ParsePlacement(value, &placement);
+    } else if (flag == "--host") {
+      host = value;
+      ok = true;
+    } else if (flag == "--site") {
+      ok = ParseCount(value, 0, kMaxSites - 1, &site);
+    } else if (flag == "--sites") {
+      ok = ParseCount(value, 1, kMaxSites, &site_count);
+    } else if (flag == "--port") {
+      ok = ParseCount(value, 0, 65535, &port);
+    } else if (flag == "--threads") {
+      ok = ParseCount(value, 0, 64, &max_threads);
+    } else if (flag == "--rounds") {
+      ok = ParseCount(value, 0, 16, &max_rounds);
+    }
+    if (!ok) {
       Usage();
       return 2;
     }
   }
-  if (site == kNullSite || site_count == 0 || placement.empty()) {
+  if (site_count == 0 || site >= site_count || placement.empty()) {
     Usage();
     return 2;
   }
@@ -178,7 +200,7 @@ int main(int argc, char** argv) {
   // site_threads > 1, so the cluster's own transport pool stays off.
   ClusterOptions cluster_options;
   cluster_options.parallel_execution = false;
-  Cluster cluster(data, site_count, cluster_options);
+  Cluster cluster(data, static_cast<size_t>(site_count), cluster_options);
   for (size_t f = 0; f < placement.size(); ++f) {
     Status st = cluster.Place(static_cast<FragmentId>(f), placement[f]);
     if (!st.ok()) {
@@ -188,11 +210,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  SiteServer server(&cluster, site, MakeSiteProgramFactory(&cluster),
-                    max_threads,
+  SiteServer server(&cluster, static_cast<SiteId>(site),
+                    MakeSiteProgramFactory(&cluster),
+                    static_cast<size_t>(max_threads),
                     memo ? std::make_shared<FragmentMemo>() : nullptr,
-                    compress, max_rounds);
-  auto bound = server.Listen(host, port);
+                    static_cast<size_t>(max_rounds));
+  auto bound = server.Listen(host, static_cast<int>(port));
   if (!bound.ok()) {
     std::fprintf(stderr, "paxml_site: %s\n", bound.status().ToString().c_str());
     return 1;
