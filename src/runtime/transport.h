@@ -403,11 +403,11 @@ class Transport {
   /// run's mailboxes, accounting it exactly as a locally sealed frame
   /// (AccountFrameWire — the codec round-trips everything accounting
   /// needs, so re-decoded frames reproduce RunStats). `wire` is the
-  /// received kFrame record's payload size. Frames for runs that have already closed are
-  /// dropped silently: remote mail legitimately races CloseRun. Frames
-  /// whose destination TakeSealedFrameLocked claims are relayed onward
-  /// instead of mailboxed. Errors mean wire-invalid site ids, never a
-  /// crash — decoded input is untrusted.
+  /// received kFrame record's payload size. Frames for runs that have
+  /// already closed are dropped silently: remote mail legitimately races
+  /// CloseRun. Frames whose destination TakeSealedFrameLocked claims are
+  /// relayed onward instead of mailboxed. Errors mean wire-invalid site
+  /// ids, never a crash — decoded input is untrusted.
   Status InjectFrame(Frame frame, FrameWireInfo wire);
 
   /// Hook pair around a run's lifetime, called *outside* the transport
