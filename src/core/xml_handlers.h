@@ -4,9 +4,8 @@
 // algorithm raw wire parts; this base class decodes the XML message kinds
 // of core/messages.h — requests, qual/sel down- and up-messages, answer
 // ships — into the typed callbacks the PaX/ParBoX/naive algorithms
-// override. It is exactly the dispatch switch that used to live inside
-// SiteRuntime, moved behind the workload seam so the runtime never names a
-// data model (DESIGN.md §11). The graph family (core/reach.h) implements
+// override. The dispatch switch lives here, behind the workload seam, so
+// the runtime never names a data model (DESIGN.md §11). The graph family (core/reach.h) implements
 // its own MessageHandlers subclass the same way.
 
 #ifndef PAXML_CORE_XML_HANDLERS_H_

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "common/logging.h"
@@ -68,14 +70,14 @@ Status Coordinator::RunRound(const std::string& label,
   Status round_status = Status::OK();
   std::mutex status_mu;
   std::vector<double> durations;
-  // Per-site parallel cost as DeliverTimed models it (max-over-lanes for a
-  // fanned-out site, see runtime/site_driver.h), indexed like `sites`.
-  // Only locally delivered sites are written; remote sites keep the
-  // sentinel and fall back to the transport's duration (a socket peer's
-  // RoundDone.seconds — itself a DeliverTimed measurement).
+  // Each locally delivered site's DeliveryReport, indexed like `sites`.
+  // Remote sites stay empty: their cost comes back as the transport's
+  // duration (a socket peer's RoundDone report, itself a DeliverTimed
+  // measurement) and the socket transport folds the rest of their reports
+  // into RunStats itself.
   std::map<SiteId, size_t> site_index;
   for (size_t i = 0; i < sites.size(); ++i) site_index[sites[i]] = i;
-  std::vector<double> modeled(sites.size(), -1.0);
+  std::vector<std::optional<DeliveryReport>> local(sites.size());
   // Transport-level failures (a dead socket peer, a remote handler error)
   // come back as the round's status; local handler errors are collected
   // through the deliver callback as before.
@@ -85,9 +87,9 @@ Status Coordinator::RunRound(const std::string& label,
         // Site-side round mail: per-fragment lanes may fan out on the site
         // pool. The coordinator's own up-mail (DispatchCoordinatorMail)
         // stays on the strictly serial Deliver path.
-        double seconds = 0;
-        Status st = driver_->DeliverTimed(site, std::move(mail), &seconds);
-        modeled[site_index.at(site)] = seconds;
+        DeliveryReport report;
+        Status st = driver_->DeliverTimed(site, std::move(mail), &report);
+        local[site_index.at(site)] = report;
         if (!st.ok()) {
           std::lock_guard<std::mutex> lock(status_mu);
           if (round_status.ok()) round_status = std::move(st);
@@ -99,27 +101,13 @@ Status Coordinator::RunRound(const std::string& label,
   for (size_t i = 0; i < sites.size(); ++i) {
     SiteStats& s = stats_.per_site[static_cast<size_t>(sites[i])];
     ++s.visits;
-    const double seconds = modeled[i] >= 0 ? modeled[i] : durations[i];
+    const double seconds = local[i] ? local[i]->seconds : durations[i];
     s.compute_seconds += seconds;
     stats_.total_compute_seconds += seconds;
     round_max = std::max(round_max, seconds);
+    if (local[i]) local[i]->AddTo(&stats_);
   }
   stats_.parallel_seconds += round_max;
-
-  // Savings the local memoized deliveries accumulated this round; a remote
-  // peer's savings arrive through its RoundDone record instead (merged by
-  // SocketTransport::AccountMemoSavings).
-  const MemoSavings saved = driver_->TakeMemoSavings();
-  stats_.memo_fragment_hits += saved.fragment_hits;
-  stats_.memo_saved_bytes += saved.saved_bytes;
-  stats_.memo_saved_seconds += saved.saved_seconds;
-
-  // Likewise pool saturation: local fan-out drains here, a remote peer's
-  // arrives through its RoundDone record.
-  const PoolStats pool = driver_->TakePoolStats();
-  stats_.pool_tasks += pool.tasks;
-  stats_.pool_busy_peak = std::max(stats_.pool_busy_peak, pool.busy_peak);
-  stats_.pool_queue_peak = std::max(stats_.pool_queue_peak, pool.queue_peak);
 
   PAXML_RETURN_NOT_OK(round_status);
   PAXML_RETURN_NOT_OK(transport_status);

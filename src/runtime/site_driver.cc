@@ -125,6 +125,16 @@ Status DispatchParts(MessageHandlers* handlers, SiteContext& ctx,
   return Status::OK();
 }
 
+/// Dispatches every part of `mail` into `handlers`, in order; stops at the
+/// first error.
+Status DispatchMail(MessageHandlers* handlers, SiteContext& ctx,
+                    const std::vector<Envelope>& mail) {
+  for (const Envelope& env : mail) {
+    PAXML_RETURN_NOT_OK(DispatchParts(handlers, ctx, env, env.parts.size()));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 /// One lane segment in delivery: its mail and, indexed like the mail, each
@@ -147,22 +157,23 @@ SiteDriver::SiteDriver(const Cluster* cluster, Transport* transport, RunId run,
       pool_(std::move(pool)),
       site_threads_(site_threads),
       memo_(std::move(memo)) {
-  sites_.reserve(cluster->site_count());
+  contexts_.reserve(cluster->site_count());
   for (size_t s = 0; s < cluster->site_count(); ++s) {
-    sites_.emplace_back(static_cast<SiteId>(s), cluster, transport, run,
-                        handlers);
+    contexts_.emplace_back(static_cast<SiteId>(s), cluster, transport, run);
   }
 }
 
 Status SiteDriver::Deliver(SiteId site, std::vector<Envelope> mail) {
-  PAXML_CHECK_LT(static_cast<size_t>(site), sites_.size());
-  return sites_[static_cast<size_t>(site)].Deliver(std::move(mail));
+  PAXML_CHECK_LT(static_cast<size_t>(site), contexts_.size());
+  return DispatchMail(handlers_, contexts_[static_cast<size_t>(site)], mail);
 }
 
 Status SiteDriver::DeliverTimed(SiteId site, std::vector<Envelope> mail,
-                                double* seconds) {
-  PAXML_CHECK_LT(static_cast<size_t>(site), sites_.size());
-  *seconds = 0;
+                                DeliveryReport* report) {
+  PAXML_CHECK_LT(static_cast<size_t>(site), contexts_.size());
+  *report = DeliveryReport{};
+  double* seconds = &report->seconds;
+  SiteContext& ctx = contexts_[static_cast<size_t>(site)];
   // The serial fast path: no memo to consult and nothing to fan out. A
   // single envelope is still worth walking when splitting is on — the
   // one-hot-fragment round is exactly one big request envelope.
@@ -170,19 +181,16 @@ Status SiteDriver::DeliverTimed(SiteId site, std::vector<Envelope> mail,
   const size_t min_mail =
       transport_->options().split_threshold_pct > 0 ? 1 : 2;
   if (memo_ == nullptr && (!fan_out || mail.size() < min_mail)) {
-    return Timed(seconds, [&] {
-      return sites_[static_cast<size_t>(site)].Deliver(std::move(mail));
-    });
+    return Timed(seconds, [&] { return DispatchMail(handlers_, ctx, mail); });
   }
   // Walk the mail in order: maximal runs of lane-keyed envelopes are
   // segments; barriers split them and run serially in place.
   size_t i = 0;
   while (i < mail.size()) {
     if (EnvelopeLane(mail[i]) == kNullFragment) {
-      std::vector<Envelope> one;
-      one.push_back(std::move(mail[i]));
+      const Envelope& env = mail[i];
       PAXML_RETURN_NOT_OK(Timed(seconds, [&] {
-        return sites_[static_cast<size_t>(site)].Deliver(std::move(one));
+        return DispatchParts(handlers_, ctx, env, env.parts.size());
       }));
       ++i;
       continue;
@@ -191,14 +199,15 @@ Status SiteDriver::DeliverTimed(SiteId site, std::vector<Envelope> mail,
     while (j < mail.size() && EnvelopeLane(mail[j]) != kNullFragment) ++j;
     std::vector<Envelope> segment(std::make_move_iterator(mail.begin() + i),
                                   std::make_move_iterator(mail.begin() + j));
-    PAXML_RETURN_NOT_OK(DeliverSegment(site, &segment, seconds));
+    PAXML_RETURN_NOT_OK(DeliverSegment(site, &segment, report));
     i = j;
   }
   return Status::OK();
 }
 
 Status SiteDriver::DeliverSegment(SiteId site, std::vector<Envelope>* mail,
-                                  double* seconds) {
+                                  DeliveryReport* report) {
+  double* seconds = &report->seconds;
   const size_t n = mail->size();
   // Group the envelope indices by lane, lanes in order of first appearance
   // (deterministic, so the lane -> task assignment is too). Only a segment
@@ -257,7 +266,8 @@ Status SiteDriver::DeliverSegment(SiteId site, std::vector<Envelope>* mail,
     // One fragment, no memo, nothing to split: the serial walk straight
     // into the real plane (no capture, no replay).
     return Timed(seconds, [&] {
-      return sites_[static_cast<size_t>(site)].Deliver(std::move(*mail));
+      return DispatchMail(handlers_, contexts_[static_cast<size_t>(site)],
+                          *mail);
     });
   }
 
@@ -307,9 +317,10 @@ Status SiteDriver::DeliverSegment(SiteId site, std::vector<Envelope>* mail,
   // max-over-all-tasks, not lanes-then-split. A single task runs inline.
   const size_t task_count = assignment.size() + chunk_count;
   std::vector<double> task_seconds(task_count, 0);
+  std::vector<MemoSavings> task_saved(assignment.size());
   auto run_lane = [&](size_t t) {
     const double start = ThreadCpuSeconds();
-    DeliverLane(site, assignment[t], &segment);
+    DeliverLane(site, assignment[t], &segment, &task_saved[t]);
     task_seconds[t] = ThreadCpuSeconds() - start;
   };
   if (task_count == 1 && chunk_count == 0) {
@@ -333,8 +344,13 @@ Status SiteDriver::DeliverSegment(SiteId site, std::vector<Envelope>* mail,
       });
     }
     pool_->RunAll(std::move(tasks));
-    AccountBatch(task_count);
+    // The peaks are pool-global gauges (the pool may be shared with other
+    // runs); tasks are exact for this delivery. Sampling after each batch
+    // keeps the gauges current without touching the pool's hot path.
+    report->pool += PoolStats{task_count, pool_->busy_peak(),
+                              pool_->queue_peak()};
   }
+  for (const MemoSavings& saved : task_saved) report->memo += saved;
   if (task_count > 0) {
     // The segment costs what its slowest task costs — measured as that
     // task's own CPU time, so the metric holds on oversubscribed hosts.
@@ -367,7 +383,7 @@ Status SiteDriver::DeliverSegment(SiteId site, std::vector<Envelope>* mail,
 }
 
 void SiteDriver::DeliverLane(SiteId site, const std::vector<size_t>& indices,
-                             Segment* segment) {
+                             Segment* segment, MemoSavings* saved) {
   // The lane's capture plane, built on its first evaluation: a lane the
   // memo serves in full builds none.
   std::optional<CaptureTransport> capture;
@@ -391,7 +407,7 @@ void SiteDriver::DeliverLane(SiteId site, const std::vector<size_t>& indices,
     }
     const FragmentId fragment = EnvelopeLane(env);
     std::vector<Envelope> recover;
-    if (memo_->Lookup(fragment, env, &sends, &recover)) {
+    if (memo_->Lookup(fragment, env, &sends, &recover, saved)) {
       // Hit: the recorded replies are this envelope's sends, so staging
       // order, seal points and every accounted counter come out
       // bit-identical to an evaluated delivery.
@@ -418,25 +434,6 @@ void SiteDriver::DeliverLane(SiteId site, const std::vector<size_t>& indices,
     if (!status.ok()) break;
     memo_->Record(fragment, env, sends, cost);
   }
-}
-
-void SiteDriver::AccountBatch(size_t tasks_submitted) {
-  // The peaks are pool-global gauges (the pool may be shared with other
-  // runs); tasks are exact for this driver. Sampling after each batch
-  // keeps the gauges current without touching the pool's hot path.
-  const uint64_t busy = pool_->busy_peak();
-  const uint64_t queue = pool_->queue_peak();
-  std::lock_guard<std::mutex> lock(pool_stats_mu_);
-  pool_stats_.tasks += tasks_submitted;
-  if (busy > pool_stats_.busy_peak) pool_stats_.busy_peak = busy;
-  if (queue > pool_stats_.queue_peak) pool_stats_.queue_peak = queue;
-}
-
-PoolStats SiteDriver::TakePoolStats() {
-  std::lock_guard<std::mutex> lock(pool_stats_mu_);
-  PoolStats out = pool_stats_;
-  pool_stats_ = PoolStats{};
-  return out;
 }
 
 }  // namespace paxml

@@ -7,7 +7,7 @@
 // the client's RunSpec — the round barrier then works as a control-record
 // exchange instead of a function call (DESIGN.md §9). Either way, a
 // delivery decodes the envelopes in order into the algorithm's
-// MessageHandlers via one SiteRuntime per site.
+// MessageHandlers through one SiteContext per site.
 //
 // One delivery walk (DESIGN.md §10). DeliverTimed() delivers a site's
 // round mail in order. With no memo and nothing to fan out it is the serial
@@ -21,8 +21,8 @@
 // envelopes in mail order through a private capture plane, built on its
 // first evaluation, and after the tasks join the captured sends replay
 // into the real transport in the serial mail order. So staging order,
-// adaptive-flush points, frame sequences and every per-edge
-// byte/message/envelope count are bit-identical to the serial delivery
+// frame sequences and every per-edge byte/message/envelope count are
+// bit-identical to the serial delivery
 // (tested property). This is safe because every algorithm's site-side
 // state is confined to per-fragment slots (the MessageHandlers threading
 // contract, runtime/site_runtime.h), and a fragment stays in one lane.
@@ -35,6 +35,12 @@
 // replies go through Transport::Send like computed ones, so RunStats'
 // accounted counters stay bit-identical and only the memo_* savings
 // fields differ.
+//
+// Each delivery returns one DeliveryReport (sim/stats.h): its parallel
+// cost, the memo savings of its hits and the pool counters of its fan-out.
+// Nothing accumulates in the driver between deliveries; the Coordinator
+// folds a local site's report into RunStats, a paxml_site peer sends its
+// report home in the RoundDone record.
 //
 // Intra-fragment splitting (DESIGN.md §14): with
 // TransportOptions::split_threshold_pct set and no memo session, a
@@ -52,7 +58,6 @@
 #define PAXML_RUNTIME_SITE_DRIVER_H_
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "runtime/site_runtime.h"
@@ -66,7 +71,7 @@ class WorkerPool;
 
 class SiteDriver {
  public:
-  /// Builds one SiteRuntime per site of `cluster`, all dispatching into
+  /// Builds one SiteContext per site of `cluster`, all dispatching into
   /// `handlers` and sending through `transport` under `run`. A non-null
   /// `pool` with `site_threads` > 1 lets lane segments fan out; the pool
   /// must not be the one the transport's own delivery rounds execute on
@@ -87,9 +92,10 @@ class SiteDriver {
   Status Deliver(SiteId site, std::vector<Envelope> mail);
 
   /// Delivers a site's *round* mail through the one walk (see the header
-  /// comment) and sets *seconds to the delivery's *parallel cost* — the
-  /// unit both the local round loop and a remote peer's RoundDone report
-  /// in. Serial work (barriers, replay) is measured as thread-CPU time;
+  /// comment) and fills *report: the memo savings and pool counters of
+  /// this delivery, and in `seconds` its *parallel cost* — the unit both
+  /// the local round loop and a remote peer's RoundDone report in. Serial
+  /// work (barriers, replay) is measured as thread-CPU time;
   /// each fanned-out segment adds the maximum over its tasks' thread-CPU
   /// time, the intra-site analogue of the cluster's max-over-sites metric
   /// (sim/cluster.h), so the reported cost reflects the fan-out even when
@@ -100,36 +106,21 @@ class SiteDriver {
   /// the serial order would have, which only ever happens on runs that are
   /// about to be torn down.
   Status DeliverTimed(SiteId site, std::vector<Envelope> mail,
-                      double* seconds);
-
-  /// Savings the memo accumulated since the last take (zero without a
-  /// memo session). The round loops drain this into RunStats — locally
-  /// after the round, remotely via the RoundDone record.
-  MemoSavings TakeMemoSavings() {
-    return memo_ != nullptr ? memo_->TakeSavings() : MemoSavings{};
-  }
-
-  /// Pool saturation accumulated since the last take (zero when nothing
-  /// fanned out): exact task submissions by this driver plus the shared
-  /// pool's peak gauges, sampled after each batch. Drained into
-  /// RunStats::pool_* the same way memo savings are — locally after the
-  /// round, remotely via the RoundDone record.
-  PoolStats TakePoolStats();
+                      DeliveryReport* report);
 
  private:
   struct Segment;
 
   Status DeliverSegment(SiteId site, std::vector<Envelope>* mail,
-                        double* seconds);
+                        DeliveryReport* report);
   /// One lane task: delivers the segment envelopes `indices` (ascending)
   /// in order, each through the memo step when there is a memo, into the
-  /// segment's per-envelope status and send slots; stops at the first
-  /// failure.
+  /// segment's per-envelope status and send slots, adding memo hits to
+  /// *saved; stops at the first failure.
   void DeliverLane(SiteId site, const std::vector<size_t>& indices,
-                   Segment* segment);
-  void AccountBatch(size_t tasks_submitted);
+                   Segment* segment, MemoSavings* saved);
 
-  std::vector<SiteRuntime> sites_;
+  std::vector<SiteContext> contexts_;  ///< one per site, indexed by SiteId
   const Cluster* cluster_;
   Transport* transport_;
   RunId run_;
@@ -137,10 +128,6 @@ class SiteDriver {
   std::shared_ptr<WorkerPool> pool_;
   size_t site_threads_ = 1;
   std::shared_ptr<MemoSession> memo_;
-  /// Pool accounting (under pool_stats_mu_: site deliveries run
-  /// concurrently on the pooled transport's workers).
-  std::mutex pool_stats_mu_;
-  PoolStats pool_stats_;
 };
 
 }  // namespace paxml

@@ -54,17 +54,4 @@ void EnvelopeStream::Close() {
   }
 }
 
-const std::vector<FragmentId>& SiteRuntime::fragments() const {
-  return ctx_.cluster().fragments_at(ctx_.site());
-}
-
-Status SiteRuntime::Deliver(std::vector<Envelope> mail) {
-  for (const Envelope& env : mail) {
-    for (const WirePart& part : env.parts) {
-      PAXML_RETURN_NOT_OK(handlers_->OnPart(ctx_, env, part));
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace paxml

@@ -1,21 +1,24 @@
-// SiteRuntime: message-driven execution at one site.
+// The site-side execution surface: what an algorithm's handlers see.
 //
-// A SiteRuntime owns a site's fragment list and hands delivered envelopes,
-// in arrival order, to the algorithm's MessageHandlers — one part at a
-// time, with the envelope for context. The runtime never decodes a part's
-// payload: what the bytes mean is the workload family's business
-// (core/xml_handlers.h decodes the XML wire formats of core/messages.h;
-// the graph family decodes its reachability rows), which is what keeps
-// this layer free of data-model headers (DESIGN.md §11). The same
-// dispatch path serves both roles of the protocol — worker sites
-// (requests and down-messages, running on transport worker threads) and the
-// coordinator (up-messages, running on the driver thread after each round)
-// — so an algorithm is exactly its set of handlers plus a Coordinator
-// script, and never touches sockets, threads, or byte accounting.
+// SiteContext tells a handler which site and run it serves and sends on
+// its behalf; EnvelopeStream emits one logical envelope in chunks; and
+// MessageHandlers is the workload seam — delivered envelopes reach the
+// algorithm one part at a time, with the envelope for context. The runtime
+// never decodes a part's payload: what the bytes mean is the workload
+// family's business (core/xml_handlers.h decodes the XML wire formats of
+// core/messages.h; the graph family decodes its reachability rows), which
+// is what keeps this layer free of data-model headers (DESIGN.md §11).
+// SiteDriver (runtime/site_driver.h) does the dispatching, for both roles
+// of the protocol — worker sites (requests and down-messages, running on
+// transport worker threads) and the coordinator (up-messages, running on
+// the driver thread after each round) — so an algorithm is exactly its set
+// of handlers plus a Coordinator script, and never touches sockets,
+// threads, or byte accounting.
 
 #ifndef PAXML_RUNTIME_SITE_RUNTIME_H_
 #define PAXML_RUNTIME_SITE_RUNTIME_H_
 
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -52,8 +55,8 @@ class SiteContext {
     transport_->Send(std::move(env));
   }
 
-  /// The message plane this context sends on (chunk-size options live
-  /// here; EnvelopeStream below streams through it).
+  /// The message plane this context sends on (EnvelopeStream below
+  /// streams through it).
   Transport& transport() const { return *transport_; }
 
  private:
@@ -185,26 +188,6 @@ class MessageHandlers {
     (void)part;
     return nullptr;
   }
-};
-
-/// Dispatch endpoint for one site.
-class SiteRuntime {
- public:
-  SiteRuntime(SiteId site, const Cluster* cluster, Transport* transport,
-              RunId run, MessageHandlers* handlers)
-      : ctx_(site, cluster, transport, run), handlers_(handlers) {}
-
-  SiteId site() const { return ctx_.site(); }
-
-  /// Fragments placed at this site.
-  const std::vector<FragmentId>& fragments() const;
-
-  /// Dispatches `mail` part by part, in order; stops at the first error.
-  Status Deliver(std::vector<Envelope> mail);
-
- private:
-  SiteContext ctx_;
-  MessageHandlers* handlers_;
 };
 
 }  // namespace paxml

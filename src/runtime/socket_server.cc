@@ -205,15 +205,7 @@ Status SiteServer::ServeConnection(int fd) {
     done.site = site_;
     std::vector<Envelope> mail = plane->Drain(state->local_run, site_);
     done.status =
-        state->driver->DeliverTimed(site_, std::move(mail), &done.seconds);
-    const MemoSavings saved = state->driver->TakeMemoSavings();
-    done.memo_fragment_hits = saved.fragment_hits;
-    done.memo_saved_bytes = saved.saved_bytes;
-    done.memo_saved_seconds = saved.saved_seconds;
-    const PoolStats pool = state->driver->TakePoolStats();
-    done.pool_tasks = pool.tasks;
-    done.pool_busy_peak = pool.busy_peak;
-    done.pool_queue_peak = pool.queue_peak;
+        state->driver->DeliverTimed(site_, std::move(mail), &done.report);
     // The peer's round boundary: stage -> frames, captured for the wire in
     // seal order.
     plane->FlushRun(state->local_run);

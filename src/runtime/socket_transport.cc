@@ -315,20 +315,28 @@ Status SocketTransport::RunRound(RunId run, const std::vector<SiteId>& sites,
   }
 
   Status status;
+  std::map<SiteId, DeliveryReport> reports;
   {
     std::unique_lock<std::mutex> lock(net_mu_);
     RoundWait& wait = waits_[run];
     // An error ends the wait immediately (no hang on a dead peer); late
-    // kRoundDones for this round find no entry and are ignored.
+    // kRoundDones for this round find no entry and are dropped whole.
     net_cv_.wait(lock, [&] {
       return wait.awaiting.empty() || !wait.status.ok();
     });
     status = wait.status;
-    for (size_t i : remote_idx) {
-      auto it = wait.seconds.find(sites[i]);
-      if (it != wait.seconds.end()) (*durations)[i] = it->second;
-    }
+    reports = std::move(wait.reports);
     waits_.erase(run);
+  }
+  // The peers that answered: their cost is the site's duration, the rest
+  // of their report folds into the run's RunStats here, on the round's
+  // calling thread — never on a receiver thread, so a report can neither
+  // race the Coordinator's own RunStats writes nor outlive its round.
+  for (size_t i : remote_idx) {
+    auto it = reports.find(sites[i]);
+    if (it == reports.end()) continue;
+    (*durations)[i] = it->second.seconds;
+    AccountReport(run, it->second);
   }
   return status;
 }
@@ -382,27 +390,12 @@ Status SocketTransport::HandleRecord(Connection& conn, WireRecord record) {
     case RecordType::kRoundDone: {
       PAXML_ASSIGN_OR_RETURN(RoundDoneRecord done,
                              RoundDoneRecord::Decode(&reader));
-      // Merge the peer's memo savings before taking net_mu_ (the base
-      // class's lock never nests inside it), and before the barrier
-      // releases — the accounting happens-before the round's completion.
-      if (done.memo_fragment_hits > 0) {
-        AccountMemoSavings(done.run,
-                           MemoSavings{done.memo_fragment_hits,
-                                       done.memo_saved_bytes,
-                                       done.memo_saved_seconds});
-      }
-      // Likewise the peer's pool saturation (advisory, like memo_*).
-      if (done.pool_tasks > 0) {
-        AccountPoolStats(done.run, PoolStats{done.pool_tasks,
-                                             done.pool_busy_peak,
-                                             done.pool_queue_peak});
-      }
       std::lock_guard<std::mutex> lock(net_mu_);
       auto it = waits_.find(done.run);
       if (it == waits_.end()) return Status::OK();  // stale: round already over
       RoundWait& wait = it->second;
       if (wait.awaiting.erase(done.site) > 0) {
-        wait.seconds[done.site] = done.seconds;
+        wait.reports[done.site] = done.report;
         if (!done.status.ok() && wait.status.ok()) {
           wait.status = done.status;
         }

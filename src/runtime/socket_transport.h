@@ -17,7 +17,10 @@
 // run's pending frames, sends kRoundStart to each remote site it visits,
 // delivers local sites inline, then blocks until every peer's kRoundDone
 // (whose frames, on the same ordered connection, have necessarily arrived
-// first). Run lifecycle rides the same records: OpenRun announces the run
+// first). Each kRoundDone carries the peer's DeliveryReport; RunRound folds
+// the reports of the peers that answered into the run's RunStats after the
+// barrier, on its own thread, and a kRoundDone that arrives after its
+// round ended is dropped whole. Run lifecycle rides the same records: OpenRun announces the run
 // and its RunSpec (plus a placement fingerprint, so a peer serving a
 // different cluster fails loudly) to every peer, CloseRun tears it down —
 // peers drop the run's mail and program without disturbing other runs
@@ -95,7 +98,9 @@ class SocketTransport : public Transport {
   /// (the Coordinator drives rounds sequentially).
   struct RoundWait {
     std::set<SiteId> awaiting;
-    std::map<SiteId, double> seconds;
+    /// What each peer that answered reported; RunRound folds these into
+    /// the run's RunStats once the barrier completes.
+    std::map<SiteId, DeliveryReport> reports;
     Status status;
   };
 

@@ -1,6 +1,5 @@
 #include "runtime/transport.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "common/logging.h"
@@ -110,24 +109,9 @@ void Transport::RunOpened(RunId run, const Cluster* cluster,
 
 void Transport::RunClosing(RunId run) { (void)run; }
 
-void Transport::AccountMemoSavings(RunId run, const MemoSavings& savings) {
+void Transport::AccountReport(RunId run, const DeliveryReport& report) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = runs_.find(run);
-  if (it == runs_.end()) return;  // races CloseRun like late remote mail
-  RunStats* stats = it->second.stats;
-  stats->memo_fragment_hits += savings.fragment_hits;
-  stats->memo_saved_bytes += savings.saved_bytes;
-  stats->memo_saved_seconds += savings.saved_seconds;
-}
-
-void Transport::AccountPoolStats(RunId run, const PoolStats& pool) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = runs_.find(run);
-  if (it == runs_.end()) return;  // races CloseRun like late remote mail
-  RunStats* stats = it->second.stats;
-  stats->pool_tasks += pool.tasks;
-  stats->pool_busy_peak = std::max(stats->pool_busy_peak, pool.busy_peak);
-  stats->pool_queue_peak = std::max(stats->pool_queue_peak, pool.queue_peak);
+  report.AddTo(BindingLocked(run).stats);
 }
 
 void Transport::Send(Envelope env) {
@@ -141,13 +125,9 @@ void Transport::Send(Envelope env) {
   // so there is nothing to frame either.
   const bool local = env.from == env.to && env.from != kNullSite;
   if (options_.batching && !local) {
-    const RunId run = env.run;
-    const EdgeKey edge{env.from, env.to};
-    StagedEdge& staged = binding.staging[edge];
+    StagedEdge& staged = binding.staging[{env.from, env.to}];
     PAXML_CHECK(!staged.stream_open);  // close the stream before more mail
-    staged.staged_bytes += env.WireBytes();
     staged.envelopes.push_back(std::move(env));
-    MaybeFlushEdgeLocked(run, binding, edge);
     return;
   }
   if (env.accounted && !local) {
@@ -175,7 +155,6 @@ void Transport::StreamBegin(Envelope head) {
   PAXML_CHECK_LT(static_cast<size_t>(head.to), binding.mailboxes.size());
   StagedEdge& staged = binding.staging[{head.from, head.to}];
   PAXML_CHECK(!staged.stream_open);  // one open stream per (run, edge)
-  staged.staged_bytes += head.WireBytes();
   staged.envelopes.push_back(std::move(head));
   staged.stream_open = true;
 }
@@ -190,10 +169,6 @@ void Transport::StreamAppend(RunId run, SiteId from, SiteId to,
   Envelope& env = it->second.envelopes.back();
   AppendPartBytes(env.parts.back(), bytes, logical_bytes);
   env.phantom_bytes += phantom_bytes;
-  if (env.parts.back().accounted) {
-    it->second.staged_bytes += logical_bytes;
-  }
-  it->second.staged_bytes += phantom_bytes;
 }
 
 void Transport::StreamEnd(RunId run, SiteId from, SiteId to) {
@@ -202,9 +177,6 @@ void Transport::StreamEnd(RunId run, SiteId from, SiteId to) {
   auto it = binding.staging.find({from, to});
   PAXML_CHECK(it != binding.staging.end() && it->second.stream_open);
   it->second.stream_open = false;
-  // The stream may have grown the edge past the adaptive-flush threshold;
-  // now that it is closed the frame is free to seal.
-  MaybeFlushEdgeLocked(run, binding, {from, to});
 }
 
 void Transport::SealEdgeLocked(RunId run, RunBinding& binding,
@@ -230,16 +202,6 @@ void Transport::SealEdgeLocked(RunId run, RunBinding& binding,
   if (taken) return;  // bound for a peer's wire
   auto& box = binding.mailboxes[static_cast<size_t>(edge.second)];
   for (Envelope& env : frame.envelopes) box.push_back(std::move(env));
-}
-
-void Transport::MaybeFlushEdgeLocked(RunId run, RunBinding& binding,
-                                     const EdgeKey& edge) {
-  if (options_.max_frame_bytes == 0) return;
-  auto it = binding.staging.find(edge);
-  if (it == binding.staging.end() || it->second.stream_open) return;
-  if (it->second.staged_bytes <= options_.max_frame_bytes) return;
-  SealEdgeLocked(run, binding, edge, std::move(it->second));
-  binding.staging.erase(it);
 }
 
 void Transport::FlushRunLocked(RunId run, RunBinding& binding) {
@@ -423,39 +385,29 @@ Envelope MakeRequestEnvelope(MessageKind kind, SiteId to, FragmentId fragment) {
 
 // ---- Factory ----------------------------------------------------------------
 
-std::unique_ptr<Transport> MakeTransport(TransportKind kind,
-                                         TransportOptions options) {
-  switch (kind) {
-    case TransportKind::kSync:
-      return std::make_unique<SyncTransport>(std::move(options));
-    case TransportKind::kPooled:
-      return std::make_unique<PooledTransport>(nullptr, std::move(options));
-    case TransportKind::kSocket:
-      return std::make_unique<SocketTransport>(std::move(options));
-  }
-  PAXML_CHECK(false);
-  return nullptr;
-}
-
-TransportKind DefaultTransportKind(const Cluster& cluster) {
-  return cluster.options().parallel_execution ? TransportKind::kPooled
-                                              : TransportKind::kSync;
-}
-
 std::unique_ptr<Transport> MakeTransportFor(const Cluster& cluster,
                                             std::optional<TransportKind> kind,
                                             TransportOptions options) {
   // A deployment map means a socket plane unless the caller insists
   // otherwise (in-process kinds then simply ignore the endpoints).
-  const TransportKind k =
-      kind.value_or(options.remote_endpoints.empty()
-                        ? DefaultTransportKind(cluster)
-                        : TransportKind::kSocket);
-  if (k == TransportKind::kPooled) {
-    return std::make_unique<PooledTransport>(cluster.worker_pool(),
-                                             std::move(options));
+  TransportKind k = TransportKind::kSocket;
+  if (kind.has_value()) {
+    k = *kind;
+  } else if (options.remote_endpoints.empty()) {
+    k = cluster.options().parallel_execution ? TransportKind::kPooled
+                                             : TransportKind::kSync;
   }
-  return MakeTransport(k, std::move(options));
+  switch (k) {
+    case TransportKind::kSync:
+      return std::make_unique<SyncTransport>(std::move(options));
+    case TransportKind::kPooled:
+      return std::make_unique<PooledTransport>(cluster.worker_pool(),
+                                               std::move(options));
+    case TransportKind::kSocket:
+      return std::make_unique<SocketTransport>(std::move(options));
+  }
+  PAXML_CHECK(false);
+  return nullptr;
 }
 
 }  // namespace paxml

@@ -157,8 +157,8 @@ struct WirePart {
   }
 };
 
-/// Behavior knobs of the message plane, shared by every backend. The four
-/// that shape the frames a site seals — max_frame_bytes, site_threads,
+/// Behavior knobs of the message plane, shared by every backend. The three
+/// that shape how a site delivers and seals — site_threads,
 /// split_threshold_pct and peer_concurrent_rounds — are mirrored to
 /// paxml_site peers in the Hello record (runtime/wire.h), so a peer seals
 /// exactly the frames an in-process site would. Chunk sizes of streamed
@@ -170,14 +170,6 @@ struct TransportOptions {
   /// envelope-per-message accounting — the escape hatch for comparisons
   /// and for callers that need Send-time accounting.
   bool batching = true;
-
-  /// Adaptive flush (0 = off): seal an edge's frame as soon as its staged
-  /// envelopes exceed this many wire bytes instead of waiting for the round
-  /// boundary, bounding peak staging memory for huge-|ans| rounds. Byte
-  /// totals, visits and answers are unchanged — only message counts grow
-  /// (tested property). An open EnvelopeStream defers the flush to its
-  /// close (a frame never seals around a half-written stream).
-  uint64_t max_frame_bytes = 0;
 
   /// Intra-site parallelism: a site's round mail is partitioned into
   /// per-fragment lanes and delivered on up to this many worker threads
@@ -418,17 +410,12 @@ class Transport {
                          const RunSpec* spec);
   virtual void RunClosing(RunId run);
 
-  /// Adds fragment-memo savings to the run's RunStats (no-op if the run has
-  /// closed — a remote peer's RoundDone legitimately races CloseRun). The
-  /// merge path for savings a *peer* reported; the local driver's savings
-  /// are merged by the Coordinator's round loop.
-  void AccountMemoSavings(RunId run, const MemoSavings& savings);
-
-  /// Adds pool-saturation counters to the run's RunStats pool_* fields,
-  /// with the same lifetime rules as AccountMemoSavings. The merge path
-  /// for counters a *peer*'s RoundDone reported; the
-  /// local driver's are merged by the Coordinator's round loop.
-  void AccountPoolStats(RunId run, const PoolStats& pool);
+  /// Folds a remote site's DeliveryReport (its memo savings and pool
+  /// counters, DeliveryReport::AddTo) into the run's RunStats. A socket
+  /// backend calls it from RunRound, on the round's calling thread after
+  /// the barrier, for each peer that answered the round; the Coordinator
+  /// folds its local sites' reports itself. `run` must be open.
+  void AccountReport(RunId run, const DeliveryReport& report);
 
  private:
   using EdgeKey = std::pair<SiteId, SiteId>;
@@ -439,8 +426,6 @@ class Transport {
     /// The last envelope is an open EnvelopeStream; it must be closed
     /// before this edge's frame can seal.
     bool stream_open = false;
-    /// Running wire-byte total of `envelopes` (the adaptive-flush trigger).
-    uint64_t staged_bytes = 0;
   };
 
   /// Everything one evaluation owns inside the transport.
@@ -470,11 +455,6 @@ class Transport {
   /// or only the edges destined to one site (`FlushToSiteLocked`).
   void FlushRunLocked(RunId run, RunBinding& binding);
   void FlushToSiteLocked(RunId run, RunBinding& binding, SiteId site);
-
-  /// Must hold mu_. Seals `edge` early if adaptive flush is on, the staged
-  /// bytes crossed the threshold and no stream is open on it.
-  void MaybeFlushEdgeLocked(RunId run, RunBinding& binding,
-                            const EdgeKey& edge);
 
   /// mutable so the const query methods can lock. Guards runs_ and every
   /// binding's mailboxes + staging + stats.
@@ -535,20 +515,14 @@ Envelope MakeRequestEnvelope(MessageKind kind, SiteId to, FragmentId fragment);
 
 enum class TransportKind : uint8_t { kSync, kPooled, kSocket };
 
-/// kSocket requires a non-empty TransportOptions::remote_endpoints and
-/// dials the peers in the constructor (dial failures surface as clean
-/// RunRound errors, not aborts).
-std::unique_ptr<Transport> MakeTransport(TransportKind kind,
-                                         TransportOptions options = {});
-
-/// The backend a cluster's options ask for: pooled iff parallel execution.
-TransportKind DefaultTransportKind(const Cluster& cluster);
-
-/// Creates a `kind` backend for `cluster` (defaulting to the cluster's
-/// preferred kind, or to kSocket when `options.remote_endpoints` is
-/// non-empty); a pooled backend shares the cluster's WorkerPool. The one
-/// place that wires transports to cluster resources: the engine builds its
-/// shared transport here, and so does any caller of EvaluateWorkload.
+/// Creates a `kind` backend for `cluster`. Unset, the kind is kSocket when
+/// `options.remote_endpoints` is non-empty, else the cluster's preference:
+/// pooled iff ClusterOptions::parallel_execution. A pooled backend shares
+/// the cluster's WorkerPool; a socket backend needs a non-empty
+/// remote_endpoints and dials the peers here (dial failures surface as
+/// clean RunRound errors, not aborts). The one place that wires transports
+/// to cluster resources: the engine builds its shared transport here, and
+/// so does any caller of EvaluateWorkload.
 std::unique_ptr<Transport> MakeTransportFor(
     const Cluster& cluster, std::optional<TransportKind> kind = std::nullopt,
     TransportOptions options = {});

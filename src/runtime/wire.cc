@@ -153,7 +153,6 @@ void FrameReassembler::CloseRun(RunId run) {
 void HelloRecord::Encode(ByteWriter* out) const {
   out->PutU32(version);
   out->PutVarint(EncodeId(site));
-  out->PutVarint(options.max_frame_bytes);
   out->PutVarint(options.site_threads);
   out->PutVarint(options.split_threshold_pct);
   out->PutVarint(options.peer_concurrent_rounds);
@@ -169,7 +168,6 @@ Result<HelloRecord> HelloRecord::Decode(ByteReader* in) {
   }
   PAXML_ASSIGN_OR_RETURN(uint64_t site, in->GetVarint());
   PAXML_ASSIGN_OR_RETURN(r.site, DecodeId(site));
-  PAXML_ASSIGN_OR_RETURN(r.options.max_frame_bytes, in->GetVarint());
   PAXML_ASSIGN_OR_RETURN(uint64_t site_threads, in->GetVarint());
   r.options.site_threads = static_cast<size_t>(site_threads);
   PAXML_ASSIGN_OR_RETURN(r.options.split_threshold_pct, in->GetVarint());
@@ -253,14 +251,14 @@ Result<RoundStartRecord> RoundStartRecord::Decode(ByteReader* in) {
 void RoundDoneRecord::Encode(ByteWriter* out) const {
   out->PutVarint(run);
   out->PutVarint(EncodeId(site));
-  out->PutU64(DoubleBits(seconds));
   EncodeStatus(status, out);
-  out->PutVarint(memo_fragment_hits);
-  out->PutVarint(memo_saved_bytes);
-  out->PutU64(DoubleBits(memo_saved_seconds));
-  out->PutVarint(pool_tasks);
-  out->PutVarint(pool_busy_peak);
-  out->PutVarint(pool_queue_peak);
+  out->PutU64(DoubleBits(report.seconds));
+  out->PutVarint(report.memo.fragment_hits);
+  out->PutVarint(report.memo.saved_bytes);
+  out->PutU64(DoubleBits(report.memo.saved_seconds));
+  out->PutVarint(report.pool.tasks);
+  out->PutVarint(report.pool.busy_peak);
+  out->PutVarint(report.pool.queue_peak);
 }
 
 Result<RoundDoneRecord> RoundDoneRecord::Decode(ByteReader* in) {
@@ -268,16 +266,17 @@ Result<RoundDoneRecord> RoundDoneRecord::Decode(ByteReader* in) {
   PAXML_ASSIGN_OR_RETURN(r.run, in->GetVarint());
   PAXML_ASSIGN_OR_RETURN(uint64_t site, in->GetVarint());
   PAXML_ASSIGN_OR_RETURN(r.site, DecodeId(site));
-  PAXML_ASSIGN_OR_RETURN(uint64_t bits, in->GetU64());
-  r.seconds = BitsDouble(bits);
   PAXML_RETURN_NOT_OK(DecodeStatus(in, &r.status));
-  PAXML_ASSIGN_OR_RETURN(r.memo_fragment_hits, in->GetVarint());
-  PAXML_ASSIGN_OR_RETURN(r.memo_saved_bytes, in->GetVarint());
+  DeliveryReport& report = r.report;
+  PAXML_ASSIGN_OR_RETURN(uint64_t seconds_bits, in->GetU64());
+  report.seconds = BitsDouble(seconds_bits);
+  PAXML_ASSIGN_OR_RETURN(report.memo.fragment_hits, in->GetVarint());
+  PAXML_ASSIGN_OR_RETURN(report.memo.saved_bytes, in->GetVarint());
   PAXML_ASSIGN_OR_RETURN(uint64_t saved_bits, in->GetU64());
-  r.memo_saved_seconds = BitsDouble(saved_bits);
-  PAXML_ASSIGN_OR_RETURN(r.pool_tasks, in->GetVarint());
-  PAXML_ASSIGN_OR_RETURN(r.pool_busy_peak, in->GetVarint());
-  PAXML_ASSIGN_OR_RETURN(r.pool_queue_peak, in->GetVarint());
+  report.memo.saved_seconds = BitsDouble(saved_bits);
+  PAXML_ASSIGN_OR_RETURN(report.pool.tasks, in->GetVarint());
+  PAXML_ASSIGN_OR_RETURN(report.pool.busy_peak, in->GetVarint());
+  PAXML_ASSIGN_OR_RETURN(report.pool.queue_peak, in->GetVarint());
   PAXML_RETURN_NOT_OK(ExpectEnd(in));
   return r;
 }

@@ -37,7 +37,7 @@
 namespace paxml {
 
 /// The one wire version (client and peer share a tree); others get kError.
-inline constexpr uint32_t kWireProtocolVersion = 8;
+inline constexpr uint32_t kWireProtocolVersion = 9;
 
 /// Upper bound on one record's length field: a corrupt length must be a
 /// parse error, not a gigabyte allocation.
@@ -50,7 +50,7 @@ enum class RecordType : uint8_t {
   kCloseRun,       ///< client -> peer: drop the run's mail and program
   kFrame,          ///< either direction: one Frame::Encode buffer
   kRoundStart,     ///< client -> peer: deliver the site's pending mail now
-  kRoundDone,      ///< peer -> client: round executed (duration + status)
+  kRoundDone,      ///< peer -> client: round executed (status + report)
   kError,          ///< peer -> client: a run failed remotely
 };
 
@@ -106,10 +106,9 @@ struct HelloRecord {
   uint32_t version = kWireProtocolVersion;
   SiteId site = kNullSite;  ///< the site the client expects this peer to be
 
-  /// The client transport's options. The Hello carries the four mirrored
-  /// ones — max_frame_bytes, site_threads, split_threshold_pct and
-  /// peer_concurrent_rounds, named once in Encode/Decode — and the rest
-  /// decode as defaults. The peer seals its replies under them, so both
+  /// The client transport's options. The Hello carries the three mirrored
+  /// ones — site_threads, split_threshold_pct and peer_concurrent_rounds,
+  /// named once in Encode/Decode — and the rest decode as defaults. The peer seals its replies under them, so both
   /// sides seal byte-identical frames, after capping threads and rounds
   /// (paxml_site --threads, --rounds).
   TransportOptions options;
@@ -160,21 +159,13 @@ struct RoundStartRecord {
 struct RoundDoneRecord {
   RunId run = kNullRun;
   SiteId site = kNullSite;
-  double seconds = 0;  ///< wall time of the site's handler work
-  Status status;       ///< the handlers' dispatch status
+  Status status;  ///< the handlers' dispatch status
 
-  /// Fragment-memo savings of this round on the peer (zero unless the peer
-  /// runs with --memo); the client merges them into the run's RunStats
-  /// memo_* fields (sim/stats.h).
-  uint64_t memo_fragment_hits = 0;
-  uint64_t memo_saved_bytes = 0;
-  double memo_saved_seconds = 0;
-
-  /// The peer's pool saturation for this round (zero without fan-out),
-  /// merged into the run's RunStats pool_* fields.
-  uint64_t pool_tasks = 0;
-  uint64_t pool_busy_peak = 0;
-  uint64_t pool_queue_peak = 0;
+  /// The peer's SiteDriver::DeliverTimed report for this round: its
+  /// parallel cost, memo savings and pool counters. The client's
+  /// SocketTransport folds it into the run's RunStats once the round's
+  /// barrier completes; a RoundDone arriving after that is dropped whole.
+  DeliveryReport report;
 
   void Encode(ByteWriter* out) const;
   static Result<RoundDoneRecord> Decode(ByteReader* in);

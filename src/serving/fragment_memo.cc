@@ -102,7 +102,8 @@ std::string MemoSession::Key(FragmentId fragment, uint64_t step) const {
 
 bool MemoSession::Lookup(FragmentId fragment, const Envelope& request,
                          std::vector<Envelope>* replies,
-                         std::vector<Envelope>* recover) {
+                         std::vector<Envelope>* recover,
+                         MemoSavings* saved) {
   std::lock_guard<std::mutex> lock(mu_);
   FragmentTrack& track = tracks_[fragment];
   if (!track.replaying) return false;
@@ -116,9 +117,7 @@ bool MemoSession::Lookup(FragmentId fragment, const Envelope& request,
   }
   track.retained.push_back(request);
   ++track.next_step;
-  savings_.fragment_hits += 1;
-  savings_.saved_bytes += entry.reply_bytes;
-  savings_.saved_seconds += entry.seconds;
+  *saved += MemoSavings{1, entry.reply_bytes, entry.seconds};
   *replies = std::move(entry.replies);
   return true;
 }
@@ -134,13 +133,6 @@ void MemoSession::Record(FragmentId fragment, const Envelope& request,
                 FragmentMemo::Entry{EnvelopeDigest(request), std::move(replies),
                                     seconds, reply_bytes});
   ++track.next_step;
-}
-
-MemoSavings MemoSession::TakeSavings() {
-  std::lock_guard<std::mutex> lock(mu_);
-  MemoSavings out = savings_;
-  savings_ = MemoSavings{};
-  return out;
 }
 
 }  // namespace paxml

@@ -105,24 +105,22 @@ class MemoSession {
               uint64_t epoch);
 
   /// Consults the memo for the fragment's next step. On a hit, fills
-  /// `*replies` (copies; caller restamps run ids and sends them), retains
-  /// the request for later recovery, and returns true. On a miss, returns
+  /// `*replies` (copies; caller restamps run ids and sends them), adds the
+  /// hit's savings to `*saved` (the delivery's report), retains the request
+  /// for later recovery, and returns true. On a miss, returns
   /// false and — on the *first* miss of a fragment that had hits — moves
   /// the retained request prefix into `*recover`: the caller must re-deliver
   /// it through a discard plane to rebuild the fragment's handler state
   /// before evaluating. Subsequent calls for that fragment return false
   /// with `*recover` empty (evaluate mode).
   bool Lookup(FragmentId fragment, const Envelope& request,
-              std::vector<Envelope>* replies, std::vector<Envelope>* recover);
+              std::vector<Envelope>* replies, std::vector<Envelope>* recover,
+              MemoSavings* saved);
 
   /// Records the fragment's next step (evaluate mode only): the request's
   /// digest, its reply set and the compute it cost.
   void Record(FragmentId fragment, const Envelope& request,
               std::vector<Envelope> replies, double seconds);
-
-  /// Savings accumulated since the last take (drained into RunStats by the
-  /// run's round loop).
-  MemoSavings TakeSavings();
 
   const std::string& fingerprint() const { return fingerprint_; }
 
@@ -141,7 +139,6 @@ class MemoSession {
 
   std::mutex mu_;
   std::map<FragmentId, FragmentTrack> tracks_;
-  MemoSavings savings_;
 };
 
 }  // namespace paxml

@@ -18,6 +18,15 @@ uint64_t RunStats::total_visits() const {
   return n;
 }
 
+void DeliveryReport::AddTo(RunStats* stats) const {
+  stats->memo_fragment_hits += memo.fragment_hits;
+  stats->memo_saved_bytes += memo.saved_bytes;
+  stats->memo_saved_seconds += memo.saved_seconds;
+  stats->pool_tasks += pool.tasks;
+  stats->pool_busy_peak = std::max(stats->pool_busy_peak, pool.busy_peak);
+  stats->pool_queue_peak = std::max(stats->pool_queue_peak, pool.queue_peak);
+}
+
 std::string RunStats::ToString() const {
   std::string out;
   out += StringFormat(

@@ -206,6 +206,24 @@ struct RunStats {
   std::string ToString() const;
 };
 
+/// What one site delivery reports besides its sends: its parallel cost,
+/// the memo savings and the pool counters. SiteDriver::DeliverTimed builds
+/// it (runtime/site_driver.h); a paxml_site peer sends it home inside its
+/// RoundDone record (runtime/wire.h). Either way AddTo is the one merge
+/// into RunStats.
+struct DeliveryReport {
+  /// Parallel cost: serial work plus max-over-tasks for each fanned-out
+  /// segment, in thread-CPU seconds.
+  double seconds = 0;
+  MemoSavings memo;
+  PoolStats pool;
+
+  /// Folds the memo savings and pool counters into `stats`: sums, except
+  /// the pool peaks, which take the max. `seconds` is not folded — a round
+  /// prices its sites' costs as a max, which the Coordinator owns.
+  void AddTo(RunStats* stats) const;
+};
+
 }  // namespace paxml
 
 #endif  // PAXML_SIM_STATS_H_

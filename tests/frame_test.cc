@@ -348,14 +348,13 @@ TEST(FrameWireTest, FrameRecordCorruptionIsClean) {
 
 // Every message-plane knob that shapes a sealed frame must survive the
 // Hello: the peer mirrors them so both sides seal identical frames. This
-// pins the set — exactly four fields — so a new knob that skips the Hello
+// pins the set — exactly three fields — so a new knob that skips the Hello
 // fails here, not as a socket-vs-sync accounting drift in a four-process
 // test. The byte layout is pinned too: there is one form, and any change
 // to it must bump kWireProtocolVersion.
 HelloRecord AllKnobsHello() {
   HelloRecord hello;
   hello.site = 3;
-  hello.options.max_frame_bytes = 9000;
   hello.options.site_threads = 5;
   hello.options.split_threshold_pct = 7;
   hello.options.peer_concurrent_rounds = 2;
@@ -369,13 +368,12 @@ TEST(HelloRecordTest, RoundTripCarriesEveryMirroredKnob) {
 
   ByteWriter w;
   hello.Encode(&w);
-  EXPECT_EQ(w.bytes(), std::string("\x08\x00\x00\x00"  // version 8, u32 LE
+  EXPECT_EQ(w.bytes(), std::string("\x09\x00\x00\x00"  // version 9, u32 LE
                                    "\x04"              // site 3, +1-biased
-                                   "\xa8\x46"          // max_frame_bytes
                                    "\x05"              // site_threads
                                    "\x07"              // split_threshold_pct
                                    "\x02",             // peer_concurrent_rounds
-                                   10));
+                                   8));
   ByteReader r(w.bytes());
   auto decoded = HelloRecord::Decode(&r);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
@@ -383,7 +381,6 @@ TEST(HelloRecordTest, RoundTripCarriesEveryMirroredKnob) {
   EXPECT_EQ(decoded->version, kWireProtocolVersion);
   EXPECT_EQ(decoded->site, 3);
   const TransportOptions& o = decoded->options;
-  EXPECT_EQ(o.max_frame_bytes, 9000u);
   EXPECT_EQ(o.site_threads, 5u);
   EXPECT_EQ(o.split_threshold_pct, 7u);
   EXPECT_EQ(o.peer_concurrent_rounds, 2u);
@@ -408,6 +405,59 @@ TEST(HelloRecordTest, EveryOtherVersionIsRejected) {
               std::string::npos)
         << decoded.status();
   }
+}
+
+// A peer's whole DeliveryReport rides home in its RoundDone: every field
+// gets a distinct value, so a field the codec drops or swaps fails here.
+RoundDoneRecord FullRoundDone() {
+  RoundDoneRecord done;
+  done.run = 11;
+  done.site = 3;
+  done.status = Status::InvalidArgument("boom");
+  done.report.seconds = 0.5;
+  done.report.memo = MemoSavings{17, 4096, 0.125};
+  done.report.pool = PoolStats{9, 4, 2};
+  return done;
+}
+
+TEST(RoundDoneRecordTest, RoundTripCarriesEveryReportField) {
+  const RoundDoneRecord done = FullRoundDone();
+  ByteWriter w;
+  done.Encode(&w);
+  ByteReader r(w.bytes());
+  auto decoded = RoundDoneRecord::Decode(&r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(decoded->run, 11u);
+  EXPECT_EQ(decoded->site, 3);
+  EXPECT_EQ(decoded->status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(decoded->status.message(), "boom");
+  const DeliveryReport& report = decoded->report;
+  EXPECT_EQ(report.seconds, 0.5);
+  EXPECT_EQ(report.memo.fragment_hits, 17u);
+  EXPECT_EQ(report.memo.saved_bytes, 4096u);
+  EXPECT_EQ(report.memo.saved_seconds, 0.125);
+  EXPECT_EQ(report.pool.tasks, 9u);
+  EXPECT_EQ(report.pool.busy_peak, 4u);
+  EXPECT_EQ(report.pool.queue_peak, 2u);
+
+  // AddTo is the one merge: memo fields and pool tasks sum, pool peaks
+  // take the max, and the cost stays out (a round prices it as a max).
+  RunStats stats;
+  stats.memo_fragment_hits = 1;
+  stats.pool_tasks = 1;
+  stats.pool_busy_peak = 6;
+  stats.pool_queue_peak = 1;
+  report.AddTo(&stats);
+  report.AddTo(&stats);
+  EXPECT_EQ(stats.memo_fragment_hits, 35u);
+  EXPECT_EQ(stats.memo_saved_bytes, 8192u);
+  EXPECT_EQ(stats.memo_saved_seconds, 0.25);
+  EXPECT_EQ(stats.pool_tasks, 19u);
+  EXPECT_EQ(stats.pool_busy_peak, 6u);
+  EXPECT_EQ(stats.pool_queue_peak, 2u);
+  EXPECT_EQ(stats.parallel_seconds, 0.0);
+  EXPECT_EQ(stats.total_compute_seconds, 0.0);
 }
 
 TEST(HelloAckRecordTest, RoundTripCarriesTheSite) {
@@ -448,18 +498,7 @@ TEST(ControlRecordTest, TruncatedAndTrailingBytesAreRejected) {
   HelloAckRecord ack;
   ack.site = 2;
   ExpectStrictDecode(ack, "hello-ack");
-  RoundDoneRecord done;
-  done.run = 11;
-  done.site = 3;
-  done.seconds = 0.5;
-  done.status = Status::InvalidArgument("boom");
-  done.memo_fragment_hits = 17;
-  done.memo_saved_bytes = 4096;
-  done.memo_saved_seconds = 0.125;
-  done.pool_tasks = 9;
-  done.pool_busy_peak = 4;
-  done.pool_queue_peak = 2;
-  ExpectStrictDecode(done, "round-done");
+  ExpectStrictDecode(FullRoundDone(), "round-done");
 }
 
 // ---- Frame batching at the transport level ----------------------------------
@@ -894,81 +933,6 @@ TEST(FrameCodecTest, WireBytesCountsSealedFrames) {
   EXPECT_EQ(u->stats.wire_bytes, 0u);
 }
 
-// ---- Adaptive flush ---------------------------------------------------------
-
-// Sealing an edge early once its staged bytes cross the threshold is
-// invisible to everything the paper's bounds are stated in: answers,
-// visits, rounds, byte totals, per-edge byte splits and envelope counts are
-// unchanged — only the message count moves (up: more, smaller frames).
-TEST(AdaptiveFlushTest, EarlyFlushMovesOnlyMessageCounts) {
-  Fixture fx = GroupedClienteleFixture();
-  uint64_t flushed_messages = 0;
-  uint64_t boundary_messages = 0;
-  for (const std::string& query : fx.queries) {
-    for (auto algo : {DistributedAlgorithm::kPaX2, DistributedAlgorithm::kPaX3,
-                      DistributedAlgorithm::kNaiveCentralized}) {
-      EngineOptions options;
-      options.algorithm = algo;
-      TransportOptions early;
-      early.max_frame_bytes = 8;  // far below a reply
-
-      auto b = EvaluateOn(*fx.cluster, query, options, kSync);
-      auto e = EvaluateOn(*fx.cluster, query, options, kSync, early);
-      const std::string label = std::string(AlgorithmName(algo)) + "|" + query;
-      ASSERT_TRUE(b.ok()) << label << ": " << b.status();
-      ASSERT_TRUE(e.ok()) << label << ": " << e.status();
-
-      EXPECT_EQ(e->answers, b->answers) << label;
-      EXPECT_EQ(Visits(e->stats), Visits(b->stats)) << label;
-      EXPECT_EQ(e->stats.rounds, b->stats.rounds) << label;
-      EXPECT_EQ(e->stats.total_bytes, b->stats.total_bytes) << label;
-      EXPECT_EQ(e->stats.answer_bytes, b->stats.answer_bytes) << label;
-      EXPECT_EQ(e->stats.data_bytes_shipped, b->stats.data_bytes_shipped)
-          << label;
-      EXPECT_EQ(EdgeBytes(e->stats), EdgeBytes(b->stats)) << label;
-      EXPECT_EQ(EdgeEnvelopes(e->stats), EdgeEnvelopes(b->stats)) << label;
-      EXPECT_EQ(e->stats.total_envelopes, b->stats.total_envelopes) << label;
-      EXPECT_GE(e->stats.total_messages, b->stats.total_messages) << label;
-
-      flushed_messages += e->stats.total_messages;
-      boundary_messages += b->stats.total_messages;
-    }
-  }
-  // A threshold below every payload must actually split frames somewhere.
-  EXPECT_GT(flushed_messages, boundary_messages);
-}
-
-// An open EnvelopeStream defers the early flush: the frame seals at the
-// stream's close, never around a half-written envelope.
-TEST(AdaptiveFlushTest, OpenStreamDefersTheFlush) {
-  auto doc = MakeClienteleDoc();
-  Cluster cluster(doc, 2);
-  cluster.PlaceRootAndSpread();
-  TransportOptions options;
-  options.max_frame_bytes = 4;
-  SyncTransport transport(options);
-  RunStats stats;
-  stats.per_site.resize(cluster.site_count());
-  RunId run = transport.OpenRun(&cluster, &stats);
-
-  Envelope head;
-  head.run = run;
-  head.from = 1;
-  head.to = 0;
-  head.parts.push_back({MessageKind::kAnswerUp, 0, "0123456789", true});
-  transport.StreamBegin(std::move(head));
-  // Way past the threshold, but the stream is open: nothing seals.
-  transport.StreamAppend(run, 1, 0, "abcdefghijklmnop", 16, 0);
-  EXPECT_EQ(stats.total_messages, 0u);
-  transport.StreamEnd(run, 1, 0);
-  // The close is the trigger.
-  EXPECT_EQ(stats.total_messages, 1u);
-  std::vector<Envelope> mail = transport.Drain(run, 0);
-  ASSERT_EQ(mail.size(), 1u);
-  EXPECT_EQ(mail[0].parts[0].bytes, "0123456789abcdefghijklmnop");
-  transport.CloseRun(run);
-}
-
 // ---- Socket reassembly layer (runtime/wire.h) -------------------------------
 
 TEST(RecordBufferTest, TruncatedRecordsWaitForMoreBytes) {
@@ -1089,7 +1053,7 @@ TEST(ControlRecordTest, RoundTrip) {
     RoundDoneRecord r;
     r.run = 9;
     r.site = 2;
-    r.seconds = 0.125;
+    r.report.seconds = 0.125;
     r.status = Status::Internal("handler failed");
     ByteWriter w;
     r.Encode(&w);
@@ -1098,7 +1062,7 @@ TEST(ControlRecordTest, RoundTrip) {
     ASSERT_TRUE(d.ok());
     EXPECT_EQ(d->run, r.run);
     EXPECT_EQ(d->site, r.site);
-    EXPECT_EQ(d->seconds, r.seconds);
+    EXPECT_EQ(d->report.seconds, r.report.seconds);
     EXPECT_EQ(d->status.code(), StatusCode::kInternal);
     EXPECT_EQ(d->status.message(), "handler failed");
   }

@@ -33,43 +33,9 @@
 namespace paxml {
 namespace {
 
+using testing::ExpectContractEqual;
 using testing::PropertyQueryBattery;
 using testing::RandomTree;
-
-// ---- Exact-equality helper (timing fields excluded) -------------------------
-
-std::vector<int> Visits(const RunStats& s) {
-  std::vector<int> v;
-  for (const SiteStats& p : s.per_site) v.push_back(p.visits);
-  return v;
-}
-
-void ExpectStatsEqual(const RunStats& parallel, const RunStats& serial,
-                      const std::string& label) {
-  EXPECT_EQ(parallel.rounds, serial.rounds) << label;
-  EXPECT_EQ(Visits(parallel), Visits(serial)) << label;
-  EXPECT_EQ(parallel.total_messages, serial.total_messages) << label;
-  EXPECT_EQ(parallel.total_envelopes, serial.total_envelopes) << label;
-  EXPECT_EQ(parallel.total_bytes, serial.total_bytes) << label;
-  EXPECT_EQ(parallel.answer_bytes, serial.answer_bytes) << label;
-  EXPECT_EQ(parallel.data_bytes_shipped, serial.data_bytes_shipped) << label;
-  EXPECT_EQ(parallel.wire_bytes, serial.wire_bytes) << label;
-  EXPECT_EQ(parallel.edges, serial.edges) << label;
-  ASSERT_EQ(parallel.per_site.size(), serial.per_site.size()) << label;
-  for (size_t s = 0; s < serial.per_site.size(); ++s) {
-    EXPECT_EQ(parallel.per_site[s].bytes_sent, serial.per_site[s].bytes_sent)
-        << label << " site " << s;
-    EXPECT_EQ(parallel.per_site[s].bytes_received,
-              serial.per_site[s].bytes_received)
-        << label << " site " << s;
-    EXPECT_EQ(parallel.per_site[s].messages_sent,
-              serial.per_site[s].messages_sent)
-        << label << " site " << s;
-    EXPECT_EQ(parallel.per_site[s].messages_received,
-              serial.per_site[s].messages_received)
-        << label << " site " << s;
-  }
-}
 
 /// `query` on a sync transport whose sites deliver on `site_threads` lanes.
 Result<DistributedResult> Evaluate(const Cluster& cluster,
@@ -121,7 +87,7 @@ TEST_P(ParallelSitePropertyTest, ParallelMatchesSerialExactly) {
         ASSERT_TRUE(serial.ok()) << label << ": " << serial.status();
         ASSERT_TRUE(parallel.ok()) << label << ": " << parallel.status();
         EXPECT_EQ(parallel->answers, serial->answers) << label;
-        ExpectStatsEqual(parallel->stats, serial->stats, label);
+        ExpectContractEqual(parallel->stats, serial->stats, label);
       }
     }
   }
@@ -155,7 +121,7 @@ TEST(ParallelSiteTest, ParBoXMatchesSerialExactly) {
     ASSERT_TRUE(serial.ok()) << serial.status();
     ASSERT_TRUE(parallel.ok()) << parallel.status();
     EXPECT_EQ(parallel->answers, serial->answers) << query;
-    ExpectStatsEqual(parallel->stats, serial->stats, query);
+    ExpectContractEqual(parallel->stats, serial->stats, query);
   }
 }
 
@@ -177,7 +143,7 @@ TEST(ParallelSiteTest, MoreThreadsThanFragmentsIsExact) {
   ASSERT_TRUE(serial.ok()) << serial.status();
   ASSERT_TRUE(parallel.ok()) << parallel.status();
   EXPECT_EQ(parallel->answers, serial->answers);
-  ExpectStatsEqual(parallel->stats, serial->stats, "threads>fragments");
+  ExpectContractEqual(parallel->stats, serial->stats, "threads>fragments");
 }
 
 // ---- WorkerPool nesting guard -----------------------------------------------

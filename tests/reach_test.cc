@@ -42,6 +42,7 @@ namespace paxml {
 namespace {
 
 using testing::Deployment;
+using testing::ExpectContractEqual;
 using testing::MakeTempDir;
 
 /// `query` on a fresh transport of the cluster's default kind.
@@ -51,37 +52,10 @@ Result<DistributedResult> Reach(const Cluster& cluster,
                               MakeTransportFor(cluster).get());
 }
 
-// ---- Exact-equality helpers -------------------------------------------------
-
 std::vector<int> Visits(const RunStats& s) {
   std::vector<int> v;
   for (const SiteStats& p : s.per_site) v.push_back(p.visits);
   return v;
-}
-
-void ExpectStatsEqual(const RunStats& got, const RunStats& want,
-                      const std::string& label) {
-  EXPECT_EQ(got.rounds, want.rounds) << label;
-  EXPECT_EQ(Visits(got), Visits(want)) << label;
-  EXPECT_EQ(got.total_messages, want.total_messages) << label;
-  EXPECT_EQ(got.total_envelopes, want.total_envelopes) << label;
-  EXPECT_EQ(got.total_bytes, want.total_bytes) << label;
-  EXPECT_EQ(got.answer_bytes, want.answer_bytes) << label;
-  EXPECT_EQ(got.data_bytes_shipped, want.data_bytes_shipped) << label;
-  EXPECT_EQ(got.wire_bytes, want.wire_bytes) << label;
-  EXPECT_EQ(got.edges, want.edges) << label;
-  ASSERT_EQ(got.per_site.size(), want.per_site.size()) << label;
-  for (size_t s = 0; s < want.per_site.size(); ++s) {
-    EXPECT_EQ(got.per_site[s].bytes_sent, want.per_site[s].bytes_sent)
-        << label << " site " << s;
-    EXPECT_EQ(got.per_site[s].bytes_received, want.per_site[s].bytes_received)
-        << label << " site " << s;
-    EXPECT_EQ(got.per_site[s].messages_sent, want.per_site[s].messages_sent)
-        << label << " site " << s;
-    EXPECT_EQ(got.per_site[s].messages_received,
-              want.per_site[s].messages_received)
-        << label << " site " << s;
-  }
 }
 
 // ---- Worlds -----------------------------------------------------------------
@@ -357,8 +331,8 @@ TEST(ReachDeterminismTest, SyncPooledAndThreadedAreBitIdentical) {
     ASSERT_TRUE(t.ok()) << label << ": " << t.status();
     EXPECT_EQ(p->answers, s->answers) << label;
     EXPECT_EQ(t->answers, s->answers) << label;
-    ExpectStatsEqual(p->stats, s->stats, "pooled|" + label);
-    ExpectStatsEqual(t->stats, s->stats, "threads=4|" + label);
+    ExpectContractEqual(p->stats, s->stats, "pooled|" + label);
+    ExpectContractEqual(t->stats, s->stats, "threads=4|" + label);
     threaded_pool_tasks += t->stats.pool_tasks;
   }
   // The threaded runs actually fanned out into lanes, so the equality
@@ -402,7 +376,7 @@ TEST(ReachSocketTest, FourProcessDeploymentReproducesSyncExactly) {
           label + "|threads=" + std::to_string(threads);
       ASSERT_TRUE(remote.ok()) << tlabel << ": " << remote.status();
       EXPECT_EQ(remote->answers, sync->answers) << tlabel;
-      ExpectStatsEqual(remote->stats, sync->stats, tlabel);
+      ExpectContractEqual(remote->stats, sync->stats, tlabel);
       pool_tasks[threads] += remote->stats.pool_tasks;
     }
   }
@@ -435,7 +409,7 @@ TEST(ReachSocketTest, EngineSubmitRoutesByWorkload) {
     auto baseline = Reach(*w.cluster, q);
     ASSERT_TRUE(baseline.ok());
     EXPECT_EQ(report.result->answers, baseline->answers);
-    ExpectStatsEqual(report.stats, baseline->stats, FormatReachQuery(q));
+    ExpectContractEqual(report.stats, baseline->stats, FormatReachQuery(q));
   }
 
   // An XPath string over graph data fails to parse as a reach query — the

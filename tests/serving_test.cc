@@ -2,9 +2,8 @@
 // fingerprints, the answer cache's hit/leader/follower admission and LRU,
 // single-flight coalescing under concurrent identical submissions, epoch
 // invalidation, the fragment-stage memo's cross-run replay (answers and
-// accounted RunStats bit-identical, savings reported), the MemoSession
-// divergence/recovery contract, and the RoundDone wire record that carries
-// a remote peer's memo savings.
+// accounted RunStats bit-identical, savings reported), and the MemoSession
+// divergence/recovery contract.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +14,6 @@
 #include "core/engine.h"
 #include "fragment/fragmenter.h"
 #include "runtime/site_driver.h"
-#include "runtime/wire.h"
 #include "runtime/worker_pool.h"
 #include "serving/answer_cache.h"
 #include "serving/fingerprint.h"
@@ -300,28 +298,6 @@ TEST_F(ServingTest, ConcurrentMixedPrioritySubmissionsBitIdentical) {
 
 // ---- Fragment-stage memo ----------------------------------------------------
 
-/// The accounted RunStats — every counter the bit-identity contract
-/// covers; timing and the advisory memo_* / pool_* fields are excluded.
-void ExpectContractEqual(const RunStats& got, const RunStats& want) {
-  EXPECT_EQ(got.rounds, want.rounds);
-  EXPECT_EQ(got.total_bytes, want.total_bytes);
-  EXPECT_EQ(got.total_messages, want.total_messages);
-  EXPECT_EQ(got.total_envelopes, want.total_envelopes);
-  EXPECT_EQ(got.answer_bytes, want.answer_bytes);
-  EXPECT_EQ(got.wire_bytes, want.wire_bytes);
-  EXPECT_EQ(got.edges, want.edges);
-  ASSERT_EQ(got.per_site.size(), want.per_site.size());
-  for (size_t s = 0; s < want.per_site.size(); ++s) {
-    EXPECT_EQ(got.per_site[s].visits, want.per_site[s].visits) << "site " << s;
-    EXPECT_EQ(got.per_site[s].bytes_sent, want.per_site[s].bytes_sent)
-        << "site " << s;
-    EXPECT_EQ(got.per_site[s].bytes_received, want.per_site[s].bytes_received)
-        << "site " << s;
-    EXPECT_EQ(got.per_site[s].messages_sent, want.per_site[s].messages_sent)
-        << "site " << s;
-  }
-}
-
 // A second identical run replays per-fragment partial answers: answers and
 // every accounted counter bit-identical, savings reported in the memo_*
 // fields only. Two sites with two or more fragments each, so at
@@ -362,8 +338,8 @@ TEST_F(ServingTest, MemoSecondRunReportsSavingsWithIdenticalAccounting) {
     // The protocol the coordinator observed is unchanged to the byte.
     EXPECT_EQ(first.result->answers, plain.result->answers);
     EXPECT_EQ(second.result->answers, plain.result->answers);
-    ExpectContractEqual(first.stats, plain.stats);
-    ExpectContractEqual(second.stats, plain.stats);
+    testing::ExpectContractEqual(first.stats, plain.stats);
+    testing::ExpectContractEqual(second.stats, plain.stats);
 
     if (threads > 1) {
       EXPECT_GT(first.stats.pool_tasks, 0u);
@@ -420,40 +396,44 @@ TEST(MemoSessionTest, ReplaysUntilDivergenceThenHandsBackRecoveryPrefix) {
   {
     MemoSession first(memo, "fp", /*epoch=*/1);
     std::vector<Envelope> replies, recover;
-    EXPECT_FALSE(first.Lookup(1, req_a, &replies, &recover));
+    MemoSavings none;
+    EXPECT_FALSE(first.Lookup(1, req_a, &replies, &recover, &none));
     EXPECT_TRUE(recover.empty());  // nothing was ever replayed
     first.Record(1, req_a, {reply}, 0.25);
-    EXPECT_FALSE(first.Lookup(1, req_b, &replies, &recover));
+    EXPECT_FALSE(first.Lookup(1, req_b, &replies, &recover, &none));
     first.Record(1, req_b, {reply, reply}, 0.25);
-    const MemoSavings none = first.TakeSavings();
     EXPECT_EQ(none.fragment_hits, 0u);
   }
 
   {
     MemoSession second(memo, "fp", /*epoch=*/1);
     std::vector<Envelope> replies, recover;
-    ASSERT_TRUE(second.Lookup(1, req_a, &replies, &recover));
+    MemoSavings saved;
+    ASSERT_TRUE(second.Lookup(1, req_a, &replies, &recover, &saved));
     EXPECT_EQ(replies.size(), 1u);
     // Divergence at step 2: the miss returns the memo-served request prefix
     // so the driver can rebuild the fragment's handler state.
     replies.clear();
-    EXPECT_FALSE(second.Lookup(1, req_x, &replies, &recover));
+    EXPECT_FALSE(second.Lookup(1, req_x, &replies, &recover, &saved));
     ASSERT_EQ(recover.size(), 1u);
     EXPECT_EQ(EnvelopeDigest(recover[0]), EnvelopeDigest(req_a));
     // Evaluate mode from here: later misses hand back no prefix twice.
     recover.clear();
-    EXPECT_FALSE(second.Lookup(1, req_b, &replies, &recover));
+    EXPECT_FALSE(second.Lookup(1, req_b, &replies, &recover, &saved));
     EXPECT_TRUE(recover.empty());
-    const MemoSavings saved = second.TakeSavings();
+    // Only the hit adds to the caller's savings: its entry's recorded cost
+    // and reply bytes.
     EXPECT_EQ(saved.fragment_hits, 1u);
-    EXPECT_GT(saved.saved_seconds, 0.0);
+    EXPECT_EQ(saved.saved_seconds, 0.25);
+    EXPECT_EQ(saved.saved_bytes, reply.WireBytes());
   }
 
   // A different epoch shares nothing.
   {
     MemoSession other(memo, "fp", /*epoch=*/2);
     std::vector<Envelope> replies, recover;
-    EXPECT_FALSE(other.Lookup(1, req_a, &replies, &recover));
+    MemoSavings saved;
+    EXPECT_FALSE(other.Lookup(1, req_a, &replies, &recover, &saved));
   }
 }
 
@@ -549,10 +529,11 @@ TEST(SiteDriverMemoTest, RecoveryAfterHitsMatchesADeliveryWithoutMemo) {
       SiteDriver driver(&cluster, &plane, run, &handlers, pool, threads,
                         std::move(session));
       for (const std::vector<Envelope>& mail : rounds) {
-        double seconds = 0;
-        EXPECT_TRUE(driver.DeliverTimed(site, mail, &seconds).ok());
+        DeliveryReport report;
+        EXPECT_TRUE(driver.DeliverTimed(site, mail, &report).ok());
+        // Each delivery reports its own hits; nothing carries over.
+        if (saved != nullptr) *saved += report.memo;
       }
-      if (saved != nullptr) *saved = driver.TakeMemoSavings();
       return Describe(plane.sent);
     };
 
@@ -593,31 +574,6 @@ TEST(FragmentMemoTest, DigestMismatchIsAMissAndRunIdIsExcluded) {
   EXPECT_FALSE(memo.Lookup("k", EnvelopeDigest(different), &out));
   EXPECT_EQ(memo.stats().hits, 1u);
   EXPECT_EQ(memo.stats().misses, 1u);
-}
-
-// ---- RoundDone wire record --------------------------------------------------
-
-// A peer's memo savings ride back in RoundDone.
-TEST(WireTest, RoundDoneRecordRoundtripsMemoSavings) {
-  RoundDoneRecord record;
-  record.run = 11;
-  record.site = 3;
-  record.seconds = 0.5;
-  record.status = Status::OK();
-  record.memo_fragment_hits = 17;
-  record.memo_saved_bytes = 4096;
-  record.memo_saved_seconds = 0.125;
-
-  ByteWriter w;
-  record.Encode(&w);
-  ByteReader reader(w.bytes());
-  auto decoded = RoundDoneRecord::Decode(&reader);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->run, record.run);
-  EXPECT_EQ(decoded->site, record.site);
-  EXPECT_EQ(decoded->memo_fragment_hits, 17u);
-  EXPECT_EQ(decoded->memo_saved_bytes, 4096u);
-  EXPECT_EQ(decoded->memo_saved_seconds, 0.125);
 }
 
 }  // namespace

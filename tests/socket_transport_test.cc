@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/prctl.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -27,6 +28,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <optional>
@@ -50,49 +53,9 @@ namespace {
 
 using testing::Deployment;
 using testing::EvaluateOn;
+using testing::ExpectContractEqual;
 
-// ---- Exact-equality helpers -------------------------------------------------
-
-std::vector<int> Visits(const RunStats& s) {
-  std::vector<int> v;
-  for (const SiteStats& p : s.per_site) v.push_back(p.visits);
-  return v;
-}
-
-/// Every count the paper's guarantees are stated in, the full per-site and
-/// per-edge splits, and the wire bytes (each frame is priced by its one
-/// kFrame encoding, whichever backend sealed it). The delta-codec fields
-/// are envelope-level and deterministic, so they belong here too. Timing
-/// fields are wall-clock and excluded.
-void ExpectStatsEqual(const RunStats& socket, const RunStats& sync,
-                      const std::string& label) {
-  EXPECT_EQ(socket.rounds, sync.rounds) << label;
-  EXPECT_EQ(Visits(socket), Visits(sync)) << label;
-  EXPECT_EQ(socket.total_messages, sync.total_messages) << label;
-  EXPECT_EQ(socket.total_envelopes, sync.total_envelopes) << label;
-  EXPECT_EQ(socket.total_bytes, sync.total_bytes) << label;
-  EXPECT_EQ(socket.answer_bytes, sync.answer_bytes) << label;
-  EXPECT_EQ(socket.data_bytes_shipped, sync.data_bytes_shipped) << label;
-  EXPECT_EQ(socket.delta_logical_bytes, sync.delta_logical_bytes) << label;
-  EXPECT_EQ(socket.delta_wire_bytes, sync.delta_wire_bytes) << label;
-  EXPECT_EQ(socket.wire_bytes, sync.wire_bytes) << label;
-  EXPECT_EQ(socket.wire_raw_bytes, sync.wire_raw_bytes) << label;
-  EXPECT_EQ(socket.edges, sync.edges) << label;
-  ASSERT_EQ(socket.per_site.size(), sync.per_site.size()) << label;
-  for (size_t s = 0; s < sync.per_site.size(); ++s) {
-    EXPECT_EQ(socket.per_site[s].bytes_sent, sync.per_site[s].bytes_sent)
-        << label << " site " << s;
-    EXPECT_EQ(socket.per_site[s].bytes_received,
-              sync.per_site[s].bytes_received)
-        << label << " site " << s;
-    EXPECT_EQ(socket.per_site[s].messages_sent,
-              sync.per_site[s].messages_sent)
-        << label << " site " << s;
-    EXPECT_EQ(socket.per_site[s].messages_received,
-              sync.per_site[s].messages_received)
-        << label << " site " << s;
-  }
-}
+// ---- CI smoke hooks ---------------------------------------------------------
 
 /// CI smoke hook: PAXML_SITE_THREADS=N re-runs every socket test in this
 /// file with intra-site parallel delivery at the peers — the stats
@@ -202,7 +165,7 @@ TEST(SocketTransportTest, ClienteleReproducesSyncExactly) {
         ASSERT_TRUE(sync.ok()) << label << ": " << sync.status();
         ASSERT_TRUE(socket.ok()) << label << ": " << socket.status();
         EXPECT_EQ(socket->answers, sync->answers) << label;
-        ExpectStatsEqual(socket->stats, sync->stats, label);
+        ExpectContractEqual(socket->stats, sync->stats, label);
       }
     }
   }
@@ -221,7 +184,7 @@ TEST(SocketTransportTest, BooleanQueryViaParBoX) {
   ASSERT_TRUE(sync.ok()) << sync.status();
   ASSERT_TRUE(socket.ok()) << socket.status();
   EXPECT_EQ(socket->answers, sync->answers);
-  ExpectStatsEqual(socket->stats, sync->stats, "parbox");
+  ExpectContractEqual(socket->stats, sync->stats, "parbox");
 }
 
 // ---- The acceptance bar: FT2 on the paper's four machines -------------------
@@ -242,7 +205,7 @@ TEST(SocketTransportTest, FT2PaperPlacementReproducesSyncExactly) {
       ASSERT_TRUE(sync.ok()) << label << ": " << sync.status();
       ASSERT_TRUE(socket.ok()) << label << ": " << socket.status();
       EXPECT_EQ(socket->answers, sync->answers) << label;
-      ExpectStatsEqual(socket->stats, sync->stats, label);
+      ExpectContractEqual(socket->stats, sync->stats, label);
     }
   }
 }
@@ -267,7 +230,7 @@ TEST(SocketTransportTest, FT2ParallelSitesReproduceSyncExactly) {
       ASSERT_TRUE(sync.ok()) << label << ": " << sync.status();
       ASSERT_TRUE(socket.ok()) << label << ": " << socket.status();
       EXPECT_EQ(socket->answers, sync->answers) << label;
-      ExpectStatsEqual(socket->stats, sync->stats, label);
+      ExpectContractEqual(socket->stats, sync->stats, label);
     }
   }
 }
@@ -296,7 +259,7 @@ TEST(SocketTransportTest, ForcedSplitReproducesSyncExactly) {
     ASSERT_TRUE(sync.ok()) << query << ": " << sync.status();
     ASSERT_TRUE(socket.ok()) << query << ": " << socket.status();
     EXPECT_EQ(socket->answers, sync->answers) << query;
-    ExpectStatsEqual(socket->stats, sync->stats, query);
+    ExpectContractEqual(socket->stats, sync->stats, query);
     EXPECT_EQ(sync->stats.pool_tasks, 0u) << query;
     split_pool_tasks += socket->stats.pool_tasks;
   }
@@ -349,8 +312,8 @@ TEST(SocketTransportTest, ConcurrentRunsOnOnePeerReproduceSoloStats) {
     ASSERT_TRUE(got_b.ok()) << label << ": " << got_b.status();
     EXPECT_EQ(got_a->answers, solo_a->answers) << label;
     EXPECT_EQ(got_b->answers, solo_b->answers) << label;
-    ExpectStatsEqual(got_a->stats, solo_a->stats, label + "|run A");
-    ExpectStatsEqual(got_b->stats, solo_b->stats, label + "|run B");
+    ExpectContractEqual(got_a->stats, solo_a->stats, label + "|run A");
+    ExpectContractEqual(got_b->stats, solo_b->stats, label + "|run B");
   }
 }
 
@@ -410,8 +373,8 @@ TEST(SocketTransportTest, ConcurrentRunsDegradeCleanlyWhenServerCapsRounds) {
   ASSERT_TRUE(got_b.ok()) << got_b.status();
   EXPECT_EQ(got_a->answers, solo->answers);
   EXPECT_EQ(got_b->answers, solo->answers);
-  ExpectStatsEqual(got_a->stats, solo->stats, "capped|run A");
-  ExpectStatsEqual(got_b->stats, solo->stats, "capped|run B");
+  ExpectContractEqual(got_a->stats, solo->stats, "capped|run A");
+  ExpectContractEqual(got_b->stats, solo->stats, "capped|run B");
 }
 
 // ---- One wire version ------------------------------------------------------
@@ -554,36 +517,199 @@ TEST(SocketTransportTest, RejectedHandshakeFailsTheFirstRoundCleanly) {
 
 // Peers serving with a fragment memo (paxml_site --memo) at site_threads=4:
 // site 1 hosts two fragments, so its rounds fan out into lanes while the
-// memo records and then replays each fragment's replies. The repeated
-// query's hits come home through RoundDone, and both runs' contract fields
-// equal the sync run's.
+// memo records and then replays each fragment's replies. The client gives
+// its local query site a memo too, so every site memoizes exactly as in an
+// in-process run with one memo and the same site_threads: the repeated
+// query's hits and every run's pool tasks, which come home through the
+// peers' RoundDone reports, equal that run's exactly, and the contract
+// fields equal the plain sync run's.
 TEST(SocketTransportTest, MemoPeersWithLanesReproduceSyncExactly) {
   ClienteleWorld w = MakeClienteleWorld();
   ASSERT_GE(w.cluster->fragments_at(1).size(), 2u);
   InProcessPeers peers(w.cluster.get(), std::make_shared<FragmentMemo>());
+  TransportOptions options = SocketOptions(peers.endpoints());
+  options.site_threads = 4;
+  options.split_threshold_pct = 0;
+  options.fragment_memo = std::make_shared<FragmentMemo>();
+  TransportOptions in_process;
+  in_process.site_threads = 4;
+  in_process.fragment_memo = std::make_shared<FragmentMemo>();
 
   for (const std::string& query :
        {std::string("//stock/code"),
         std::string("clientele/client[country/text() = \"US\"]/broker/name")}) {
     auto sync = RunSync(*w.cluster, query, DistributedAlgorithm::kPaX2, false);
     ASSERT_TRUE(sync.ok()) << query << ": " << sync.status();
-    TransportOptions options = SocketOptions(peers.endpoints());
-    options.site_threads = 4;
-    options.split_threshold_pct = 0;
-    auto recording = RunSocket(*w.cluster, query, DistributedAlgorithm::kPaX2,
-                               false, options);
-    auto replaying = RunSocket(*w.cluster, query, DistributedAlgorithm::kPaX2,
-                               false, options);
-    ASSERT_TRUE(recording.ok()) << query << ": " << recording.status();
-    ASSERT_TRUE(replaying.ok()) << query << ": " << replaying.status();
-    EXPECT_EQ(recording->answers, sync->answers) << query;
-    EXPECT_EQ(replaying->answers, sync->answers) << query;
-    ExpectStatsEqual(recording->stats, sync->stats, query + "|recording");
-    ExpectStatsEqual(replaying->stats, sync->stats, query + "|replaying");
-    EXPECT_EQ(recording->stats.memo_fragment_hits, 0u) << query;
-    EXPECT_GT(replaying->stats.memo_fragment_hits, 0u) << query;
-    EXPECT_GT(recording->stats.pool_tasks, 0u) << query;
-    EXPECT_GT(replaying->stats.pool_tasks, 0u) << query;
+    std::vector<RunStats> local;
+    std::vector<RunStats> remote;
+    for (const char* phase : {"recording", "replaying"}) {
+      const std::string label = query + "|" + phase;
+      auto in = RunSync(*w.cluster, query, DistributedAlgorithm::kPaX2, false,
+                        in_process);
+      auto got = RunSocket(*w.cluster, query, DistributedAlgorithm::kPaX2,
+                           false, options);
+      ASSERT_TRUE(in.ok()) << label << ": " << in.status();
+      ASSERT_TRUE(got.ok()) << label << ": " << got.status();
+      EXPECT_EQ(got->answers, sync->answers) << label;
+      ExpectContractEqual(got->stats, sync->stats, label);
+      ExpectContractEqual(in->stats, sync->stats, label);
+      local.push_back(in->stats);
+      remote.push_back(got->stats);
+    }
+    EXPECT_EQ(remote[0].memo_fragment_hits, 0u) << query;
+    EXPECT_GT(remote[1].memo_fragment_hits, 0u) << query;
+    for (size_t i = 0; i < 2; ++i) {
+      const std::string label = query + (i == 0 ? "|recording" : "|replaying");
+      EXPECT_EQ(remote[i].memo_fragment_hits, local[i].memo_fragment_hits)
+          << label;
+      EXPECT_EQ(remote[i].memo_saved_bytes, local[i].memo_saved_bytes)
+          << label;
+      EXPECT_GT(remote[i].pool_tasks, 0u) << label;
+      EXPECT_EQ(remote[i].pool_tasks, local[i].pool_tasks) << label;
+    }
+  }
+}
+
+// ---- Round reports ----------------------------------------------------------
+
+/// A hand-driven peer for `site`: acknowledges the Hello, answers each
+/// kRoundStart with the records `on_round` returns, and ignores every other
+/// record. With `hang_up` it closes the connection after its first round's
+/// answer; otherwise it serves until the client hangs up.
+class ScriptedPeer {
+ public:
+  using OnRound = std::function<std::string(const RoundStartRecord&)>;
+
+  ScriptedPeer(SiteId site, OnRound on_round, bool hang_up) {
+    auto fd = ListenOn("127.0.0.1", 0);
+    PAXML_CHECK(fd.ok());
+    listen_fd_ = *fd;
+    auto port = BoundPort(listen_fd_);
+    PAXML_CHECK(port.ok());
+    endpoint_ = "127.0.0.1:" + std::to_string(*port);
+    thread_ = std::thread([this, site, on_round = std::move(on_round),
+                           hang_up] {
+      auto conn = AcceptOn(listen_fd_);
+      if (!conn.ok()) return;  // never dialed: the destructor shut it down
+      RecordBuffer buf;
+      while (std::optional<WireRecord> record = ReadRecord(*conn, &buf)) {
+        std::string reply;
+        bool round = false;
+        if (record->type == RecordType::kHello) {
+          HelloAckRecord ack;
+          ack.site = site;
+          AppendControlRecord(RecordType::kHelloAck, ack, &reply);
+        } else if (record->type == RecordType::kRoundStart) {
+          ByteReader reader(record->payload);
+          auto start = RoundStartRecord::Decode(&reader);
+          PAXML_CHECK(start.ok());
+          reply = on_round(*start);
+          round = true;
+        }
+        if (!WriteAll(*conn, reply).ok() || (round && hang_up)) break;
+      }
+      CloseFd(*conn);
+    });
+  }
+
+  /// The client transport must be gone first (a peer that does not hang
+  /// up serves until its client does).
+  ~ScriptedPeer() {
+    ::shutdown(listen_fd_, SHUT_RDWR);
+    thread_.join();
+    CloseFd(listen_fd_);
+  }
+
+  ScriptedPeer(const ScriptedPeer&) = delete;
+  ScriptedPeer& operator=(const ScriptedPeer&) = delete;
+
+  const std::string& endpoint() const { return endpoint_; }
+
+ private:
+  int listen_fd_ = -1;
+  std::string endpoint_;
+  std::thread thread_;
+};
+
+std::string RoundDoneBytes(const RoundStartRecord& start, Status status,
+                           const DeliveryReport& report) {
+  RoundDoneRecord done;
+  done.run = start.run;
+  done.site = start.site;
+  done.status = std::move(status);
+  done.report = report;
+  std::string bytes;
+  AppendControlRecord(RecordType::kRoundDone, done, &bytes);
+  return bytes;
+}
+
+// One peer fails the round at once; another holds its kRoundDone until the
+// round has ended, then sends it and hangs up. The report of the peer that
+// answered reaches RunStats (memo and pool counters, and its cost as the
+// site's duration); nothing of the late report does, although its run is
+// still open when it arrives.
+TEST(SocketTransportTest, LateRoundDoneReportNeverReachesRunStats) {
+  ClienteleWorld w = MakeClienteleWorld();
+  DeliveryReport answered;
+  answered.seconds = 0.25;
+  answered.memo = MemoSavings{2, 64, 0.5};
+  answered.pool = PoolStats{5, 3, 1};
+  DeliveryReport late;
+  late.seconds = 9;
+  late.memo = MemoSavings{1000, 1 << 20, 100};
+  late.pool = PoolStats{1000, 64, 64};
+
+  std::promise<void> round_over;
+  std::shared_future<void> released = round_over.get_future().share();
+  ScriptedPeer failing(
+      2,
+      [&](const RoundStartRecord& start) {
+        return RoundDoneBytes(start, Status::Internal("scripted failure"),
+                              answered);
+      },
+      /*hang_up=*/false);
+  ScriptedPeer slow(
+      3,
+      [&](const RoundStartRecord& start) {
+        released.wait();
+        return RoundDoneBytes(start, Status::OK(), late);
+      },
+      /*hang_up=*/true);
+
+  TransportOptions topts;
+  topts.remote_endpoints[2] = failing.endpoint();
+  topts.remote_endpoints[3] = slow.endpoint();
+  {
+    SocketTransport socket(topts);
+    ASSERT_TRUE(socket.EnsureConnected().ok());
+    RunStats stats;
+    stats.per_site.resize(w.cluster->site_count());
+    const RunId run = socket.OpenRun(w.cluster.get(), &stats);
+    std::vector<double> durations;
+    const Status status = socket.RunRound(
+        run, {2, 3}, [](SiteId, std::vector<Envelope>) {}, &durations);
+    round_over.set_value();
+    EXPECT_EQ(status.code(), StatusCode::kInternal) << status;
+    ASSERT_EQ(durations.size(), 2u);
+    EXPECT_EQ(durations[0], 0.25);
+    EXPECT_EQ(durations[1], 0.0);
+
+    // The late RoundDone precedes the hang-up on its connection, so once
+    // the transport has seen the connection die it has handled the report.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (socket.EnsureConnected().ok() &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_FALSE(socket.EnsureConnected().ok());
+    EXPECT_EQ(stats.memo_fragment_hits, 2u);
+    EXPECT_EQ(stats.memo_saved_bytes, 64u);
+    EXPECT_EQ(stats.memo_saved_seconds, 0.5);
+    EXPECT_EQ(stats.pool_tasks, 5u);
+    EXPECT_EQ(stats.pool_busy_peak, 3u);
+    EXPECT_EQ(stats.pool_queue_peak, 1u);
+    socket.CloseRun(run);
   }
 }
 
@@ -618,7 +744,7 @@ TEST(SocketTransportTest, EngineSubmitWorksUnchangedOverSockets) {
         RunSync(*w.cluster, queries[i], DistributedAlgorithm::kPaX2, false);
     ASSERT_TRUE(baseline.ok());
     EXPECT_EQ(report.result->answers, baseline->answers) << queries[i];
-    ExpectStatsEqual(report.stats, baseline->stats, queries[i]);
+    ExpectContractEqual(report.stats, baseline->stats, queries[i]);
     EXPECT_GT(handles[i].Progress().rounds, 0) << queries[i];
   }
 }

@@ -24,43 +24,9 @@
 namespace paxml {
 namespace {
 
+using testing::ExpectContractEqual;
 using testing::PropertyQueryBattery;
 using testing::RandomTree;
-
-// ---- Exact-equality helper (timing and advisory pool_* excluded) ------------
-
-std::vector<int> Visits(const RunStats& s) {
-  std::vector<int> v;
-  for (const SiteStats& p : s.per_site) v.push_back(p.visits);
-  return v;
-}
-
-void ExpectStatsEqual(const RunStats& split, const RunStats& serial,
-                      const std::string& label) {
-  EXPECT_EQ(split.rounds, serial.rounds) << label;
-  EXPECT_EQ(Visits(split), Visits(serial)) << label;
-  EXPECT_EQ(split.total_messages, serial.total_messages) << label;
-  EXPECT_EQ(split.total_envelopes, serial.total_envelopes) << label;
-  EXPECT_EQ(split.total_bytes, serial.total_bytes) << label;
-  EXPECT_EQ(split.answer_bytes, serial.answer_bytes) << label;
-  EXPECT_EQ(split.data_bytes_shipped, serial.data_bytes_shipped) << label;
-  EXPECT_EQ(split.wire_bytes, serial.wire_bytes) << label;
-  EXPECT_EQ(split.edges, serial.edges) << label;
-  ASSERT_EQ(split.per_site.size(), serial.per_site.size()) << label;
-  for (size_t s = 0; s < serial.per_site.size(); ++s) {
-    EXPECT_EQ(split.per_site[s].bytes_sent, serial.per_site[s].bytes_sent)
-        << label << " site " << s;
-    EXPECT_EQ(split.per_site[s].bytes_received,
-              serial.per_site[s].bytes_received)
-        << label << " site " << s;
-    EXPECT_EQ(split.per_site[s].messages_sent,
-              serial.per_site[s].messages_sent)
-        << label << " site " << s;
-    EXPECT_EQ(split.per_site[s].messages_received,
-              serial.per_site[s].messages_received)
-        << label << " site " << s;
-  }
-}
 
 /// `query` on a sync transport with `site_threads` lanes per site and
 /// intra-fragment splitting offered at `split_pct` (0: off).
@@ -116,7 +82,7 @@ TEST_P(SplitDeliveryPropertyTest, SplitMatchesSerialExactly) {
         ASSERT_TRUE(serial.ok()) << label << ": " << serial.status();
         ASSERT_TRUE(split.ok()) << label << ": " << split.status();
         EXPECT_EQ(split->answers, serial->answers) << label;
-        ExpectStatsEqual(split->stats, serial->stats, label);
+        ExpectContractEqual(split->stats, serial->stats, label);
         // The serial run never touches a pool.
         EXPECT_EQ(serial->stats.pool_tasks, 0u) << label;
         split_pool_tasks += split->stats.pool_tasks;
@@ -164,7 +130,7 @@ TEST(SplitDeliveryTest, OneFragmentPerSiteSplitsAndMatchesSerial) {
     ASSERT_TRUE(serial.ok()) << query << ": " << serial.status();
     ASSERT_TRUE(split.ok()) << query << ": " << split.status();
     EXPECT_EQ(split->answers, serial->answers) << query;
-    ExpectStatsEqual(split->stats, serial->stats, query);
+    ExpectContractEqual(split->stats, serial->stats, query);
     split_pool_tasks += split->stats.pool_tasks;
   }
   EXPECT_GT(split_pool_tasks, 0u);
@@ -203,7 +169,7 @@ TEST(SplitDeliveryTest, DeadSubtreeStillReportsItsVirtualTop) {
     ASSERT_TRUE(split.ok()) << query << ": " << split.status();
     EXPECT_FALSE(serial->answers.empty()) << query;
     EXPECT_EQ(split->answers, serial->answers) << query;
-    ExpectStatsEqual(split->stats, serial->stats, query);
+    ExpectContractEqual(split->stats, serial->stats, query);
     split_pool_tasks += split->stats.pool_tasks;
   }
   EXPECT_GT(split_pool_tasks, 0u);
@@ -232,7 +198,7 @@ TEST(SplitDeliveryTest, SingleThreadWithThresholdIsTheSerialPath) {
     ASSERT_TRUE(serial.ok()) << serial.status();
     ASSERT_TRUE(gated.ok()) << gated.status();
     EXPECT_EQ(gated->answers, serial->answers) << query;
-    ExpectStatsEqual(gated->stats, serial->stats, query);
+    ExpectContractEqual(gated->stats, serial->stats, query);
     EXPECT_EQ(gated->stats.pool_tasks, 0u) << query;
   }
 }
@@ -256,7 +222,7 @@ TEST(SplitDeliveryTest, WholeSegmentThresholdIsExact) {
     ASSERT_TRUE(serial.ok()) << query << ": " << serial.status();
     ASSERT_TRUE(split.ok()) << query << ": " << split.status();
     EXPECT_EQ(split->answers, serial->answers) << query;
-    ExpectStatsEqual(split->stats, serial->stats, query);
+    ExpectContractEqual(split->stats, serial->stats, query);
   }
 }
 

@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "common/logging.h"
 #include "common/rng.h"
 #include "core/workload.h"
@@ -31,6 +33,39 @@ inline Result<DistributedResult> EvaluateOn(
   std::unique_ptr<Transport> transport =
       MakeTransportFor(cluster, kind, std::move(transport_options));
   return EvaluateWorkload(cluster, query, options, transport.get());
+}
+
+/// The RunStats bit-identity contract: every count the paper's guarantees
+/// are stated in, the full per-site and per-edge splits, the wire bytes
+/// (each frame is priced by its one kFrame encoding, whichever backend
+/// sealed it) and the delta-codec fields (envelope-level, deterministic).
+/// Timing fields and the advisory memo_* / pool_* fields are excluded: they
+/// are the only ones a backend or knob may change. `got` is checked against
+/// the reference run `want`.
+inline void ExpectContractEqual(const RunStats& got, const RunStats& want,
+                                const std::string& label = "") {
+  EXPECT_EQ(got.rounds, want.rounds) << label;
+  EXPECT_EQ(got.total_messages, want.total_messages) << label;
+  EXPECT_EQ(got.total_envelopes, want.total_envelopes) << label;
+  EXPECT_EQ(got.total_bytes, want.total_bytes) << label;
+  EXPECT_EQ(got.answer_bytes, want.answer_bytes) << label;
+  EXPECT_EQ(got.data_bytes_shipped, want.data_bytes_shipped) << label;
+  EXPECT_EQ(got.delta_logical_bytes, want.delta_logical_bytes) << label;
+  EXPECT_EQ(got.delta_wire_bytes, want.delta_wire_bytes) << label;
+  EXPECT_EQ(got.wire_bytes, want.wire_bytes) << label;
+  EXPECT_EQ(got.wire_raw_bytes, want.wire_raw_bytes) << label;
+  EXPECT_EQ(got.edges, want.edges) << label;
+  ASSERT_EQ(got.per_site.size(), want.per_site.size()) << label;
+  for (size_t s = 0; s < want.per_site.size(); ++s) {
+    const SiteStats& g = got.per_site[s];
+    const SiteStats& w = want.per_site[s];
+    EXPECT_EQ(g.visits, w.visits) << label << " site " << s;
+    EXPECT_EQ(g.bytes_sent, w.bytes_sent) << label << " site " << s;
+    EXPECT_EQ(g.bytes_received, w.bytes_received) << label << " site " << s;
+    EXPECT_EQ(g.messages_sent, w.messages_sent) << label << " site " << s;
+    EXPECT_EQ(g.messages_received, w.messages_received)
+        << label << " site " << s;
+  }
 }
 
 /// Builds the investment-clientele tree of Fig. 1 of the paper:
