@@ -1,9 +1,10 @@
 #include "core/reach.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstdio>
+#include <charconv>
 #include <deque>
+#include <string_view>
+#include <system_error>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -14,115 +15,6 @@
 #include "runtime/coordinator.h"
 
 namespace paxml {
-namespace {
-
-/// Scratch of the kernel, sized to one fragment and reused across its
-/// batches: every word is zero again when a batch ends.
-struct ReachScratch {
-  explicit ReachScratch(size_t vertices)
-      : reached(vertices), queued(vertices), queue(vertices) {}
-
-  std::vector<uint64_t> reached;  ///< bit b: entry b reaches the vertex
-  std::vector<uint8_t> queued;    ///< the vertex waits in `queue`
-  std::vector<int32_t> queue;     ///< FIFO ring; a vertex is queued at most once
-  std::vector<int32_t> touched;   ///< vertices whose word is non-zero
-};
-
-/// The one traversal routine: the rows of up to 64 entries, written into
-/// the empty rows[0, entries.size()).
-void TraverseBatch(const GraphFragment& frag, std::span<const int32_t> entries,
-                   int32_t local_target, ReachScratch* scratch,
-                   ReachEntryRow* rows) {
-  PAXML_CHECK_LE(entries.size(), kReachBatchEntries);
-  std::vector<uint64_t>& reached = scratch->reached;
-  std::vector<int32_t>& queue = scratch->queue;
-  size_t head = 0;
-  size_t queued = 0;
-  // ORs `add` into v's word and queues v when the word grew. A successor
-  // already holds every bit its predecessor pushed before, so pushing a
-  // whole word again brings it exactly the bits it lacks.
-  auto reach = [&](int32_t v, uint64_t add) {
-    uint64_t& word = reached[static_cast<size_t>(v)];
-    if ((add & ~word) == 0) return;
-    if (word == 0) scratch->touched.push_back(v);
-    word |= add;
-    uint8_t& waiting = scratch->queued[static_cast<size_t>(v)];
-    if (waiting) return;
-    waiting = 1;
-    size_t tail = head + queued++;
-    if (tail >= queue.size()) tail -= queue.size();
-    queue[tail] = v;
-  };
-
-  for (size_t b = 0; b < entries.size(); ++b) {
-    reach(entries[b], uint64_t{1} << b);
-  }
-  while (queued > 0) {
-    const int32_t u = queue[head];
-    if (++head == queue.size()) head = 0;
-    --queued;
-    scratch->queued[static_cast<size_t>(u)] = 0;
-    const uint64_t push = reached[static_cast<size_t>(u)];
-    for (int32_t v : frag.local_out[static_cast<size_t>(u)]) reach(v, push);
-  }
-
-  const uint64_t at_target =
-      local_target >= 0 ? reached[static_cast<size_t>(local_target)] : 0;
-  for (size_t b = 0; b < entries.size(); ++b) {
-    rows[b].direct = (at_target >> b) & 1;
-  }
-  // Each touched vertex's cut edges belong to every entry that reaches it;
-  // the sweep also zeroes the words for the next batch.
-  for (int32_t u : scratch->touched) {
-    uint64_t& word = reached[static_cast<size_t>(u)];
-    const std::vector<NodeId>& heads = frag.cut_out[static_cast<size_t>(u)];
-    if (!heads.empty()) {
-      for (uint64_t w = word; w != 0; w &= w - 1) {
-        std::vector<NodeId>& deps = rows[std::countr_zero(w)].deps;
-        deps.insert(deps.end(), heads.begin(), heads.end());
-      }
-    }
-    word = 0;
-  }
-  scratch->touched.clear();
-  for (size_t b = 0; b < entries.size(); ++b) {
-    std::vector<NodeId>& deps = rows[b].deps;
-    std::sort(deps.begin(), deps.end());
-    deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-  }
-}
-
-/// Runs the kernel over `entries` one 64-entry batch at a time with one
-/// scratch, handing each batch to `emit(offset, rows)`: rows[i] belongs to
-/// entries[offset + i]. The rows are reused by the next batch, so at most
-/// 64 of them are live at once.
-template <typename Emit>
-void ForEachBatch(const GraphFragment& frag, std::span<const int32_t> entries,
-                  int32_t local_target, Emit emit) {
-  ReachScratch scratch(frag.vertices.size());
-  std::vector<ReachEntryRow> rows(
-      std::min(kReachBatchEntries, entries.size()));
-  for (size_t begin = 0; begin < entries.size(); begin += kReachBatchEntries) {
-    const size_t count = std::min(kReachBatchEntries, entries.size() - begin);
-    for (size_t b = 0; b < count; ++b) rows[b].deps.clear();
-    TraverseBatch(frag, entries.subspan(begin, count), local_target, &scratch,
-                  rows.data());
-    emit(begin, std::span<ReachEntryRow>(rows.data(), count));
-  }
-}
-
-}  // namespace
-
-std::vector<ReachEntryRow> PartiallyEvaluateEntries(
-    const GraphFragment& frag, std::span<const int32_t> entries,
-    int32_t local_target) {
-  std::vector<ReachEntryRow> out(entries.size());
-  ForEachBatch(frag, entries, local_target,
-               [&](size_t offset, std::span<ReachEntryRow> rows) {
-                 std::move(rows.begin(), rows.end(), out.begin() + offset);
-               });
-  return out;
-}
 
 std::vector<int32_t> ReachEntryVertices(const GraphFragmentStore& store,
                                         const ReachQuery& query, FragmentId f) {
@@ -152,49 +44,10 @@ struct ReachRow : ReachEntryRow {
   NodeId vertex = kNullNode;  ///< global id; the row's boolean variable
 };
 
-/// One fragment's kReachUp rows, encoded.
-struct EncodedReachRows {
-  std::string bytes;
-  uint64_t logical = 0;  ///< what the absolute id coding would cost
-};
-
-/// The rows of `entries`, evaluated by the kernel one batch at a time and
-/// encoded as they appear in the payload: in entry order (ascending global
-/// id), deps sorted — canonical bytes, so remote peers reproduce the
-/// in-process wire exactly. Ids are delta+varint coded (vertices across
-/// rows, deps within a row); `logical` tracks what the absolute coding
-/// would cost, which is what the paper-model counters keep pricing.
-EncodedReachRows EncodeReachRows(const GraphFragment& frag,
-                                 std::span<const int32_t> entries,
-                                 int32_t local_target) {
-  ByteWriter writer;
-  EncodedReachRows out;
-  uint64_t prev_vertex = 0;
-  ForEachBatch(frag, entries, local_target,
-               [&](size_t offset, std::span<ReachEntryRow> rows) {
-    for (size_t r = 0; r < rows.size(); ++r) {
-      const ReachEntryRow& row = rows[r];
-      const uint64_t vertex = static_cast<uint64_t>(
-          frag.vertices[static_cast<size_t>(entries[offset + r])]);
-      writer.PutVarint(vertex - prev_vertex);  // wraps, as DeltaIdEncoder does
-      prev_vertex = vertex;
-      writer.PutU8(row.direct ? 1 : 0);
-      writer.PutVarint(row.deps.size());
-      out.logical += VarintSize(vertex) + 1 + VarintSize(row.deps.size());
-      DeltaIdEncoder dep_delta;  // deps restart per row (each list is sorted)
-      for (NodeId d : row.deps) {
-        dep_delta.Append(static_cast<uint64_t>(d), &writer);
-        out.logical += VarintSize(static_cast<uint64_t>(d));
-      }
-    }
-  });
-  out.bytes = std::move(writer).Take();
-  return out;
-}
-
-/// Reachability as runtime handlers. Site side (kReachRequest) is
-/// stateless — it reads the const store and query only, so per-fragment
-/// lanes (site_threads > 1) need no per-fragment state slots at all.
+/// Reachability as runtime handlers. Site side (kReachRequest) keeps no
+/// per-run state — it reads the query and the const store, whose derived
+/// tables are built once under std::call_once — so per-fragment lanes
+/// (site_threads > 1) and concurrent runs need no per-fragment slots.
 /// Coordinator side (kReachUp) accumulates rows single-threaded on the
 /// driver thread.
 class ReachProgram : public MessageHandlers {
@@ -241,18 +94,56 @@ class ReachProgram : public MessageHandlers {
   std::vector<ReachRow> rows_;
 };
 
+/// The fragment's one kReachUp: the row count, then one row per entry (in
+/// entry order, ascending global id; deps sorted) — canonical bytes, so
+/// remote peers reproduce the in-process wire exactly. Ids are
+/// delta+varint coded (vertices across rows, deps within a row); the
+/// part's logical size is what the absolute id coding would cost, which is
+/// what the paper-model counters keep pricing.
 Status ReachProgram::OnReachRequest(SiteContext& ctx, FragmentId f) {
+  const GraphFragment& frag = store_->fragment(f);
   const std::vector<int32_t> entries = ReachEntryVertices(*store_, query_, f);
-  const EncodedReachRows rows = EncodeReachRows(
-      store_->fragment(f), entries, ReachLocalTarget(*store_, query_, f));
-  // The one kReachUp: the row count, then the rows.
+  const std::vector<ReachEntryRow>& cached = store_->InBoundaryRows(f);
+  const int32_t local_target = ReachLocalTarget(*store_, query_, f);
+  const std::vector<bool> reaches_target =
+      store_->InBoundaryReaching(f, local_target);
+  // A source that is not in-boundary is the one extra entry; its row takes
+  // a traversal of its own.
+  ReachEntryRow source_row;
+  if (entries.size() > cached.size()) {
+    const int32_t local_source = frag.LocalIndex(query_.source);
+    source_row = EvaluateEntry(frag, local_source, local_target);
+  }
+
   ByteWriter writer;
   writer.PutVarint(entries.size());
-  writer.PutBytes(rows.bytes.data(), rows.bytes.size());
+  uint64_t logical = VarintSize(entries.size());
+  uint64_t prev_vertex = 0;
+  size_t b = 0;  // the next in-boundary row
+  for (int32_t entry : entries) {
+    const bool in_boundary =
+        b < frag.in_boundary.size() && frag.in_boundary[b] == entry;
+    const bool direct = in_boundary ? reaches_target[b] : source_row.direct;
+    const std::vector<NodeId>& deps =
+        in_boundary ? cached[b].deps : source_row.deps;
+    b += in_boundary;
+    const uint64_t vertex =
+        static_cast<uint64_t>(frag.vertices[static_cast<size_t>(entry)]);
+    writer.PutVarint(vertex - prev_vertex);  // wraps, as DeltaIdEncoder does
+    prev_vertex = vertex;
+    writer.PutU8(direct ? 1 : 0);
+    writer.PutVarint(deps.size());
+    logical += VarintSize(vertex) + 1 + VarintSize(deps.size());
+    DeltaIdEncoder dep_delta;  // deps restart per row (each list is sorted)
+    for (NodeId d : deps) {
+      dep_delta.Append(static_cast<uint64_t>(d), &writer);
+      logical += VarintSize(static_cast<uint64_t>(d));
+    }
+  }
   Envelope env;
   env.to = ctx.query_site();
-  env.parts.push_back({MessageKind::kReachUp, f, std::move(writer).Take(),
-                       true, VarintSize(entries.size()) + rows.logical});
+  env.parts.push_back(
+      {MessageKind::kReachUp, f, std::move(writer).Take(), true, logical});
   ctx.Send(std::move(env));
   return Status::OK();
 }
@@ -364,12 +255,30 @@ std::string FormatReachQuery(const ReachQuery& query) {
 }
 
 Result<ReachQuery> ParseReachQuery(const std::string& text) {
+  // Whitespace-separated tokens; a peer parses this text off the wire, so
+  // an id must be a whole token that fits a NodeId.
+  constexpr std::string_view kSpace = " \t\n\r";
+  std::vector<std::string_view> tokens;
+  std::string_view rest = text;
+  for (size_t begin; (begin = rest.find_first_not_of(kSpace)) !=
+                     std::string_view::npos;) {
+    rest.remove_prefix(begin);
+    const size_t end = std::min(rest.find_first_of(kSpace), rest.size());
+    tokens.push_back(rest.substr(0, end));
+    rest.remove_prefix(end);
+  }
+  auto parse_id = [](std::string_view token, NodeId* id) {
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, *id);
+    return ec == std::errc() && ptr == end;
+  };
   ReachQuery query;
-  char trailing;
-  if (std::sscanf(text.c_str(), "reach %d %d %c", &query.source, &query.target,
-                  &trailing) != 2) {
-    return Status::ParseError("reach query: expected \"reach <source> <target>\", got \"" +
-                              text + "\"");
+  if (tokens.size() != 3 || tokens[0] != "reach" ||
+      !parse_id(tokens[1], &query.source) ||
+      !parse_id(tokens[2], &query.target)) {
+    return Status::ParseError(
+        "reach query: expected \"reach <source> <target>\" with 32-bit ids, "
+        "got \"" + text + "\"");
   }
   return query;
 }

@@ -6,18 +6,29 @@
 // in-boundary node, plus the source when it lives here) it settles what
 // can be known locally — whether the target is reached without leaving the
 // fragment (`direct`), and which remote boundary vertices the entry
-// escapes to (`deps`, the heads of crossed cut edges). One bit-parallel
-// traversal settles 64 entries at once (PartiallyEvaluateEntries), so a
-// fragment costs ⌈entries/64⌉ traversals. The per-entry rows are boolean
-// equations
+// escapes to (`deps`, the heads of crossed cut edges). The per-entry rows
+// are boolean equations
 //
 //   X_v = direct(v) ∨ ⋁_{w ∈ deps(v)} X_w
 //
 // shipped to the coordinator as one kReachUp payload per fragment, and the
 // coordinator solves the system's least fixpoint with a worklist over
-// reverse dependencies. The guarantees mirror the paper's XML bounds: one
-// delivery round regardless of fragment count (each site is visited once),
-// and total shipped data independent of |V| — a fragment ships at most
+// reverse dependencies.
+//
+// An in-boundary entry's deps depend only on the fragment, and its direct
+// bit can be true only in the fragment that holds the target. So the store
+// builds each fragment's in-boundary rows once, with the bit-parallel
+// kernel that settles 64 entries per traversal (PartiallyEvaluateEntries
+// and GraphFragmentStore::InBoundaryRows, graph/store.h), and a query
+// traverses only from its endpoints: one reverse traversal from the target
+// in the target's fragment sets the in-boundary direct bits, and one
+// forward traversal from the source computes the source's row when the
+// source is not already in-boundary. A fragment holding neither endpoint
+// encodes its cached rows.
+//
+// The guarantees mirror the paper's XML bounds: one delivery round
+// regardless of fragment count (each site is visited once), and total
+// shipped data independent of |V| — a fragment ships at most
 // |in-boundary| x |cut edges| ids (each entry's deps are cut-edge heads
 // its traversal crosses), which is ~O(cut edges) under the locality-aware
 // partitionings fragmentation aims for (DESIGN.md §11).
@@ -28,7 +39,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -53,28 +63,6 @@ struct ReachQuery {
 /// carries for XML.
 std::string FormatReachQuery(const ReachQuery& query);
 Result<ReachQuery> ParseReachQuery(const std::string& text);
-
-/// One entry vertex's partially evaluated row.
-struct ReachEntryRow {
-  bool direct = false;       ///< target reached without leaving the fragment
-  std::vector<NodeId> deps;  ///< sorted, deduped heads of crossed cut edges
-};
-
-/// Entries settled by one traversal: one bit of a uint64_t word each.
-inline constexpr size_t kReachBatchEntries = 64;
-
-/// The site-side kernel (MS-BFS): the rows of `entries` (local indices of
-/// `frag`, no duplicates) against `local_target` (-1 when the target lives
-/// elsewhere); rows[i] belongs to entries[i]. Each batch of up to 64
-/// entries is one traversal in which every vertex holds a word whose bit b
-/// says "entry b reaches me": a FIFO worklist ORs new bits into successors
-/// until nothing changes, so cycles need no SCC pass. A fragment typically
-/// costs O((|F| + |E_F|) · ⌈entries/64⌉) word operations; in the worst case
-/// a vertex is re-scanned once per wave that brings it a new bit, which is
-/// no worse than one BFS per entry.
-std::vector<ReachEntryRow> PartiallyEvaluateEntries(
-    const GraphFragment& frag, std::span<const int32_t> entries,
-    int32_t local_target);
 
 /// Entry vertices of fragment `f` under `query`: the in-boundary, plus the
 /// source when it lives in `f`. Ascending local index, which is ascending

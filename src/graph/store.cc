@@ -1,10 +1,12 @@
 #include "graph/store.h"
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "common/logging.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 
@@ -17,7 +19,218 @@ constexpr const char* kStoreName = "graph.paxg";
 constexpr const char* kMagic = "paxml-graph";
 constexpr int kVersion = 1;
 
+/// Scratch of the batch kernel, sized to one fragment: every word is zero
+/// again when a batch ends.
+struct ReachScratch {
+  explicit ReachScratch(size_t vertices)
+      : reached(vertices), queued(vertices), queue(vertices) {}
+
+  std::vector<uint64_t> reached;  ///< bit b: entry b reaches the vertex
+  std::vector<uint8_t> queued;    ///< the vertex waits in `queue`
+  std::vector<int32_t> queue;     ///< FIFO ring; a vertex is queued at most once
+  std::vector<int32_t> touched;   ///< vertices whose word is non-zero
+};
+
+/// The calling thread's breadth-first marks (all zero between traversals),
+/// grown to the largest fragment it has traversed, and its visited list.
+struct VisitScratch {
+  std::vector<uint8_t> seen;
+  std::vector<int32_t> visited;
+};
+
+VisitScratch& ThreadVisitScratch(size_t vertices) {
+  thread_local VisitScratch scratch;
+  if (scratch.seen.size() < vertices) scratch.seen.resize(vertices);
+  scratch.visited.clear();
+  return scratch;
+}
+
+/// Breadth-first from local vertex `start` over `successors(v)` (local
+/// indices). Hands `use(seen, visited)` the marks and the visited vertices,
+/// `start` first, then clears the marks through `visited`, so a traversal
+/// costs what it reaches. `use` must not traverse again.
+template <typename Successors, typename Use>
+void VisitFrom(size_t vertices, int32_t start, Successors successors,
+               Use use) {
+  VisitScratch& scratch = ThreadVisitScratch(vertices);
+  std::vector<uint8_t>& seen = scratch.seen;
+  std::vector<int32_t>& visited = scratch.visited;
+  auto mark = [&](int32_t v) {
+    uint8_t& s = seen[static_cast<size_t>(v)];
+    if (s) return;
+    s = 1;
+    visited.push_back(v);
+  };
+  mark(start);
+  for (size_t head = 0; head < visited.size(); ++head) {
+    for (int32_t v : successors(visited[head])) mark(v);
+  }
+  use(seen, visited);
+  for (int32_t v : visited) seen[static_cast<size_t>(v)] = 0;
+}
+
+void SortUnique(std::vector<NodeId>* ids) {
+  std::sort(ids->begin(), ids->end());
+  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+}
+
+/// One batch of the kernel: the rows of up to 64 entries, written into the
+/// empty rows[0, entries.size()).
+void TraverseBatch(const GraphFragment& frag, std::span<const int32_t> entries,
+                   int32_t local_target, ReachScratch* scratch,
+                   ReachEntryRow* rows) {
+  PAXML_CHECK_LE(entries.size(), kReachBatchEntries);
+  std::vector<uint64_t>& reached = scratch->reached;
+  std::vector<int32_t>& queue = scratch->queue;
+  size_t head = 0;
+  size_t queued = 0;
+  // ORs `add` into v's word and queues v when the word grew. A successor
+  // already holds every bit its predecessor pushed before, so pushing a
+  // whole word again brings it exactly the bits it lacks.
+  auto reach = [&](int32_t v, uint64_t add) {
+    uint64_t& word = reached[static_cast<size_t>(v)];
+    if ((add & ~word) == 0) return;
+    if (word == 0) scratch->touched.push_back(v);
+    word |= add;
+    uint8_t& waiting = scratch->queued[static_cast<size_t>(v)];
+    if (waiting) return;
+    waiting = 1;
+    size_t tail = head + queued++;
+    if (tail >= queue.size()) tail -= queue.size();
+    queue[tail] = v;
+  };
+
+  for (size_t b = 0; b < entries.size(); ++b) {
+    reach(entries[b], uint64_t{1} << b);
+  }
+  while (queued > 0) {
+    const int32_t u = queue[head];
+    if (++head == queue.size()) head = 0;
+    --queued;
+    scratch->queued[static_cast<size_t>(u)] = 0;
+    const uint64_t push = reached[static_cast<size_t>(u)];
+    for (int32_t v : frag.local_out[static_cast<size_t>(u)]) reach(v, push);
+  }
+
+  const uint64_t at_target =
+      local_target >= 0 ? reached[static_cast<size_t>(local_target)] : 0;
+  for (size_t b = 0; b < entries.size(); ++b) {
+    rows[b].direct = (at_target >> b) & 1;
+  }
+  // Each touched vertex's cut edges belong to every entry that reaches it;
+  // the sweep also zeroes the words for the next batch.
+  for (int32_t u : scratch->touched) {
+    uint64_t& word = reached[static_cast<size_t>(u)];
+    const std::vector<NodeId>& heads = frag.cut_out[static_cast<size_t>(u)];
+    if (!heads.empty()) {
+      for (uint64_t w = word; w != 0; w &= w - 1) {
+        std::vector<NodeId>& deps = rows[std::countr_zero(w)].deps;
+        deps.insert(deps.end(), heads.begin(), heads.end());
+      }
+    }
+    word = 0;
+  }
+  scratch->touched.clear();
+  for (size_t b = 0; b < entries.size(); ++b) SortUnique(&rows[b].deps);
+}
+
 }  // namespace
+
+std::vector<ReachEntryRow> PartiallyEvaluateEntries(
+    const GraphFragment& frag, std::span<const int32_t> entries,
+    int32_t local_target) {
+  std::vector<ReachEntryRow> rows(entries.size());
+  ReachScratch scratch(frag.vertices.size());
+  for (size_t begin = 0; begin < entries.size(); begin += kReachBatchEntries) {
+    const size_t count = std::min(kReachBatchEntries, entries.size() - begin);
+    TraverseBatch(frag, entries.subspan(begin, count), local_target, &scratch,
+                  rows.data() + begin);
+  }
+  return rows;
+}
+
+ReachEntryRow EvaluateEntry(const GraphFragment& frag, int32_t entry,
+                            int32_t local_target) {
+  ReachEntryRow row;
+  VisitFrom(
+      frag.vertices.size(), entry,
+      [&](int32_t u) -> const std::vector<int32_t>& {
+        return frag.local_out[static_cast<size_t>(u)];
+      },
+      [&](const std::vector<uint8_t>& seen,
+          const std::vector<int32_t>& visited) {
+        row.direct =
+            local_target >= 0 && seen[static_cast<size_t>(local_target)];
+        for (int32_t u : visited) {
+          const std::vector<NodeId>& heads =
+              frag.cut_out[static_cast<size_t>(u)];
+          row.deps.insert(row.deps.end(), heads.begin(), heads.end());
+        }
+      });
+  SortUnique(&row.deps);
+  return row;
+}
+
+const std::vector<ReachEntryRow>& GraphFragmentStore::InBoundaryRows(
+    FragmentId f) const {
+  DerivedTables& derived = derived_[static_cast<size_t>(f)];
+  std::call_once(derived.rows_once, [&] {
+    const GraphFragment& frag = fragment(f);
+    derived.in_boundary_rows =
+        PartiallyEvaluateEntries(frag, frag.in_boundary, -1);
+  });
+  return derived.in_boundary_rows;
+}
+
+const GraphFragmentStore::LocalInEdges& GraphFragmentStore::InEdges(
+    FragmentId f) const {
+  DerivedTables& derived = derived_[static_cast<size_t>(f)];
+  std::call_once(derived.in_edges_once, [&] {
+    const GraphFragment& frag = fragment(f);
+    const size_t n = frag.vertices.size();
+    std::vector<int32_t>& offsets = derived.in_edges.offsets;
+    offsets.assign(n + 1, 0);
+    uint64_t edges = 0;
+    for (const std::vector<int32_t>& heads : frag.local_out) {
+      edges += heads.size();
+      for (int32_t v : heads) ++offsets[static_cast<size_t>(v) + 1];
+    }
+    PAXML_CHECK_LE(edges, static_cast<uint64_t>(INT32_MAX));
+    for (size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+    std::vector<int32_t>& tails = derived.in_edges.tails;
+    tails.resize(edges);
+    std::vector<int32_t> next(offsets.begin(), offsets.end() - 1);
+    for (size_t u = 0; u < n; ++u) {
+      for (int32_t v : frag.local_out[u]) {
+        tails[static_cast<size_t>(next[static_cast<size_t>(v)]++)] =
+            static_cast<int32_t>(u);
+      }
+    }
+  });
+  return derived.in_edges;
+}
+
+std::vector<bool> GraphFragmentStore::InBoundaryReaching(
+    FragmentId f, int32_t local_target) const {
+  const GraphFragment& frag = fragment(f);
+  std::vector<bool> reaches(frag.in_boundary.size(), false);
+  if (local_target < 0) return reaches;
+  const LocalInEdges& in = InEdges(f);
+  VisitFrom(
+      frag.vertices.size(), local_target,
+      [&](int32_t v) {
+        const size_t i = static_cast<size_t>(v);
+        return std::span<const int32_t>(
+            in.tails.data() + in.offsets[i],
+            static_cast<size_t>(in.offsets[i + 1] - in.offsets[i]));
+      },
+      [&](const std::vector<uint8_t>& seen, const std::vector<int32_t>&) {
+        for (size_t i = 0; i < reaches.size(); ++i) {
+          reaches[i] = seen[static_cast<size_t>(frag.in_boundary[i])] != 0;
+        }
+      });
+  return reaches;
+}
 
 int32_t GraphFragment::LocalIndex(NodeId v) const {
   auto it = std::lower_bound(vertices.begin(), vertices.end(), v);
@@ -90,8 +303,29 @@ Result<std::shared_ptr<const GraphFragmentStore>> BuildGraphStore(
         std::unique(frag.in_boundary.begin(), frag.in_boundary.end()),
         frag.in_boundary.end());
   }
-  store->edges_ = std::move(edges);
+  store->derived_ =
+      std::make_unique<GraphFragmentStore::DerivedTables[]>(fragment_count);
   return std::shared_ptr<const GraphFragmentStore>(std::move(store));
+}
+
+std::vector<std::pair<NodeId, NodeId>> GraphFragmentStore::edges() const {
+  std::vector<std::pair<NodeId, NodeId>> out;
+  out.reserve(edge_count_);
+  // Fragments list their vertices in ascending global id, so walking the
+  // vertices in order walks each fragment's local indices in order.
+  std::vector<size_t> next_local(fragments_.size(), 0);
+  for (NodeId u = 0; u < vertex_count_; ++u) {
+    const size_t f = static_cast<size_t>(owner_[static_cast<size_t>(u)]);
+    const GraphFragment& frag = fragments_[f];
+    const size_t lu = next_local[f]++;
+    const size_t begin = out.size();
+    for (int32_t v : frag.local_out[lu]) {
+      out.emplace_back(u, frag.vertices[static_cast<size_t>(v)]);
+    }
+    for (NodeId v : frag.cut_out[lu]) out.emplace_back(u, v);
+    std::sort(out.begin() + static_cast<std::ptrdiff_t>(begin), out.end());
+  }
+  return out;
 }
 
 Result<std::shared_ptr<const GraphFragmentStore>> PartitionDigraph(
@@ -139,8 +373,9 @@ Status SaveGraph(const GraphFragmentStore& store,
   text += "owners";
   for (FragmentId f : store.owners()) text += StringFormat(" %d", f);
   text += "\n";
-  text += StringFormat("edges %zu\n", store.edges().size());
-  for (const auto& [u, v] : store.edges()) {
+  const std::vector<std::pair<NodeId, NodeId>> edges = store.edges();
+  text += StringFormat("edges %zu\n", edges.size());
+  for (const auto& [u, v] : edges) {
     text += StringFormat("%d %d\n", u, v);
   }
   const fs::path path = fs::path(directory) / kStoreName;

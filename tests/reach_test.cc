@@ -20,9 +20,12 @@
 
 #include <algorithm>
 #include <deque>
+#include <latch>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -140,6 +143,20 @@ TEST(ReachCorrectnessTest, QueryTextRoundTrips) {
   EXPECT_FALSE(ParseReachQuery("reach 1").ok());
   EXPECT_FALSE(ParseReachQuery("reach 1 2 3").ok());
   EXPECT_FALSE(ParseReachQuery("//stock/code").ok());
+
+  // Peers parse this text off the wire: an id that does not fit a NodeId,
+  // or carries trailing junk, is refused rather than wrapped or truncated.
+  for (const char* bad :
+       {"reach 4294967297 1", "reach -4294967295 2", "reach 2147483648 0",
+        "reach 0 -2147483649", "reach 1 2x", "reach 1x 2", "reach 1 2 x",
+        "reach +1 2", "reach1 2", "reach 1 0x10", ""}) {
+    EXPECT_FALSE(ParseReachQuery(bad).ok()) << "\"" << bad << "\"";
+  }
+  const ReachQuery extremes{2147483647, -2147483647 - 1};
+  auto wide = ParseReachQuery(FormatReachQuery(extremes));
+  ASSERT_TRUE(wide.ok()) << wide.status();
+  EXPECT_EQ(wide->source, extremes.source);
+  EXPECT_EQ(wide->target, extremes.target);
 }
 
 // ---- The site kernel against one BFS per entry ------------------------------
@@ -301,6 +318,55 @@ TEST(ReachKernelTest, QueryShapedEntriesAndTargets) {
   }
 }
 
+// The store's query-independent tables and the per-query traversals
+// against the same reference: every cached in-boundary row is the entry's
+// BFS row with no target, a single entry's row (EvaluateEntry) is its BFS
+// row, and the reverse traversal's direct bits are the entries' BFS rows'
+// `direct` for any local target, including an in-boundary one.
+TEST(ReachKernelTest, InBoundaryTablesMatchPerEntryBFS) {
+  auto store = KernelStore(900, 3, 5);
+  size_t reached = 0;
+  for (size_t fi = 0; fi < store->fragment_count(); ++fi) {
+    const FragmentId f = static_cast<FragmentId>(fi);
+    const GraphFragment& frag = store->fragment(f);
+    const std::string label = "fragment " + std::to_string(f);
+    ASSERT_GT(frag.in_boundary.size(), kReachBatchEntries) << label;
+    const std::vector<ReachEntryRow>& rows = store->InBoundaryRows(f);
+    ASSERT_EQ(rows.size(), frag.in_boundary.size()) << label;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const ReachEntryRow want = ReferenceRow(frag, frag.in_boundary[i], -1);
+      EXPECT_FALSE(rows[i].direct) << label << " entry #" << i;
+      EXPECT_EQ(rows[i].deps, want.deps) << label << " entry #" << i;
+    }
+
+    Rng rng(fi * 13 + 1);
+    const int32_t size = static_cast<int32_t>(frag.vertices.size());
+    for (int32_t local_target :
+         {static_cast<int32_t>(rng.NextBounded(size)),
+          static_cast<int32_t>(rng.NextBounded(size)),
+          frag.in_boundary[rng.NextBounded(frag.in_boundary.size())]}) {
+      for (int32_t entry : {static_cast<int32_t>(rng.NextBounded(size)),
+                            local_target}) {
+        const ReachEntryRow row = EvaluateEntry(frag, entry, local_target);
+        const ReachEntryRow want = ReferenceRow(frag, entry, local_target);
+        EXPECT_EQ(row.direct, want.direct) << label << " entry " << entry;
+        EXPECT_EQ(row.deps, want.deps) << label << " entry " << entry;
+      }
+      const std::vector<bool> reaches =
+          store->InBoundaryReaching(f, local_target);
+      ASSERT_EQ(reaches.size(), frag.in_boundary.size()) << label;
+      for (size_t i = 0; i < reaches.size(); ++i) {
+        EXPECT_EQ(reaches[i],
+                  ReferenceRow(frag, frag.in_boundary[i], local_target).direct)
+            << label << " target " << local_target << " entry #" << i;
+        reached += reaches[i];
+      }
+    }
+    for (bool r : store->InBoundaryReaching(f, -1)) EXPECT_FALSE(r) << label;
+  }
+  EXPECT_GT(reached, 0u);
+}
+
 // ---- Determinism: sync vs pooled vs intra-site parallel ---------------------
 
 TEST(ReachDeterminismTest, SyncPooledAndThreadedAreBitIdentical) {
@@ -338,6 +404,161 @@ TEST(ReachDeterminismTest, SyncPooledAndThreadedAreBitIdentical) {
   // The threaded runs actually fanned out into lanes, so the equality
   // above is not vacuous.
   EXPECT_GT(threaded_pool_tasks, 0u);
+}
+
+// ---- Warm and cold stores ---------------------------------------------------
+
+/// A cluster over a freshly built copy of `w`'s store: the same fragments
+/// and placement, with none of the store's derived tables built yet.
+std::unique_ptr<Cluster> ColdCluster(const GraphWorld& w) {
+  auto store = BuildGraphStore(w.store->vertex_count(), w.store->owners(),
+                               w.store->edges());
+  PAXML_CHECK(store.ok());
+  ClusterOptions copts;
+  copts.parallel_execution = false;
+  auto cluster = std::make_unique<Cluster>(std::move(store).ValueOrDie(),
+                                           w.cluster->site_count(), copts);
+  cluster->PlaceRootAndSpread();
+  return cluster;
+}
+
+/// A query named by the shape of its endpoints.
+struct ShapedQuery {
+  std::string shape;
+  ReachQuery query;
+};
+
+/// Queries of every endpoint shape the site handler distinguishes, over
+/// fragments 0 and 1 of `w` (other endpoints drawn from `rng`).
+std::vector<ShapedQuery> EndpointShapes(const GraphWorld& w, Rng& rng) {
+  const GraphFragmentStore& store = *w.store;
+  auto global = [&](FragmentId f, int32_t local) {
+    return store.fragment(f).vertices[static_cast<size_t>(local)];
+  };
+  auto any_in = [&](FragmentId f) {
+    const GraphFragment& frag = store.fragment(f);
+    return global(
+        f, static_cast<int32_t>(rng.NextBounded(frag.vertices.size())));
+  };
+  auto boundary_in = [&](FragmentId f) {
+    const GraphFragment& frag = store.fragment(f);
+    return global(
+        f, frag.in_boundary[rng.NextBounded(frag.in_boundary.size())]);
+  };
+  // Local vertices that are not in-boundary, and those of them no other
+  // local vertex has an edge into: only the vertex itself reaches them
+  // inside the fragment.
+  auto interior = [&](FragmentId f, bool unreachable) {
+    const GraphFragment& frag = store.fragment(f);
+    std::vector<bool> entered(frag.vertices.size(), false);
+    for (int32_t v : frag.in_boundary) entered[static_cast<size_t>(v)] = true;
+    if (unreachable) {
+      for (const std::vector<int32_t>& heads : frag.local_out) {
+        for (int32_t v : heads) entered[static_cast<size_t>(v)] = true;
+      }
+    }
+    std::vector<NodeId> out;
+    for (size_t v = 0; v < entered.size(); ++v) {
+      if (!entered[v]) out.push_back(frag.vertices[v]);
+    }
+    PAXML_CHECK(!out.empty());
+    return out[rng.NextBounded(out.size())];
+  };
+
+  std::vector<ShapedQuery> queries;
+  for (int i = 0; i < 3; ++i) {
+    queries.push_back({"source in-boundary", {boundary_in(0), any_in(1)}});
+    queries.push_back({"source extra entry", {interior(0, false), any_in(1)}});
+    const NodeId self = i == 0 ? boundary_in(0) : interior(0, i == 1);
+    queries.push_back({"source == target", {self, self}});
+    queries.push_back({"target in-boundary", {any_in(0), boundary_in(1)}});
+    queries.push_back({"same fragment", {interior(0, false), any_in(0)}});
+    queries.push_back({"same fragment", {boundary_in(0), boundary_in(0)}});
+    queries.push_back(
+        {"target unreachable in its fragment", {any_in(0), interior(1, true)}});
+    queries.push_back({"target unreachable in its fragment",
+                       {interior(1, false), interior(1, true)}});
+  }
+  return queries;
+}
+
+// A store that has served queries answers every query bit-identically to
+// a freshly built one: the cached in-boundary rows, the reverse traversal
+// for the target and the source's own traversal reproduce the rows a cold
+// store derives, for every endpoint shape, with fragments holding more
+// than 64 in-boundary entries.
+TEST(ReachCacheTest, WarmStoreIsBitIdenticalToCold) {
+  const int32_t n = 2000;
+  GraphWorld w = MakeWorld(n, 1.8, 4, 4, 23);
+  for (size_t f = 0; f < w.store->fragment_count(); ++f) {
+    ASSERT_GT(w.store->fragment(static_cast<FragmentId>(f)).in_boundary.size(),
+              kReachBatchEntries)
+        << "fragment " << f;
+  }
+  Rng rng(29);
+  for (int i = 0; i < 16; ++i) {  // warms every fragment's tables
+    const ReachQuery q{static_cast<NodeId>(rng.NextBounded(n)),
+                       static_cast<NodeId>(rng.NextBounded(n))};
+    ASSERT_TRUE(Reach(*w.cluster, q).ok()) << FormatReachQuery(q);
+  }
+
+  size_t reachable = 0;
+  for (const ShapedQuery& shaped : EndpointShapes(w, rng)) {
+    const std::string label =
+        shaped.shape + " " + FormatReachQuery(shaped.query);
+    auto warm = Reach(*w.cluster, shaped.query);
+    auto cold = Reach(*ColdCluster(w), shaped.query);
+    ASSERT_TRUE(warm.ok()) << label << ": " << warm.status();
+    ASSERT_TRUE(cold.ok()) << label << ": " << cold.status();
+    EXPECT_EQ(warm->answers, ExpectedAnswer(w, shaped.query)) << label;
+    EXPECT_EQ(cold->answers, warm->answers) << label;
+    ExpectContractEqual(warm->stats, cold->stats, label);
+    reachable += !warm->answers.empty();
+  }
+  EXPECT_GT(reachable, 0u);
+}
+
+// Concurrent first queries on a fresh store race to build the same
+// fragments' tables (lanes at site_threads = 4 and runs on four client
+// threads); every answer equals BFS. The CI ThreadSanitizer job runs this
+// suite, so an unsynchronized table build fails there.
+TEST(ReachCacheTest, ConcurrentFirstQueriesOnAFreshStoreMatchBFS) {
+  const int32_t n = 2000;
+  GraphWorld w = MakeWorld(n, 1.8, 6, 4, 17);
+  TransportOptions opts;
+  opts.site_threads = 4;
+  Rng rng(3);
+  constexpr size_t kClients = 4;
+  for (int trial = 0; trial < 6; ++trial) {
+    std::unique_ptr<Cluster> fresh = ColdCluster(w);
+    PooledTransport pooled(4, opts);
+    std::vector<ReachQuery> queries;
+    for (size_t c = 0; c < kClients; ++c) {
+      // Two clients per target fragment, so the reverse tables race too.
+      const GraphFragment& target_frag =
+          w.store->fragment(static_cast<FragmentId>(c % 2));
+      queries.push_back(
+          {static_cast<NodeId>(rng.NextBounded(n)),
+           target_frag.vertices[rng.NextBounded(target_frag.vertices.size())]});
+    }
+    std::vector<std::optional<Result<DistributedResult>>> results(kClients);
+    std::latch start(kClients);
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        start.arrive_and_wait();
+        results[c] = EvaluateReachability(*fresh, queries[c], &pooled);
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    for (size_t c = 0; c < kClients; ++c) {
+      const std::string label =
+          "trial " + std::to_string(trial) + " " + FormatReachQuery(queries[c]);
+      ASSERT_TRUE(results[c]->ok()) << label << ": " << results[c]->status();
+      EXPECT_EQ((*results[c])->answers, ExpectedAnswer(w, queries[c])) << label;
+      EXPECT_EQ((*results[c])->stats.rounds, 1) << label;
+    }
+  }
 }
 
 // ---- The acceptance bar: four processes over sockets ------------------------
