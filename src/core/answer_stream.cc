@@ -1,8 +1,10 @@
 #include "core/answer_stream.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "boolexpr/codec.h"
+#include "common/logging.h"
 #include "core/messages.h"
 
 namespace paxml {
@@ -11,6 +13,12 @@ void ShipAnswersStreamed(SiteContext& ctx, const Tree& tree,
                          FragmentId fragment,
                          const std::vector<NodeId>& answers,
                          AnswerShipMode mode, bool account_ids) {
+  // Ids must ascend: each delta below is then a small gap, where a
+  // descending step would wrap to a ~10-byte varint.
+  PAXML_CHECK(std::adjacent_find(answers.begin(), answers.end(),
+                                 std::greater_equal<NodeId>()) ==
+              answers.end());
+
   // Header chunk: the AnswerUpMessage prefix. The receiver decodes the
   // merged part as one ordinary AnswerUpMessage (core/messages.h).
   Envelope head;

@@ -35,10 +35,10 @@ inline constexpr uint64_t kDataChunkBytes = 64 * 1024;
 
 /// Ships `fragment`'s settled answers from `ctx`'s site to the
 /// coordinator as a streamed AnswerUpMessage in chunks of kAnswerChunkIds
-/// ids. `account_ids` mirrors the old per-algorithm flag — false when the
-/// id list merely indexes answers that already travel as self-describing
-/// phantom XML (the concrete-init single-visit paths), so only AnswerBytes
-/// is accounted.
+/// ids; `answers` must ascend (checked). `account_ids` mirrors the old
+/// per-algorithm flag — false when the id list merely indexes answers that
+/// already travel as self-describing phantom XML (the concrete-init
+/// single-visit paths), so only AnswerBytes is accounted.
 void ShipAnswersStreamed(SiteContext& ctx, const Tree& tree,
                          FragmentId fragment,
                          const std::vector<NodeId>& answers,

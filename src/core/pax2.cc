@@ -303,7 +303,41 @@ class BitQualStep {
   std::vector<size_t> text_entries_;   ///< text and value tests, ascending
 };
 
-/// The combined pre/post-order traversal (Procedure evalXPath of Fig. 5).
+/// Walks the subtree of `start` in document order as one forward scan of
+/// its id range, with no work list (the tree's ids are document order,
+/// checked). `open` holds the entered nodes on the path to the current one,
+/// each entry with members `v` and `dead`. Before a node is visited, the
+/// entries that are not its ancestors are closed (`close(entry)`, innermost
+/// first) and popped, so `open->size()` is the node's depth below `start`.
+/// A virtual-free child of a dead entry is not visited: `skip(c, end)` gets
+/// its subtree's id range [c, end) instead. `visit(v, depth)` pushes an
+/// entry for v if the walk is to enter v's children.
+template <typename Open, typename Visit, typename Skip, typename Close>
+void ScanSubtree(const Tree& tree, NodeId start, std::vector<Open>* open,
+                 const Visit& visit, const Skip& skip, const Close& close) {
+  PAXML_CHECK(tree.InDocumentOrder());
+  const NodeId end = tree.SubtreeEnd(start);
+  for (NodeId v = start; v < end;) {
+    while (!open->empty() && open->back().v != tree.parent(v)) {
+      close(open->back());
+      open->pop_back();
+    }
+    if (!open->empty() && open->back().dead && !tree.HasVirtualBelow(v)) {
+      const NodeId next = tree.SubtreeEnd(v);
+      skip(v, next);
+      v = next;
+      continue;
+    }
+    visit(v, static_cast<uint32_t>(open->size()));
+    ++v;
+  }
+  for (; !open->empty(); open->pop_back()) close(open->back());
+}
+
+/// The combined pre/post-order traversal (Procedure evalXPath of Fig. 5),
+/// as one document-order scan of the fragment arena (ScanSubtree): a
+/// node's pre-order step runs when the scan reaches it, its post-order
+/// step when the scan leaves its subtree.
 ///
 /// It skips the work whose result is already a constant:
 ///  * with no QVect entries, a node whose selection vector is all false
@@ -311,8 +345,8 @@ class BitQualStep {
 ///    (Tree::HasVirtualBelow), so each virtual top is still reported, all
 ///    false and in order, and nothing else below it is visited;
 ///  * with QVect entries, a virtual-free child of such a node owes its
-///    parent only its qualifier row: its subtree runs the post-order bit
-///    steps alone, with no selection step;
+///    parent only its qualifier row: one reverse scan of its subtree's id
+///    range runs the post-order bit steps alone, with no selection step;
 ///  * a node gets a post-order step only when the query has QVect entries
 ///    (it owes its parent a row) or the node created qz locals;
 ///  * below a node with no virtual node under it every QV/QDV value, and
@@ -323,20 +357,21 @@ class BitQualStep {
 /// interning, so every handle is created in the same order as by the full
 /// walk, and the shipped bytes are the same.
 ///
-/// Working memory is four stacks, so the pass allocates nothing per node
+/// Working memory is five stacks, so the pass allocates nothing per node
 /// once they have reached their peak size:
+///  * `open`, the entered nodes on the current path, each with the heights
+///    of `pending` and of its children's row stack when it was entered;
 ///  * SelLevels, the selection vectors of the current ancestor path;
 ///  * `pending`, the qz locals not yet resolved. A node's locals are pushed
-///    in its pre-order step above the height recorded in its work item, and
-///    resolved (in creation order) and popped in its post-order step. The
-///    root's recorded height is 0, below the leading-qualifier local;
+///    in its pre-order step above its recorded height, and resolved (in
+///    creation order) and popped in its post-order step. The root's
+///    recorded height is 0, below the leading-qualifier local;
 ///  * `rows`, the [QV | QDV] handle rows of finished nodes whose parent is
 ///    still open and has a virtual node below it (and, at the end, the
-///    fragment root's). The work list pops children last-first, so a
-///    node's children leave their rows on top in reverse document order;
-///    its post-order step folds them (in document order) into the
-///    aggregates, replaces them with its own row, and the root's row is all
-///    that remains;
+///    fragment root's). A node's children leave their rows on top in
+///    document order; its post-order step folds them into the aggregates,
+///    replaces them with its own row, and the root's row is all that
+///    remains;
 ///  * `bits`, the [QV | QDV] bit rows of finished nodes whose parent is
 ///    still open and virtual-free; a parent ORs them in any order.
 /// Every formula is interned in the same order as a pass over full QV/QDV
@@ -419,21 +454,15 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
     init = VariableStackInit(query, frag.id, arena);
   }
 
-  // ---- Combined DFS ----------------------------------------------------------
-  enum class Step : uint8_t {
-    kPre,       ///< selection step, then the children
-    kPost,      ///< qualifier rows, qz locals
-    kDeadRow,   ///< a virtual-free child of a dead node: its row only
-  };
-  struct Item {
+  // ---- Combined scan ---------------------------------------------------------
+  struct Open {
     NodeId v;
-    uint32_t depth;    ///< pre-order: the node's depth in the fragment
+    bool dead;         ///< the selection vector is all false
     uint32_t pending;  ///< pending-stack height below this node's locals
-    uint32_t rows;     ///< post-order: height of `rows` (`bits` for a
-                       ///< virtual-free node) below its children's rows
-    Step step;
+    uint32_t rows;     ///< height of `rows` (`bits` for a virtual-free
+                       ///< node) below its children's rows
   };
-  std::vector<Item> work = {{tree.root(), 0, 0, 0, Step::kPre}};
+  std::vector<Open> open;
   SelLevels levels(std::move(init));
   std::vector<Formula> rows;
   QualScratch<FormulaDomain> scratch;
@@ -443,18 +472,19 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
   std::vector<uint64_t> bits;
   size_t bits_top = 0;
 
-  // Post-order step of a node with a virtual node below it: pushes v's row
-  // on `rows`, computed from its children's rows (the top ones, the first
-  // child's topmost), and resolves the qz locals above pending height
-  // `locals` from it.
-  auto finish_formula_node = [&](NodeId v, size_t locals) {
+  // Post-order step of a node with a virtual node below it: v's row from
+  // its children's (the rows above height `children`, in document order)
+  // replaces them on `rows`, and the qz locals above pending height
+  // `locals` resolve from it.
+  auto finish_formula_node = [&](NodeId v, size_t children, size_t locals) {
     const size_t at = rows.size();
     rows.resize(at + row_width);
     Formula* own = rows.data() + at;
+    const Formula* first = rows.data() + children;
     ComputeQualRowsAtNode(
         tree, query, &domain, v, virtual_hook,
-        [own, ec](size_t k, NodeId) {
-          const Formula* row = own - (k + 1) * 2 * ec;
+        [first, row_width, ec](size_t k, NodeId) {
+          const Formula* row = first + k * row_width;
           return std::make_pair(row, row + ec);
         },
         own, own + ec, &scratch);
@@ -463,7 +493,10 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
           query, &domain, scratch, own, own + ec, pending[p].first);
     }
     pending.resize(locals);
-    return own;
+    if (at > children) {
+      std::copy(own, own + row_width, rows.begin() + children);
+      rows.resize(children + row_width);
+    }
   };
 
   // Post-order step of a virtual-free node: its bit row from its
@@ -495,85 +528,51 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
     }
   };
 
-  // A virtual-free child of a node whose selection vector is all false
-  // heads a dead subtree: every vector in it is all false, so it holds no
-  // final and creates no qz local, and owes its parent only its row. This
-  // walk computes that row with the post-order bit steps alone.
-  constexpr uint32_t kOpen = UINT32_MAX;
-  std::vector<std::pair<NodeId, uint32_t>> dead_work;  // (node, bits height)
-  auto finish_dead_subtree = [&](NodeId r) {
-    dead_work.emplace_back(r, kOpen);
-    while (!dead_work.empty()) {
-      const auto [u, below] = dead_work.back();
-      dead_work.pop_back();
-      if (below != kOpen) {
-        finish_bit_node(u, below, pending.size());
-      } else if (tree.first_child(u) == kNullNode) {
-        finish_bit_node(u, bits_top, pending.size());
-      } else {
-        dead_work.emplace_back(u, static_cast<uint32_t>(bits_top));
-        for (NodeId c : tree.children(u)) dead_work.emplace_back(c, kOpen);
-      }
-    }
-  };
-
-  while (!work.empty()) {
-    const Item item = work.back();
-    work.pop_back();
-    const NodeId v = item.v;
-
-    if (item.step == Step::kDeadRow) {
-      finish_dead_subtree(v);
-      continue;
-    }
-    if (item.step == Step::kPost) {
-      // Post-order: this node's rows from its children's (the rows above
-      // item.rows), then resolve its qz locals.
-      if (!tree.HasVirtualBelow(v)) {
-        finish_bit_node(v, item.rows, item.pending);
-        continue;
-      }
-      const size_t children_end = rows.size();
-      const Formula* own = finish_formula_node(v, item.pending);
-      if (children_end > item.rows) {  // replace the children's rows
-        std::copy(own, own + row_width, rows.begin() + item.rows);
-        rows.resize(item.rows + row_width);
-      }
-      continue;
-    }
-
+  auto visit = [&](NodeId v, uint32_t depth) {
     if (tree.IsVirtual(v)) {
-      const Formula* parent_vec = levels.Parent(item.depth);
+      const Formula* parent_vec = levels.Parent(depth);
       st.virtual_tops.push_back(SelUpMessage::VirtualTop{
           tree.fragment_ref(v),
           std::vector<Formula>(parent_vec, parent_vec + sel.size())});
       // Virtual nodes still need their rows (variables).
-      finish_formula_node(v, pending.size());
-      continue;
+      finish_formula_node(v, rows.size(), pending.size());
+      return;
     }
-
+    // The root's recorded height is 0, below the leading-qualifier local.
+    const auto locals =
+        static_cast<uint32_t>(open.empty() ? 0 : pending.size());
     // Pre-order: selection vector with qz placeholders for qualifiers.
-    Formula* vec = levels.Own(item.depth);
-    SelStep(tree, query, &domain, v, levels.Parent(item.depth), vec,
+    Formula* vec = levels.Own(depth);
+    SelStep(tree, query, &domain, v, levels.Parent(depth), vec,
             fresh_qual_var);
     if (!domain.IsFalse(vec[last])) st.finals.emplace_back(v, vec[last]);
+    open.push_back(
+        {v, AllFalse(vec, sel.size()), locals,
+         static_cast<uint32_t>(tree.HasVirtualBelow(v) ? rows.size()
+                                                       : bits_top)});
+  };
 
-    const auto height = static_cast<uint32_t>(pending.size());
-    if (ec > 0 || height > item.pending) {
-      const size_t below =
-          tree.HasVirtualBelow(v) ? rows.size() : bits_top;
-      work.push_back(
-          {v, 0, item.pending, static_cast<uint32_t>(below), Step::kPost});
+  // A dead subtree [r, end) holds no final and creates no qz local, and
+  // owes its parent only r's row. Its bit steps run in reverse document
+  // order, so each node's children are the rows on top of `bits`.
+  auto skip = [&](NodeId r, NodeId end) {
+    if (ec == 0) return;
+    for (NodeId u = end - 1; u >= r; --u) {
+      finish_bit_node(u, bits_top - tree.ChildCount(u) * bit_width,
+                      pending.size());
     }
-    const bool dead = AllFalse(vec, sel.size());
-    for (NodeId c : tree.children(v)) {
-      if (dead && !tree.HasVirtualBelow(c)) {
-        if (ec > 0) work.push_back({c, 0, 0, 0, Step::kDeadRow});
-        continue;
-      }
-      work.push_back({c, item.depth + 1, height, 0, Step::kPre});
+  };
+
+  auto close = [&](const Open& o) {
+    if (ec == 0 && pending.size() == o.pending) return;  // owes nothing
+    if (tree.HasVirtualBelow(o.v)) {
+      finish_formula_node(o.v, o.rows, o.pending);
+    } else {
+      finish_bit_node(o.v, o.rows, o.pending);
     }
-  }
+  };
+
+  ScanSubtree(tree, tree.root(), &open, visit, skip, close);
 
   // The root's rows are all that is left on the row stack.
   PAXML_CHECK_EQ(rows.size(), row_width);
@@ -589,7 +588,8 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
   // ---- Substitute qz locals; classify finals --------------------------------
   // Substitution cannot change a constant, and without locals (every
   // qualifier-free query) it rebuilds the same hash-consed nodes; both
-  // cases skip it.
+  // cases skip it. The scan met the finals in document order, so answers
+  // and candidates ascend.
   auto resolve = [&](Formula f) {
     return qz_values.empty() || arena->IsConst(f)
                ? f
@@ -615,7 +615,7 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
 /// concrete-init case (annotations on, qualifier-free): the stack holds
 /// only constants, so every selection value constant-folds — the walk
 /// never interns a formula, touches no shared arena, and its outputs
-/// (answers in traversal order, virtual tops of constants) concatenate to
+/// (answers in document order, virtual tops of constants) concatenate to
 /// the serial pass's byte for byte. This is the gate that makes the PaX2
 /// split sound: with variables in play, And/Or canonicalize operands by
 /// arena handle order, so a privately built formula may differ
@@ -647,41 +647,30 @@ void WalkConstSubtree(const Tree& tree, const CompiledQuery& query,
   FormulaDomain domain(&arena);
   const size_t m = query.selection().size();
 
-  // Pre-order only: with no qualifiers the post-order step is inert, and
-  // the flat stack needs no popping.
-  struct Item {
+  // Pre-order only: with no qualifiers the post-order step is inert. As in
+  // the combined pass, below an all-false vector only the virtual tops
+  // still report.
+  struct Open {
     NodeId v;
-    uint32_t depth;
+    bool dead;
   };
-  std::vector<Item> work = {{start, 0}};
+  std::vector<Open> open;
   SelLevels levels(parent_init);
-
-  while (!work.empty()) {
-    const Item item = work.back();
-    work.pop_back();
-    const NodeId v = item.v;
-
+  auto visit = [&](NodeId v, uint32_t depth) {
     if (tree.IsVirtual(v)) {
-      const Formula* parent_vec = levels.Parent(item.depth);
+      const Formula* parent_vec = levels.Parent(depth);
       out->virtual_tops.push_back(SelUpMessage::VirtualTop{
           tree.fragment_ref(v),
           std::vector<Formula>(parent_vec, parent_vec + m)});
-      continue;
+      return;
     }
-
-    Formula* vec = levels.Own(item.depth);
-    ConstSelStep(tree, query, &domain, v, levels.Parent(item.depth), vec);
+    Formula* vec = levels.Own(depth);
+    ConstSelStep(tree, query, &domain, v, levels.Parent(depth), vec);
     if (vec[m - 1] == kTrueFormula) out->answers.push_back(v);
-
-    // As in the combined pass: below an all-false vector only the virtual
-    // tops still report.
-    const bool dead = AllFalse(vec, m);
-    for (NodeId c : tree.children(v)) {
-      if (!dead || tree.HasVirtualBelow(c)) {
-        work.push_back({c, item.depth + 1});
-      }
-    }
-  }
+    open.push_back({v, AllFalse(vec, m)});
+  };
+  ScanSubtree(tree, start, &open, visit, [](NodeId, NodeId) {},
+              [](const Open&) {});
 }
 
 /// PaX2's two visits as runtime handlers: kSelRequest runs the combined
@@ -873,9 +862,8 @@ class Pax2Program : public XmlMessageHandlers {
 };
 
 /// The split form of one fragment's kSelRequest under the concrete-init
-/// gate: items are the fragment root's child subtrees in serial traversal
-/// order (the combined DFS pops children last-first, so items hold the
-/// children REVERSED), each walked by WalkConstSubtree into a private
+/// gate: items are the fragment root's child subtrees in document order,
+/// the serial scan's order, each walked by WalkConstSubtree into a private
 /// slot; Finish concatenates [the root's own contributions] + the slots
 /// and replies through Pax2Program::CompleteSplit — the same state and
 /// send path the serial handler uses.
@@ -892,7 +880,6 @@ class Pax2SplitTask : public SplitTask {
     std::vector<NodeId> items;
     for (NodeId c : tree.children(root)) items.push_back(c);
     if (items.size() < 2) return nullptr;
-    std::reverse(items.begin(), items.end());
 
     auto task = std::unique_ptr<Pax2SplitTask>(new Pax2SplitTask());
     task->program_ = program;
@@ -952,7 +939,7 @@ class Pax2SplitTask : public SplitTask {
   FragmentId f_ = kNullFragment;
   std::vector<Formula> vec_root_;  ///< constants: valid in every arena
   bool root_answer_ = false;
-  std::vector<NodeId> items_;  ///< root children, serial traversal order
+  std::vector<NodeId> items_;  ///< root children, document order
   std::vector<ConstSubtreeResult> slots_;  ///< one slot per item
 };
 

@@ -143,7 +143,9 @@ class Pax3Program : public XmlMessageHandlers {
 
     SelectionOutput<FormulaDomain> out = RunSelectionPass(
         frag.tree, query_, &domain, std::move(init), qual_at);
+    // Answers ship ascending, the order the delta coding compresses.
     st.answers = std::move(out.answers);
+    std::sort(st.answers.begin(), st.answers.end());
     st.candidates = std::move(out.candidates);
 
     SelUpMessage reply;

@@ -17,6 +17,7 @@ Tree Tree::Clone() const {
   copy.nodes_ = nodes_;
   copy.texts_ = texts_;
   copy.attributes_ = attributes_;
+  copy.in_document_order_ = in_document_order_;
   return copy;
 }
 
@@ -36,6 +37,15 @@ NodeId Tree::NewNode(NodeId parent, NodeKind kind) {
   }
   DropSizes();
   const NodeId id = static_cast<NodeId>(nodes_.size());
+  if (parent != kNullNode && in_document_order_) {
+    // The new node follows `parent`'s whole subtree iff `parent` is the
+    // last node or one of its ancestors. Ids fall along an ancestor chain,
+    // and each node walked past leaves the rightmost path for good, so a
+    // document-order build walks each node at most once.
+    NodeId u = id - 1;
+    while (u > parent) u = nodes_[static_cast<size_t>(u)].parent;
+    in_document_order_ = u == parent;
+  }
   Node n;
   n.parent = parent;
   n.kind = kind;
@@ -144,6 +154,14 @@ std::optional<double> Tree::NumericValue(NodeId id) const {
     if (auto v = ParseNumber(text(c))) return v;
   }
   return std::nullopt;
+}
+
+NodeId Tree::SubtreeEnd(NodeId id) const {
+  PAXML_CHECK(in_document_order_);
+  for (NodeId u = id; u != kNullNode; u = parent(u)) {
+    if (next_sibling(u) != kNullNode) return next_sibling(u);
+  }
+  return static_cast<NodeId>(nodes_.size());
 }
 
 size_t Tree::ChildCount(NodeId id) const {

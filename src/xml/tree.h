@@ -8,11 +8,19 @@
 //                node records the id of the fragment it stands for.
 //
 // The arena layout (contiguous structs, first-child/next-sibling links) keeps
-// traversals cache-friendly; evaluation visits nodes in document order, which
-// is exactly arena order for trees built top-down (parser, generator). A node
-// is always created after its parent, so a parent's id is smaller than its
-// children's in every tree: one reverse pass over the arena folds children
-// into parents (SerializedSizes).
+// traversals cache-friendly. A node is always created after its parent, so a
+// parent's id is smaller than its children's in every tree: one reverse pass
+// over the arena folds children into parents (SerializedSizes).
+//
+// Document order. A tree whose nodes were appended in document order has
+// ids that *are* document order: every node's subtree is the id range that
+// starts at it, and a forward scan of the arena is a pre-order walk. The
+// tree keeps this as a checked property (InDocumentOrder), cleared by the
+// first append that breaks it. The parser, TreeBuilder, the fragmenter's
+// copy, FragmentedDocument::Assemble and LoadDocument (which parses) all
+// append in document order. A hand-built tree need not: adding a child to x
+// once a node after x but outside its subtree exists breaks it. PaX2's site
+// pass scans fragment arenas and checks the property.
 
 #ifndef PAXML_XML_TREE_H_
 #define PAXML_XML_TREE_H_
@@ -113,6 +121,16 @@ class Tree {
   /// True iff `id` or one of its descendants is virtual: below a node
   /// without it, partial evaluation has no unknowns.
   bool HasVirtualBelow(NodeId id) const { return node(id).virtual_below; }
+
+  /// True iff every node was appended in document order, so node ids are
+  /// document order and the subtree of `id` is [id, SubtreeEnd(id)). Kept
+  /// by every append (an empty tree has it); Clone copies it.
+  bool InDocumentOrder() const { return in_document_order_; }
+
+  /// The first id after the subtree of `id` (size() if none): the next
+  /// sibling of the nearest ancestor-or-self that has one. Precondition:
+  /// InDocumentOrder().
+  NodeId SubtreeEnd(NodeId id) const;
 
   NodeId parent(NodeId id) const { return node(id).parent; }
   NodeId first_child(NodeId id) const { return node(id).first_child; }
@@ -231,6 +249,7 @@ class Tree {
   // Sparse: most elements carry no attributes.
   std::unordered_map<NodeId, std::vector<Attribute>> attributes_;
   std::unique_ptr<SizeTable> sizes_;
+  bool in_document_order_ = true;
 };
 
 }  // namespace paxml

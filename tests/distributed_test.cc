@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "core/engine.h"
+#include "core/messages.h"
 #include "core/parbox.h"
+#include "core/pax2.h"
+#include "core/pax3.h"
 #include "eval/centralized.h"
 #include "fragment/fragmenter.h"
+#include "harness.h"
 #include "test_util.h"
 #include "xmark/generator.h"
 
@@ -422,6 +430,154 @@ TEST_F(DistributedClienteleTest, EverySiteEmptyQueryAnswer) {
                             DistributedAlgorithm::kPaX2);
   EXPECT_TRUE(r.answers.empty());
   EXPECT_EQ(r.stats.answer_bytes, 0u);
+}
+
+// ---- Shipping order ---------------------------------------------------------------
+
+/// SyncTransport that decodes what the sites ship: every SelUp part, and
+/// every AnswerUp, whole (a site's stream to itself is sent as one
+/// envelope) or streamed (its header part plus the appended id chunks).
+/// SyncTransport runs one handler at a time, so an append always extends
+/// the stream opened last.
+class DecodingTransport : public SyncTransport {
+ public:
+  void Send(Envelope env) override {
+    for (const WirePart& part : env.parts) {
+      if (part.kind == MessageKind::kAnswerUp) {
+        streams_.emplace_back(part.kind, part.bytes);
+      }
+      if (part.kind != MessageKind::kSelUp) continue;
+      ByteReader in(part.bytes);
+      auto m = SelUpMessage::Decode(&arena_, &in);
+      EXPECT_TRUE(m.ok()) << m.status();
+      if (m.ok()) sel_ups_.push_back(std::move(m).ValueOrDie());
+    }
+    SyncTransport::Send(std::move(env));
+  }
+
+  void StreamBegin(Envelope head) override {
+    streams_.emplace_back(head.parts.front().kind, head.parts.front().bytes);
+    SyncTransport::StreamBegin(std::move(head));
+  }
+
+  void StreamAppend(RunId run, SiteId from, SiteId to, std::string_view bytes,
+                    uint64_t logical_bytes, uint64_t phantom_bytes) override {
+    streams_.back().second.append(bytes);
+    SyncTransport::StreamAppend(run, from, to, bytes, logical_bytes,
+                                phantom_bytes);
+  }
+
+  /// The virtual-top fragment refs fragment `f`'s SelUp replies carried.
+  std::vector<FragmentId> VirtualTopsOf(FragmentId f) const {
+    std::vector<FragmentId> refs;
+    for (const SelUpMessage& m : sel_ups_) {
+      if (m.fragment != f) continue;
+      for (const auto& top : m.virtual_tops) refs.push_back(top.child);
+    }
+    return refs;
+  }
+
+  /// The answer ids fragment `f`'s AnswerUp streams carried, in shipping
+  /// order.
+  std::vector<NodeId> AnswersOf(FragmentId f) const {
+    std::vector<NodeId> ids;
+    for (const auto& [kind, bytes] : streams_) {
+      if (kind != MessageKind::kAnswerUp) continue;
+      ByteReader in(bytes);
+      auto m = AnswerUpMessage::Decode(&in);
+      EXPECT_TRUE(m.ok()) << m.status();
+      if (!m.ok() || m->fragment != f) continue;
+      ids.insert(ids.end(), m->answers.begin(), m->answers.end());
+    }
+    return ids;
+  }
+
+ private:
+  FormulaArena arena_;
+  std::vector<SelUpMessage> sel_ups_;
+  std::vector<std::pair<MessageKind, std::string>> streams_;
+};
+
+// PaX2's site pass meets a fragment's nodes in document order, so the
+// answers it settles and the virtual tops it reports ship in that order.
+// The root fragment here interleaves answers with three virtual nodes at
+// different depths; the fragmenter numbers cuts in document order, so the
+// tops must read F1, F2, F3.
+TEST(ShippingOrderTest, Pax2ShipsAnswersAndVirtualTopsInDocumentOrder) {
+  Tree tree;
+  const NodeId root = tree.AddElement(kNullNode, "root");
+  const NodeId a1 = tree.AddElement(root, "a");
+  tree.AddElement(a1, "a");
+  const NodeId cut1 = tree.AddElement(tree.AddElement(a1, "b"), "a");
+  const NodeId cut2 = tree.AddElement(root, "a");
+  tree.AddElement(cut2, "b");
+  const NodeId b = tree.AddElement(root, "b");
+  const NodeId a7 = tree.AddElement(b, "a");
+  const NodeId cut3 = tree.AddElement(a7, "a");
+  tree.AddElement(b, "a");
+  auto doc_r = FragmentByCuts(tree, {cut1, cut2, cut3});
+  ASSERT_TRUE(doc_r.ok()) << doc_r.status();
+  auto doc =
+      std::make_shared<FragmentedDocument>(std::move(doc_r).ValueOrDie());
+  // F0: root0 a1 a2 b3 [F1]4 [F2]5 b6 a7 [F3]8 a9.
+  ASSERT_EQ(doc->fragment(0).tree.size(), 10u);
+  Cluster cluster(doc, 2);
+  cluster.PlaceRootAndSpread();
+
+  const struct {
+    const char* query;
+    std::vector<NodeId> f0_answers;
+  } cases[] = {
+      {"//a", {1, 2, 7, 9}},
+      {"//*", {0, 1, 2, 3, 6, 7, 9}},
+      // a7's only child is F3's root: a candidate settled in visit two.
+      {"//a[not(b)]", {2, 7, 9}},
+  };
+  for (const auto& c : cases) {
+    for (bool annotations : {false, true}) {
+      const std::string label =
+          std::string(c.query) + (annotations ? " annotated" : "");
+      auto query = CompileXPath(c.query, doc->symbols());
+      ASSERT_TRUE(query.ok()) << label;
+      DecodingTransport transport;
+      PaxOptions options;
+      options.use_annotations = annotations;
+      auto r = EvaluatePaX2(cluster, *query, options, &transport);
+      ASSERT_TRUE(r.ok()) << label << ": " << r.status();
+      EXPECT_EQ(transport.VirtualTopsOf(0), (std::vector<FragmentId>{1, 2, 3}))
+          << label;
+      EXPECT_EQ(transport.AnswersOf(0), c.f0_answers) << label;
+    }
+  }
+}
+
+// Answer ids ship ascending, so the delta coding never costs more than
+// the absolute ids would: on every query of the FT2 mix, for PaX2 and
+// PaX3, with annotations (one visit, answers with the first reply) and
+// without (answers in the last visit).
+TEST(ShippingOrderTest, AnswerDeltasNeverExceedAbsoluteIdsOnFt2Mix) {
+  bench::Workload w = bench::MakeFT2Paper(0.05);
+  uint64_t logical = 0;
+  for (auto evaluate : {&EvaluatePaX2, &EvaluatePaX3}) {
+    for (bool annotations : {false, true}) {
+      for (const std::string& text : testing::Ft2QueryMix()) {
+        const std::string label =
+            std::string(evaluate == &EvaluatePaX2 ? "PaX2 " : "PaX3 ") +
+            text + (annotations ? " annotated" : "");
+        auto query = CompileXPath(text, w.doc->symbols());
+        ASSERT_TRUE(query.ok()) << label;
+        SyncTransport transport;
+        PaxOptions options;
+        options.use_annotations = annotations;
+        auto r = evaluate(*w.cluster, *query, options, &transport, nullptr);
+        ASSERT_TRUE(r.ok()) << label << ": " << r.status();
+        EXPECT_LE(r->stats.delta_wire_bytes, r->stats.delta_logical_bytes)
+            << label;
+        logical += r->stats.delta_logical_bytes;
+      }
+    }
+  }
+  EXPECT_GT(logical, 0u);
 }
 
 }  // namespace

@@ -30,7 +30,6 @@
 #include "harness.h"
 #include "runtime/transport.h"
 #include "test_util.h"
-#include "xmark/queries.h"
 
 namespace paxml {
 namespace {
@@ -95,19 +94,6 @@ uint64_t DigestOf(const Cluster& cluster,
   return transport.digest();
 }
 
-/// The eight-query PaX2 mix of the repository benchmark's FT2 workloads:
-/// Q1-Q4 plus four qualifier-free paths over every FT2 region.
-std::vector<std::string> Ft2Mix() {
-  return {xmark::kQ1,
-          xmark::kQ2,
-          xmark::kQ3,
-          xmark::kQ4,
-          "//item/name",
-          "/sites/site/regions//item",
-          "/sites/site/closed_auctions//annotation",
-          "/sites/site/people/person/address/country"};
-}
-
 /// Qualifiers with no QVect entry: `[.]` compiles to a constant-true
 /// qualifier, so the pass creates qz locals and resolves them without a
 /// single qualifier row.
@@ -128,20 +114,22 @@ std::vector<std::string> BatteryWithLeadingQualifiers() {
 
 TEST(Pax2WireDigestTest, Ft2MixMatchesRecordedDigest) {
   bench::Workload w = bench::MakeFT2Paper(0.05);
-  EXPECT_EQ(DigestOf(*w.cluster, Ft2Mix(), /*annotations=*/false),
-            0x8bdac4ea24ccf56fULL);
-  EXPECT_EQ(DigestOf(*w.cluster, Ft2Mix(), /*annotations=*/true),
-            0x34498022d89c242eULL);
+  EXPECT_EQ(DigestOf(*w.cluster, testing::Ft2QueryMix(),
+                     /*annotations=*/false),
+            0x49e90c55bc8fe1edULL);
+  EXPECT_EQ(DigestOf(*w.cluster, testing::Ft2QueryMix(),
+                     /*annotations=*/true),
+            0x1af2a19536058733ULL);
 }
 
 TEST(Pax2WireDigestTest, EntrylessQualifiersMatchRecordedDigest) {
   bench::Workload w = bench::MakeFT2Paper(0.05);
   EXPECT_EQ(DigestOf(*w.cluster, Ft2EntrylessQualifiers(),
                      /*annotations=*/false),
-            0x5360eea6d66c74b2ULL);
+            0x905e0f36b026ec78ULL);
   EXPECT_EQ(DigestOf(*w.cluster, Ft2EntrylessQualifiers(),
                      /*annotations=*/true),
-            0x7fc9453207c70a46ULL);
+            0xde7fdf36269de188ULL);
 }
 
 TEST(Pax2WireDigestTest, QueryBatteryMatchesRecordedDigests) {
@@ -151,11 +139,11 @@ TEST(Pax2WireDigestTest, QueryBatteryMatchesRecordedDigests) {
     uint64_t digest_annotated;
   };
   const Case cases[] = {
-      {1, 0x83503fbb43d2b676ULL, 0x598282eb3f21c24aULL},
-      {2, 0xadf83311c2e087c7ULL, 0x793235f2754acd1eULL},
-      {3, 0xe7a2caeb7540d7fbULL, 0x770fccb40cc7c7d5ULL},
-      {5, 0x4b64c6a080dd3df7ULL, 0x3a8b06aa07c94548ULL},
-      {8, 0x3361a652c26f74f3ULL, 0xad144f5c8d7e740bULL},
+      {1, 0x3917991d6359c90dULL, 0xcb5218dd9484ebf5ULL},
+      {2, 0x14b3d96c0164a059ULL, 0x196456540b7574b5ULL},
+      {3, 0xe7079de338a95476ULL, 0x5cc6a40bd409b053ULL},
+      {5, 0xb3c4781b462029efULL, 0xa22f8da0b2a23b14ULL},
+      {8, 0xf53aac7ba1eab9bfULL, 0x3d368e6fbc25e34bULL},
   };
   for (const Case& c : cases) {
     Rng rng(c.seed);
@@ -186,10 +174,10 @@ TEST(Pax2WireDigestTest, QualifierKernelMatchesRecordedDigests) {
     uint64_t digest;
   };
   const Case cases[] = {
-      {1, false, 0xe596cda956a9a5f9ULL},
-      {2, false, 0xfcbc69cc63fe609aULL},
-      {3, false, 0x54f417bcd856c103ULL},
-      {1, true, 0x03627bdeeaab10a0ULL},
+      {1, false, 0x09518360afe4942fULL},
+      {2, false, 0x9821a6d843ad1f73ULL},
+      {3, false, 0x4e6f5feaaa450a25ULL},
+      {1, true, 0x5162825ba75495e3ULL},
   };
   for (const Case& c : cases) {
     Rng rng(c.seed);

@@ -17,6 +17,7 @@
 #include "core/workload.h"
 #include "eval/centralized.h"
 #include "runtime/transport.h"
+#include "xmark/queries.h"
 #include "xml/builder.h"
 #include "xml/tree.h"
 
@@ -259,6 +260,19 @@ inline std::vector<std::string> PropertyQueryBattery() {
       "//a[b][c]/d",
       "//d[.//a or val() < 15]",
   };
+}
+
+/// The eight-query PaX2 mix of the repository benchmark's FT2 workloads:
+/// Q1-Q4 plus four qualifier-free paths over every FT2 region.
+inline std::vector<std::string> Ft2QueryMix() {
+  return {xmark::kQ1,
+          xmark::kQ2,
+          xmark::kQ3,
+          xmark::kQ4,
+          "//item/name",
+          "/sites/site/regions//item",
+          "/sites/site/closed_auctions//annotation",
+          "/sites/site/people/person/address/country"};
 }
 
 /// Qualifier queries that reach every branch of PaX2's per-node qualifier

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/string_util.h"
+#include "fragment/fragmenter.h"
 #include "fragment/storage.h"
 #include "harness.h"
 #include "test_util.h"
@@ -160,6 +161,101 @@ TEST(TreeTest, VirtualBelowOnFt2FragmentsAndAfterStorage) {
               doc.fragment(static_cast<FragmentId>(f)).tree.VirtualNodes()
                   .size());
     ExpectVirtualBelowExact(t, "loaded FT2 fragment " + std::to_string(f));
+  }
+}
+
+// ---- Document order ---------------------------------------------------------
+
+/// Checks that `t` claims document order and that its ids are document
+/// order: a pre-order walk meets them as 0, 1, 2, ..., and every node's
+/// subtree is the id range [v, SubtreeEnd(v)).
+void ExpectDocumentOrder(const Tree& t, const std::string& what) {
+  ASSERT_TRUE(t.InDocumentOrder()) << what;
+  const std::vector<NodeId> walk = t.SubtreeIds(t.root());
+  ASSERT_EQ(walk.size(), t.size()) << what;
+  for (size_t i = 0; i < walk.size(); ++i) {
+    ASSERT_EQ(walk[i], static_cast<NodeId>(i)) << what;
+  }
+  for (NodeId v = 0; v < static_cast<NodeId>(t.size()); ++v) {
+    ASSERT_EQ(t.SubtreeEnd(v), v + static_cast<NodeId>(t.SubtreeSize(v)))
+        << what << ", node " << v;
+  }
+}
+
+TEST(TreeTest, OutOfOrderAppendClearsDocumentOrder) {
+  EXPECT_TRUE(Tree().InDocumentOrder());
+
+  Tree t;
+  const NodeId root = t.AddElement(kNullNode, "root");
+  const NodeId x = t.AddElement(root, "x");
+  t.AddText(t.AddElement(x, "a"), "1");
+  const NodeId y = t.AddElement(root, "y");  // after x's whole subtree
+  t.AddVirtual(y, 1);
+  ExpectDocumentOrder(t, "in order");
+  const Tree in_order = t.Clone();
+
+  t.AddElement(x, "b");  // x's subtree no longer ends before y
+  EXPECT_FALSE(t.InDocumentOrder());
+  EXPECT_TRUE(t.Validate().ok());
+  t.AddElement(t.AddElement(root, "z"), "c");  // stays cleared
+  EXPECT_FALSE(t.InDocumentOrder());
+  EXPECT_FALSE(t.Clone().InDocumentOrder());
+  ExpectDocumentOrder(in_order, "clone taken before the append");
+
+  // Text and virtual appends are checked the same way.
+  Tree text = in_order.Clone();
+  text.AddText(x, "late");
+  EXPECT_FALSE(text.InDocumentOrder());
+  Tree virt = in_order.Clone();
+  virt.AddVirtual(x, 2);
+  EXPECT_FALSE(virt.InDocumentOrder());
+}
+
+TEST(TreeTest, BuilderParserFragmenterAndStorageOutputIsInDocumentOrder) {
+  ExpectDocumentOrder(testing::BuildClienteleTree(), "built");
+  auto parsed = ParseXml(
+      "<r><a><b>t<c/>u</b><paxml-virtual ref=\"2\"/></a>v<d><e/></d></r>");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ExpectDocumentOrder(*parsed, "parsed");
+
+  // A source tree built out of order (y before x's children) fragments
+  // into fragments in document order: the fragmenter copies top-down.
+  Tree source;
+  const NodeId root = source.AddElement(kNullNode, "root");
+  const NodeId x = source.AddElement(root, "x");
+  source.AddElement(root, "y");
+  const NodeId c = source.AddElement(x, "c");
+  source.AddElement(c, "d");
+  source.AddElement(x, "a");
+  ASSERT_FALSE(source.InDocumentOrder());
+  auto cut = FragmentByCuts(source, {x, c});
+  ASSERT_TRUE(cut.ok()) << cut.status();
+  for (size_t f = 0; f < cut->size(); ++f) {
+    ExpectDocumentOrder(cut->fragment(static_cast<FragmentId>(f)).tree,
+                        "fragment " + std::to_string(f) + " of the cut");
+  }
+
+  bench::Workload w = bench::MakeFT2Paper(0.05);
+  const FragmentedDocument& doc = *w.doc;
+  for (size_t f = 0; f < doc.size(); ++f) {
+    ExpectDocumentOrder(doc.fragment(static_cast<FragmentId>(f)).tree,
+                        "FT2 fragment " + std::to_string(f));
+  }
+  ExpectDocumentOrder(doc.Assemble(), "assembled FT2");
+
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("paxml_xml_order_test_" +
+       std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  fs::remove_all(dir);
+  ASSERT_TRUE(SaveDocument(doc, dir.string()).ok());
+  auto loaded = LoadDocument(dir.string(), doc.symbols());
+  fs::remove_all(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  for (size_t f = 0; f < loaded->size(); ++f) {
+    ExpectDocumentOrder(loaded->fragment(static_cast<FragmentId>(f)).tree,
+                        "loaded FT2 fragment " + std::to_string(f));
   }
 }
 
