@@ -432,7 +432,7 @@ TEST_F(DistributedClienteleTest, EverySiteEmptyQueryAnswer) {
   EXPECT_EQ(r.stats.answer_bytes, 0u);
 }
 
-// ---- Shipping order ---------------------------------------------------------------
+// ---- Shipping order ---------------------------------------------------------
 
 /// SyncTransport that decodes what the sites ship: every SelUp part, and
 /// every AnswerUp, whole (a site's stream to itself is sent as one
