@@ -48,9 +48,10 @@ class CaptureTransport : public Transport {
 
  private:
   static TransportOptions Captured(TransportOptions options) {
-    // Chunk-size knobs are mirrored (handlers read them when streaming);
-    // batching off routes EnvelopeStream through buffered Sends, and the
-    // replay target owns framing, flushing and the remote plane.
+    // Batching off is what the capture plane needs: EnvelopeStream then
+    // buffers each streamed envelope and Sends it whole, so every send is
+    // one envelope to record. The replay target owns framing, flushing and
+    // the remote plane.
     options.batching = false;
     options.remote_endpoints.clear();
     options.site_threads = 1;

@@ -1,9 +1,11 @@
 // Tests for the session-based engine API (core/engine.h): Engine::Submit +
-// QueryHandle::{Wait,TryGet,Cancel} on both transport backends, equivalence
-// with sequential evaluation, priority-ordered admission, cancellation
-// (queued and mid-run) and deadline expiry — each yielding its distinct
-// error status while concurrent runs' answers and accounting stay
-// byte-for-byte untouched (invariant 5, DESIGN.md §6/§7).
+// QueryHandle::{Wait,TryGet,Cancel} on both transport backends,
+// priority-ordered admission, cancellation (queued and mid-run) and
+// deadline expiry — each yielding its distinct error status while
+// concurrent runs' answers and accounting stay byte-for-byte untouched
+// (invariant 5, DESIGN.md §6/§7). That a stream of submissions reproduces
+// the runs' sequential RunStats is checked by the equivalence matrix
+// (equivalence_matrix_test.cc).
 
 #include <gtest/gtest.h>
 
@@ -60,46 +62,6 @@ const char* kQueryB = "//stock/code";
 const char* kQueryC = "//market[name/text() = \"NASDAQ\"]/stock/code";
 
 // ---- Submit / Wait / TryGet -------------------------------------------------
-
-// The acceptance property: concurrent submissions over one Engine produce
-// answers, visit counts and per-edge byte totals identical to sequential
-// evaluation.
-TEST_P(EngineTest, ConcurrentSubmissionsMatchSequential) {
-  std::vector<std::string> stream;
-  for (int rep = 0; rep < 2; ++rep) {
-    for (const char* q : {kQueryA, kQueryB, kQueryC}) stream.push_back(q);
-  }
-
-  std::vector<Result<DistributedResult>> sequential;
-  for (const auto& q : stream) {
-    sequential.push_back(testing::EvaluateOn(*cluster_, q, {}, GetParam()));
-  }
-
-  Engine engine(*cluster_, Config(4));
-  std::vector<QueryHandle> handles;
-  for (const auto& q : stream) handles.push_back(engine.Submit(q));
-
-  for (size_t i = 0; i < stream.size(); ++i) {
-    const QueryReport& report = handles[i].Wait();
-    ASSERT_TRUE(sequential[i].ok()) << stream[i];
-    ASSERT_TRUE(report.result.ok()) << stream[i] << ": "
-                                    << report.result.status();
-    EXPECT_EQ(report.result->answers, sequential[i]->answers) << stream[i];
-    EXPECT_EQ(report.result->stats.edges, sequential[i]->stats.edges)
-        << stream[i];
-    EXPECT_EQ(report.result->stats.total_bytes,
-              sequential[i]->stats.total_bytes)
-        << stream[i];
-    EXPECT_EQ(report.result->stats.rounds, sequential[i]->stats.rounds)
-        << stream[i];
-    // The report mirrors the run: rounds and stats snapshot match.
-    EXPECT_EQ(report.rounds, report.result->stats.rounds);
-    EXPECT_EQ(report.stats.total_bytes, report.result->stats.total_bytes);
-    EXPECT_GE(report.latency_seconds, report.queue_seconds);
-  }
-  // Every run was closed on its way out.
-  EXPECT_EQ(engine.transport().open_run_count(), 0u);
-}
 
 TEST_P(EngineTest, TryGetIsNullUntilCompletion) {
   Engine engine(*cluster_, Config(1));

@@ -7,15 +7,13 @@
 //  * streamed envelope chunks (EnvelopeStream) merge into one envelope
 //    whose bytes equal the monolithic encoding, on both the staged
 //    (batched) and buffered (unbatched / local) paths;
-//  * the batched-vs-unbatched × sync-vs-pooled equivalence matrix: frame
-//    batching never changes answers, visits, byte totals, per-edge byte
-//    splits or envelope counts — only the message count, which must drop
-//    substantially when sites hold several fragments.
+//  * sealed frames are what RunStats::wire_bytes counts. That batching
+//    changes nothing but messages and wire bytes is checked by the
+//    equivalence matrix (equivalence_matrix_test.cc).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,8 +29,6 @@
 #include "runtime/transport.h"
 #include "runtime/wire.h"
 #include "test_util.h"
-#include "xmark/generator.h"
-#include "xmark/queries.h"
 
 namespace paxml {
 namespace {
@@ -680,131 +676,6 @@ TEST(EnvelopeStreamTest, StreamedEnvelopeJoinsTheOpenFrame) {
   transport.CloseRun(run);
 }
 
-// ---- Batched vs unbatched: the equivalence matrix ---------------------------
-
-struct Fixture {
-  std::string name;
-  std::shared_ptr<FragmentedDocument> doc;
-  std::unique_ptr<Cluster> cluster;
-  std::vector<std::string> queries;
-};
-
-// Clientele with sites holding several fragments each: the layout where
-// coalescing matters (F1..F4 all report to S_Q = site 0 over two edges).
-Fixture GroupedClienteleFixture() {
-  Fixture fx;
-  fx.name = "clientele-grouped";
-  fx.doc = MakeClienteleDoc();
-  fx.cluster = std::make_unique<Cluster>(fx.doc, 3);
-  PAXML_CHECK(fx.cluster->Place(0, 0).ok());
-  PAXML_CHECK(fx.cluster->Place(1, 1).ok());
-  PAXML_CHECK(fx.cluster->Place(2, 1).ok());
-  PAXML_CHECK(fx.cluster->Place(3, 2).ok());
-  PAXML_CHECK(fx.cluster->Place(4, 2).ok());
-  fx.queries = {
-      "clientele/client[country/text() = \"US\"]/"
-      "broker[market/name/text() = \"NASDAQ\"]/name",
-      "clientele/client/broker/name",
-      "//stock/code",
-      ".[//market/name/text() = \"TSE\"]",
-  };
-  return fx;
-}
-
-Fixture XMarkFixture() {
-  Fixture fx;
-  fx.name = "xmark";
-  XMarkOptions xmark_options;
-  xmark_options.seed = 42;
-  Tree t = GenerateUniformSitesTree(120000, 4, xmark_options);
-  auto doc = FragmentBySubtrees(t, t.root());
-  PAXML_CHECK(doc.ok());
-  fx.doc = std::make_shared<FragmentedDocument>(std::move(doc).ValueOrDie());
-  fx.cluster = std::make_unique<Cluster>(fx.doc, 3);
-  fx.cluster->PlaceRootAndSpread();
-  fx.queries = {xmark::kQ1, xmark::kQ2, xmark::kQ3, xmark::kQ4};
-  return fx;
-}
-
-std::vector<int> Visits(const RunStats& s) {
-  std::vector<int> v;
-  v.reserve(s.per_site.size());
-  for (const SiteStats& p : s.per_site) v.push_back(p.visits);
-  return v;
-}
-
-std::map<std::pair<SiteId, SiteId>, uint64_t> EdgeBytes(const RunStats& s) {
-  std::map<std::pair<SiteId, SiteId>, uint64_t> out;
-  for (const auto& [edge, e] : s.edges) out[edge] = e.bytes;
-  return out;
-}
-
-std::map<std::pair<SiteId, SiteId>, uint64_t> EdgeEnvelopes(const RunStats& s) {
-  std::map<std::pair<SiteId, SiteId>, uint64_t> out;
-  for (const auto& [edge, e] : s.edges) out[edge] = e.envelopes;
-  return out;
-}
-
-void ExpectBatchingPreservesEverythingButMessages(const Fixture& fx) {
-  uint64_t batched_messages_total = 0;
-  uint64_t unbatched_messages_total = 0;
-  for (const std::string& query : fx.queries) {
-    for (auto algo : {DistributedAlgorithm::kPaX2, DistributedAlgorithm::kPaX3,
-                      DistributedAlgorithm::kNaiveCentralized}) {
-      for (auto kind : {TransportKind::kSync, TransportKind::kPooled}) {
-        EngineOptions options;
-        options.algorithm = algo;
-        TransportOptions batched;
-        batched.batching = true;
-        TransportOptions unbatched;
-        unbatched.batching = false;
-
-        auto b = EvaluateOn(*fx.cluster, query, options, kind, batched);
-        auto u = EvaluateOn(*fx.cluster, query, options, kind, unbatched);
-        const std::string label =
-            fx.name + "|" + AlgorithmName(algo) + "|" +
-            (kind == TransportKind::kSync ? "sync" : "pooled") + "|" + query;
-        ASSERT_TRUE(b.ok()) << label << ": " << b.status();
-        ASSERT_TRUE(u.ok()) << label << ": " << u.status();
-
-        // Everything the paper's bounds are stated in is unchanged...
-        EXPECT_EQ(b->answers, u->answers) << label;
-        EXPECT_EQ(Visits(b->stats), Visits(u->stats)) << label;
-        EXPECT_EQ(b->stats.rounds, u->stats.rounds) << label;
-        EXPECT_EQ(b->stats.total_bytes, u->stats.total_bytes) << label;
-        EXPECT_EQ(b->stats.answer_bytes, u->stats.answer_bytes) << label;
-        EXPECT_EQ(b->stats.data_bytes_shipped, u->stats.data_bytes_shipped)
-            << label;
-        EXPECT_EQ(EdgeBytes(b->stats), EdgeBytes(u->stats)) << label;
-        EXPECT_EQ(EdgeEnvelopes(b->stats), EdgeEnvelopes(u->stats)) << label;
-        EXPECT_EQ(b->stats.total_envelopes, u->stats.total_envelopes) << label;
-        // ...and unbatched, a message IS an envelope.
-        EXPECT_EQ(u->stats.total_messages, u->stats.total_envelopes) << label;
-        // Batching can only reduce the message count.
-        EXPECT_LE(b->stats.total_messages, u->stats.total_messages) << label;
-
-        if (kind == TransportKind::kSync) {
-          batched_messages_total += b->stats.total_messages;
-          unbatched_messages_total += u->stats.total_messages;
-        }
-      }
-    }
-  }
-  // With several fragments per site the per-edge coalescing must be
-  // substantial: >= 30% fewer messages across the workload.
-  EXPECT_LE(batched_messages_total * 10, unbatched_messages_total * 7)
-      << fx.name << ": batched " << batched_messages_total << " vs unbatched "
-      << unbatched_messages_total;
-}
-
-TEST(BatchingEquivalenceTest, GroupedClientele) {
-  ExpectBatchingPreservesEverythingButMessages(GroupedClienteleFixture());
-}
-
-TEST(BatchingEquivalenceTest, XMarkGroupedSites) {
-  ExpectBatchingPreservesEverythingButMessages(XMarkFixture());
-}
-
 // ---- Streamed shipments at the fixed chunk sizes (core/answer_stream.h) ----
 
 /// One run of a two-site cluster, shipping from site 1 to S_Q = site 0.
@@ -919,14 +790,21 @@ TEST(FrameCodecTest, EncodedSizeMatchesEncodeExactly) {
 // covering control frames too (they are written even though the model
 // prices them at zero).
 TEST(FrameCodecTest, WireBytesCountsSealedFrames) {
-  Fixture fx = GroupedClienteleFixture();
-  const std::string& query = fx.queries[0];
+  // Clientele with two fragments on each of sites 1 and 2.
+  Cluster cluster(MakeClienteleDoc(), 3);
+  const SiteId placement[] = {0, 1, 1, 2, 2};
+  for (FragmentId f = 0; f < 5; ++f) {
+    ASSERT_TRUE(cluster.Place(f, placement[f]).ok());
+  }
+  const std::string query =
+      "clientele/client[country/text() = \"US\"]/"
+      "broker[market/name/text() = \"NASDAQ\"]/name";
   TransportOptions unbatched;
   unbatched.batching = false;
 
-  auto b = EvaluateOn(*fx.cluster, query, {}, kSync);
-  auto p = EvaluateOn(*fx.cluster, query, {}, TransportKind::kPooled);
-  auto u = EvaluateOn(*fx.cluster, query, {}, kSync, unbatched);
+  auto b = EvaluateOn(cluster, query, {}, kSync);
+  auto p = EvaluateOn(cluster, query, {}, TransportKind::kPooled);
+  auto u = EvaluateOn(cluster, query, {}, kSync, unbatched);
   ASSERT_TRUE(b.ok() && p.ok() && u.ok());
   EXPECT_GT(b->stats.wire_bytes, 0u);
   EXPECT_EQ(b->stats.wire_bytes, p->stats.wire_bytes);

@@ -7,11 +7,9 @@
 //    delivery round however many fragments there are;
 //  * the site kernel — the bit-parallel batch traversal's rows equal one
 //    BFS per entry, across the 64-entry word boundary;
-//  * determinism — sync, pooled and intra-site-parallel (site_threads = 4)
-//    evaluations produce bit-identical RunStats;
-//  * deployment — a four-process socket run (three real paxml_site peers
-//    plus the client) reproduces SyncTransport's *exact* RunStats: the
-//    acceptance bar of the workload-agnostic runtime;
+//  * deployment — Engine::Submit routes a reach query to real paxml_site
+//    peers; that every backend reproduces SyncTransport's RunStats is the
+//    equivalence matrix's job (equivalence_matrix_test.cc);
 //  * the workload seam — an XML-serving peer rejects a graph run with a
 //    clean error, an unknown family's error names the known
 //    ones, and the graph store round-trips through its on-disk format.
@@ -21,7 +19,6 @@
 #include <algorithm>
 #include <deque>
 #include <latch>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -367,45 +364,6 @@ TEST(ReachKernelTest, InBoundaryTablesMatchPerEntryBFS) {
   EXPECT_GT(reached, 0u);
 }
 
-// ---- Determinism: sync vs pooled vs intra-site parallel ---------------------
-
-TEST(ReachDeterminismTest, SyncPooledAndThreadedAreBitIdentical) {
-  // Big enough that fragments hold several 64-entry batches.
-  const int32_t n = 2000;
-  GraphWorld w = MakeWorld(n, 1.8, 7, 4, 3);
-  Rng rng(77);
-  uint64_t threaded_pool_tasks = 0;
-  for (int i = 0; i < 10; ++i) {
-    ReachQuery q;
-    q.source = static_cast<NodeId>(rng.NextBounded(n));
-    q.target = static_cast<NodeId>(rng.NextBounded(n));
-    const std::string label = FormatReachQuery(q);
-
-    SyncTransport sync;
-    auto s = EvaluateReachability(*w.cluster, q, &sync);
-
-    PooledTransport pooled(4);
-    auto p = EvaluateReachability(*w.cluster, q, &pooled);
-
-    TransportOptions threaded_opts;
-    threaded_opts.site_threads = 4;
-    SyncTransport threaded(threaded_opts);
-    auto t = EvaluateReachability(*w.cluster, q, &threaded);
-
-    ASSERT_TRUE(s.ok()) << label << ": " << s.status();
-    ASSERT_TRUE(p.ok()) << label << ": " << p.status();
-    ASSERT_TRUE(t.ok()) << label << ": " << t.status();
-    EXPECT_EQ(p->answers, s->answers) << label;
-    EXPECT_EQ(t->answers, s->answers) << label;
-    ExpectContractEqual(p->stats, s->stats, "pooled|" + label);
-    ExpectContractEqual(t->stats, s->stats, "threads=4|" + label);
-    threaded_pool_tasks += t->stats.pool_tasks;
-  }
-  // The threaded runs actually fanned out into lanes, so the equality
-  // above is not vacuous.
-  EXPECT_GT(threaded_pool_tasks, 0u);
-}
-
 // ---- Warm and cold stores ---------------------------------------------------
 
 /// A cluster over a freshly built copy of `w`'s store: the same fragments
@@ -561,50 +519,7 @@ TEST(ReachCacheTest, ConcurrentFirstQueriesOnAFreshStoreMatchBFS) {
   }
 }
 
-// ---- The acceptance bar: four processes over sockets ------------------------
-
-// A reachability query on a four-machine deployment (three paxml_site
-// processes plus the client) reproduces SyncTransport's exact RunStats —
-// the same guarantee the XML family makes, now workload-agnostic.
-TEST(ReachSocketTest, FourProcessDeploymentReproducesSyncExactly) {
-  const int32_t n = 2000;
-  GraphWorld w = MakeWorld(n, 1.7, 6, 4, 9);
-  const std::string dir = MakeTempDir();
-  ASSERT_TRUE(SaveGraph(*w.store, dir).ok());
-  Deployment deployment(dir, *w.cluster);
-
-  Rng rng(5);
-  // Pool tasks the peers report per thread count.
-  std::map<size_t, uint64_t> pool_tasks;
-  for (int i = 0; i < 8; ++i) {
-    ReachQuery q;
-    q.source = static_cast<NodeId>(rng.NextBounded(n));
-    q.target = static_cast<NodeId>(rng.NextBounded(n));
-    const std::string label = FormatReachQuery(q);
-
-    auto sync = Reach(*w.cluster, q);
-    ASSERT_TRUE(sync.ok()) << label << ": " << sync.status();
-    EXPECT_EQ(sync->answers, ExpectedAnswer(w, q)) << label;
-
-    // Serial and lane-parallel peers.
-    for (size_t threads : {1, 4}) {
-      TransportOptions sopts;
-      sopts.remote_endpoints = deployment.endpoints();
-      sopts.site_threads = threads;
-      SocketTransport socket(sopts);
-      auto remote = EvaluateReachability(*w.cluster, q, &socket);
-      const std::string tlabel =
-          label + "|threads=" + std::to_string(threads);
-      ASSERT_TRUE(remote.ok()) << tlabel << ": " << remote.status();
-      EXPECT_EQ(remote->answers, sync->answers) << tlabel;
-      ExpectContractEqual(remote->stats, sync->stats, tlabel);
-      pool_tasks[threads] += remote->stats.pool_tasks;
-    }
-  }
-  // The lane-parallel peers fanned out; the serial ones never did.
-  EXPECT_EQ(pool_tasks[1], 0u);
-  EXPECT_GT(pool_tasks[4], 0u);
-}
+// ---- Over real processes ----------------------------------------------------
 
 // Engine::Submit drives the graph family through the same session API as
 // XPath — the query string's syntax is the only difference.

@@ -1,9 +1,7 @@
 // Tests for the runtime layer: Transport accounting, run namespacing, the
-// pooled backend, and the headline properties of the refactor —
-// SyncTransport and PooledTransport produce identical answers, visit counts
-// and per-edge byte totals for every algorithm on the clientele and XMark
-// fixtures, and concurrent Engine submissions over one shared transport match
-// the same queries run sequentially.
+// pooled backend's rounds and the coordinator. That every backend reproduces
+// SyncTransport's answers and RunStats is the equivalence matrix's job
+// (equivalence_matrix_test.cc).
 
 #include <gtest/gtest.h>
 
@@ -19,8 +17,6 @@
 #include "runtime/transport.h"
 #include "runtime/worker_pool.h"
 #include "test_util.h"
-#include "xmark/generator.h"
-#include "xmark/queries.h"
 
 namespace paxml {
 namespace {
@@ -392,207 +388,6 @@ TEST(CoordinatorTest, CoordinatorsOpenAndCloseTheirRuns) {
     EXPECT_EQ(transport.open_run_count(), 2u);
   }
   EXPECT_EQ(transport.open_run_count(), 0u);
-}
-
-// ---- The headline equivalence property --------------------------------------
-
-struct Fixture {
-  std::string name;
-  std::shared_ptr<FragmentedDocument> doc;
-  std::unique_ptr<Cluster> cluster;
-  std::vector<std::string> queries;
-};
-
-Fixture ClienteleFixture() {
-  Fixture fx;
-  fx.name = "clientele";
-  fx.doc = MakeClienteleDoc();
-  fx.cluster = std::make_unique<Cluster>(fx.doc, 4);
-  PAXML_CHECK(fx.cluster->Place(0, 0).ok());
-  PAXML_CHECK(fx.cluster->Place(1, 1).ok());
-  PAXML_CHECK(fx.cluster->Place(2, 2).ok());
-  PAXML_CHECK(fx.cluster->Place(3, 2).ok());
-  PAXML_CHECK(fx.cluster->Place(4, 3).ok());
-  fx.queries = {
-      "clientele/client[country/text() = \"US\"]/"
-      "broker[market/name/text() = \"NASDAQ\"]/name",
-      "clientele/client/broker/name",
-      "//stock/code",
-      "//market[name/text() = \"NASDAQ\"]/stock/code",
-      "clientele/client[not(country/text() = \"US\")]/name",
-  };
-  return fx;
-}
-
-Fixture XMarkFixture() {
-  Fixture fx;
-  fx.name = "xmark";
-  XMarkOptions xmark_options;
-  xmark_options.seed = 42;
-  Tree t = GenerateUniformSitesTree(120000, 4, xmark_options);
-  auto doc = FragmentBySubtrees(t, t.root());
-  PAXML_CHECK(doc.ok());
-  fx.doc = std::make_shared<FragmentedDocument>(std::move(doc).ValueOrDie());
-  fx.cluster = std::make_unique<Cluster>(fx.doc, 5);
-  fx.cluster->PlaceRootAndSpread();
-  fx.queries = {xmark::kQ1, xmark::kQ2, xmark::kQ3, xmark::kQ4};
-  return fx;
-}
-
-std::vector<int> Visits(const RunStats& s) {
-  std::vector<int> v;
-  v.reserve(s.per_site.size());
-  for (const SiteStats& p : s.per_site) v.push_back(p.visits);
-  return v;
-}
-
-void ExpectBackendsAgree(const Fixture& fx) {
-  for (const std::string& query : fx.queries) {
-    for (auto algo : {DistributedAlgorithm::kPaX2, DistributedAlgorithm::kPaX3,
-                      DistributedAlgorithm::kNaiveCentralized}) {
-      for (bool xa : {false, true}) {
-        if (algo == DistributedAlgorithm::kNaiveCentralized && xa) continue;
-        EngineOptions options;
-        options.algorithm = algo;
-        options.pax.use_annotations = xa;
-
-        auto sync_r = testing::EvaluateOn(*fx.cluster, query, options,
-                                          TransportKind::kSync);
-        auto pooled_r = testing::EvaluateOn(*fx.cluster, query, options,
-                                            TransportKind::kPooled);
-        ASSERT_TRUE(sync_r.ok()) << fx.name << " " << query << ": "
-                                 << sync_r.status();
-        ASSERT_TRUE(pooled_r.ok()) << fx.name << " " << query << ": "
-                                   << pooled_r.status();
-
-        const std::string label = fx.name + "|" + AlgorithmName(algo) +
-                                  (xa ? "-XA" : "-NA") + "|" + query;
-        EXPECT_EQ(sync_r->answers, pooled_r->answers) << label;
-        EXPECT_EQ(Visits(sync_r->stats), Visits(pooled_r->stats)) << label;
-        EXPECT_EQ(sync_r->stats.edges, pooled_r->stats.edges) << label;
-        EXPECT_EQ(sync_r->stats.total_bytes, pooled_r->stats.total_bytes)
-            << label;
-        EXPECT_EQ(sync_r->stats.total_messages, pooled_r->stats.total_messages)
-            << label;
-        EXPECT_EQ(sync_r->stats.answer_bytes, pooled_r->stats.answer_bytes)
-            << label;
-        EXPECT_EQ(sync_r->stats.rounds, pooled_r->stats.rounds) << label;
-      }
-    }
-  }
-}
-
-TEST(TransportEquivalenceTest, ClienteleFixture) {
-  ExpectBackendsAgree(ClienteleFixture());
-}
-
-TEST(TransportEquivalenceTest, XMarkFixture) {
-  ExpectBackendsAgree(XMarkFixture());
-}
-
-// Repeated pooled runs are stable (no schedule-dependent accounting).
-TEST(TransportEquivalenceTest, PooledRunsAreDeterministic) {
-  Fixture fx = ClienteleFixture();
-  const std::string query = fx.queries[0];
-  auto first =
-      testing::EvaluateOn(*fx.cluster, query, {}, TransportKind::kPooled);
-  ASSERT_TRUE(first.ok());
-  for (int i = 0; i < 10; ++i) {
-    auto r =
-        testing::EvaluateOn(*fx.cluster, query, {}, TransportKind::kPooled);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r->answers, first->answers);
-    EXPECT_EQ(r->stats.edges, first->stats.edges);
-    EXPECT_EQ(r->stats.total_bytes, first->stats.total_bytes);
-  }
-}
-
-// ---- Multi-query scheduling equivalence -------------------------------------
-
-// N concurrent queries over one shared transport (and, pooled, one shared
-// WorkerPool) must produce byte-for-byte the answers, visits and per-edge
-// bytes of the same queries run sequentially: scheduling may reorder work,
-// never change it.
-void ExpectBatchMatchesSequential(const Fixture& fx, DistributedAlgorithm algo,
-                                  TransportKind kind, size_t stream_depth) {
-  EngineOptions options;
-  options.algorithm = algo;
-
-  // A stream with repeats: concurrent evaluations of the *same* query are
-  // the sharpest cross-talk probe.
-  std::vector<std::string> stream;
-  for (int rep = 0; rep < 2; ++rep) {
-    for (const std::string& q : fx.queries) stream.push_back(q);
-  }
-
-  std::vector<Result<DistributedResult>> sequential;
-  sequential.reserve(stream.size());
-  for (const std::string& q : stream) {
-    sequential.push_back(testing::EvaluateOn(*fx.cluster, q, options, kind));
-  }
-
-  Engine engine(*fx.cluster, {.depth = stream_depth,
-                              .transport = kind,
-                              .defaults = options});
-  std::vector<QueryHandle> handles;
-  for (const std::string& q : stream) handles.push_back(engine.Submit(q));
-
-  for (size_t i = 0; i < stream.size(); ++i) {
-    const Result<DistributedResult>& batched = handles[i].Wait().result;
-    const std::string label = fx.name + "|" + AlgorithmName(algo) + "|" +
-                              std::string(kind == TransportKind::kSync
-                                              ? "sync"
-                                              : "pooled") +
-                              "|" + stream[i];
-    ASSERT_TRUE(sequential[i].ok()) << label << ": "
-                                    << sequential[i].status();
-    ASSERT_TRUE(batched.ok()) << label << ": " << batched.status();
-    EXPECT_EQ(batched->answers, sequential[i]->answers) << label;
-    EXPECT_EQ(Visits(batched->stats), Visits(sequential[i]->stats))
-        << label;
-    EXPECT_EQ(batched->stats.edges, sequential[i]->stats.edges) << label;
-    EXPECT_EQ(batched->stats.total_bytes, sequential[i]->stats.total_bytes)
-        << label;
-    EXPECT_EQ(batched->stats.rounds, sequential[i]->stats.rounds) << label;
-  }
-}
-
-TEST(SchedulerEquivalenceTest, ClienteleSyncBackend) {
-  ExpectBatchMatchesSequential(ClienteleFixture(),
-                               DistributedAlgorithm::kPaX2,
-                               TransportKind::kSync, 4);
-}
-
-TEST(SchedulerEquivalenceTest, ClientelePooledBackend) {
-  Fixture fx = ClienteleFixture();
-  for (auto algo : {DistributedAlgorithm::kPaX2, DistributedAlgorithm::kPaX3,
-                    DistributedAlgorithm::kNaiveCentralized}) {
-    ExpectBatchMatchesSequential(fx, algo, TransportKind::kPooled, 4);
-  }
-}
-
-TEST(SchedulerEquivalenceTest, XMarkBothBackends) {
-  Fixture fx = XMarkFixture();
-  ExpectBatchMatchesSequential(fx, DistributedAlgorithm::kPaX2,
-                               TransportKind::kSync, 8);
-  ExpectBatchMatchesSequential(fx, DistributedAlgorithm::kPaX2,
-                               TransportKind::kPooled, 8);
-}
-
-// The per-edge map only ever contains cross-site traffic.
-TEST(TransportEquivalenceTest, EdgesExcludeLocalDelivery) {
-  Fixture fx = ClienteleFixture();
-  auto r = testing::EvaluateOn(*fx.cluster, fx.queries[0], {},
-                              TransportKind::kSync);
-  ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(r->stats.edges.empty());
-  uint64_t edge_bytes = 0;
-  for (const auto& [edge, e] : r->stats.edges) {
-    EXPECT_NE(edge.first, edge.second);
-    edge_bytes += e.bytes;
-  }
-  // Per-edge totals partition the global byte count.
-  EXPECT_EQ(edge_bytes, r->stats.total_bytes);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Tests for the shared WorkerPool and the multi-query scheduler: per-batch
-// completion latches (reentrancy), round-robin fairness across batches,
-// stream-depth admission, and a stream of Engine submissions on top of it
-// (per-query errors, shared pool reuse, simulated network delay).
+// completion latches (reentrancy), round-robin fairness across batches, the
+// nesting guard intra-site delivery relies on, stream-depth admission, and a
+// stream of Engine submissions on top of it (per-query errors, shared pool
+// reuse, simulated network delay).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,6 +20,14 @@
 #include "runtime/query_scheduler.h"
 #include "runtime/worker_pool.h"
 #include "test_util.h"
+
+#if defined(__SANITIZE_THREAD__)
+#define PAXML_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define PAXML_TSAN 1
+#endif
+#endif
 
 namespace paxml {
 namespace {
@@ -115,6 +125,63 @@ TEST(WorkerPoolTest, ServesConcurrentBatchesRoundRobin) {
   // interleaves, so some B task runs before A's last task.
   EXPECT_LT(first_b, last_a) << "batch B was starved behind batch A: "
                              << trace;
+}
+
+TEST(WorkerPoolTest, OnWorkerThreadIdentifiesItsOwnWorkers) {
+  WorkerPool a(2);
+  WorkerPool b(2);
+  EXPECT_FALSE(a.OnWorkerThread());  // the test's main thread
+
+  bool on_a_from_a = false;
+  bool on_b_from_a = false;
+  std::vector<std::function<void()>> tasks;
+  tasks.emplace_back([&] {
+    on_a_from_a = a.OnWorkerThread();
+    on_b_from_a = b.OnWorkerThread();
+  });
+  a.RunAll(std::move(tasks));
+  EXPECT_TRUE(on_a_from_a);
+  EXPECT_FALSE(on_b_from_a);
+}
+
+// Cross-pool nesting is the sanctioned pattern (transport pool ->
+// site pool); it must complete, not die.
+TEST(WorkerPoolTest, CrossPoolNestingRuns) {
+  WorkerPool outer(2);
+  WorkerPool inner(2);
+  int ran = 0;
+  std::vector<std::function<void()>> outer_tasks;
+  outer_tasks.emplace_back([&] {
+    std::vector<std::function<void()>> inner_tasks;
+    inner_tasks.emplace_back([&] { ran = 1; });
+    inner.RunAll(std::move(inner_tasks));
+  });
+  outer.RunAll(std::move(outer_tasks));
+  EXPECT_EQ(ran, 1);
+}
+
+// Same-pool nesting would deadlock (a worker blocking on a batch only it
+// could run); the pool dies loudly instead.
+TEST(WorkerPoolDeathTest, SamePoolNestedRunAllAborts) {
+#if defined(PAXML_TSAN)
+  GTEST_SKIP() << "death tests are unreliable under ThreadSanitizer";
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // The pool is built inside the death statement: the death-test fork does
+  // not clone the parent's worker threads, so a pre-built pool would hang.
+  EXPECT_DEATH(
+      {
+        WorkerPool pool(2);
+        std::vector<std::function<void()>> outer;
+        outer.emplace_back([&pool] {
+          std::vector<std::function<void()>> inner;
+          inner.emplace_back([] {});
+          pool.RunAll(std::move(inner));
+        });
+        pool.RunAll(std::move(outer));
+      },
+      "PAXML_CHECK failed");
+#endif
 }
 
 // ---- QueryScheduler ---------------------------------------------------------

@@ -1,9 +1,10 @@
 // Serving-layer tests (src/serving/, DESIGN.md §12): canonical query
 // fingerprints, the answer cache's hit/leader/follower admission and LRU,
 // single-flight coalescing under concurrent identical submissions, epoch
-// invalidation, the fragment-stage memo's cross-run replay (answers and
-// accounted RunStats bit-identical, savings reported), and the MemoSession
-// divergence/recovery contract.
+// invalidation, the fragment-stage memo's keys, and the MemoSession
+// divergence/recovery contract. That a memo run reproduces the RunStats of
+// a run without one is checked by the equivalence matrix
+// (equivalence_matrix_test.cc).
 
 #include <gtest/gtest.h>
 
@@ -262,93 +263,7 @@ TEST_F(ServingTest, SharedCacheServesAcrossEngines) {
   EXPECT_EQ(shared->stats().hits, 1u);
 }
 
-// Cached and uncached answers stay bit-identical under a concurrent
-// mixed-priority stream (the TSan job runs this suite).
-TEST_F(ServingTest, ConcurrentMixedPrioritySubmissionsBitIdentical) {
-  std::vector<std::string> queries = {kQueryA, kQueryB,
-                                      "//market/stock/code"};
-  std::vector<std::vector<GlobalNodeId>> reference;
-  for (const std::string& q : queries) {
-    auto r = testing::EvaluateOn(*cluster_, q, {}, TransportKind::kPooled);
-    ASSERT_TRUE(r.ok());
-    reference.push_back(r->answers);
-  }
-
-  Engine engine(*cluster_, CacheConfig(4, TransportKind::kPooled));
-  std::vector<QueryHandle> handles;
-  std::vector<size_t> which;
-  for (int rep = 0; rep < 6; ++rep) {
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      SubmitOptions submit;
-      submit.priority = (rep + static_cast<int>(qi)) % 2 == 0 ? 0 : 10;
-      handles.push_back(engine.Submit(queries[qi], submit));
-      which.push_back(qi);
-    }
-  }
-  for (size_t i = 0; i < handles.size(); ++i) {
-    QueryReport report = handles[i].TakeReport();
-    ASSERT_TRUE(report.result.ok());
-    EXPECT_EQ(report.result->answers, reference[which[i]]);
-  }
-  // With 6 repetitions of 3 queries, at most 3 evaluations were real.
-  const AnswerCache::Stats stats = engine.answer_cache()->stats();
-  EXPECT_EQ(stats.misses, queries.size());
-  EXPECT_EQ(stats.hits + stats.coalesced, handles.size() - queries.size());
-}
-
 // ---- Fragment-stage memo ----------------------------------------------------
-
-// A second identical run replays per-fragment partial answers: answers and
-// every accounted counter bit-identical, savings reported in the memo_*
-// fields only. Two sites with two or more fragments each, so at
-// site_threads=4 the memo works inside fanned-out lanes — both the
-// recording and the replaying run use the pool.
-TEST_F(ServingTest, MemoSecondRunReportsSavingsWithIdenticalAccounting) {
-  Cluster cluster(doc_, 2);
-  for (size_t f = 0; f < doc_->size(); ++f) {
-    ASSERT_TRUE(cluster.Place(static_cast<FragmentId>(f), f < 2 ? 0 : 1).ok());
-  }
-  ASSERT_GE(cluster.fragments_at(0).size(), 2u);
-  ASSERT_GE(cluster.fragments_at(1).size(), 2u);
-
-  // The reference: a cold serial engine with no serving layer at all.
-  EngineConfig cold_config;
-  cold_config.depth = 1;
-  Engine cold(cluster, cold_config);
-  QueryReport plain = cold.Submit(kQueryA).TakeReport();
-  ASSERT_TRUE(plain.result.ok());
-
-  for (size_t threads : {1, 4}) {
-    SCOPED_TRACE("site_threads=" + std::to_string(threads));
-    EngineConfig config;
-    config.depth = 1;
-    config.transport_options.site_threads = threads;
-    config.serving.fragment_memo = std::make_shared<FragmentMemo>();
-    Engine engine(cluster, config);
-
-    QueryReport first = engine.Submit(kQueryA).TakeReport();
-    ASSERT_TRUE(first.result.ok());
-    EXPECT_EQ(first.stats.memo_fragment_hits, 0u);  // recorded, nothing to hit
-
-    QueryReport second = engine.Submit(kQueryA).TakeReport();
-    ASSERT_TRUE(second.result.ok());
-    EXPECT_GT(second.stats.memo_fragment_hits, 0u);
-    EXPECT_GT(second.stats.memo_saved_bytes, 0u);
-
-    // The protocol the coordinator observed is unchanged to the byte.
-    EXPECT_EQ(first.result->answers, plain.result->answers);
-    EXPECT_EQ(second.result->answers, plain.result->answers);
-    testing::ExpectContractEqual(first.stats, plain.stats);
-    testing::ExpectContractEqual(second.stats, plain.stats);
-
-    if (threads > 1) {
-      EXPECT_GT(first.stats.pool_tasks, 0u);
-      EXPECT_GT(second.stats.pool_tasks, 0u);
-    } else {
-      EXPECT_EQ(second.stats.pool_tasks, 0u);
-    }
-  }
-}
 
 TEST_F(ServingTest, MemoKeysOnEpochAndFingerprint) {
   EngineConfig config;

@@ -1,15 +1,15 @@
 // End-to-end tests of the multi-process socket engine (DESIGN.md §9).
 //
-// Each test saves a fragmented document to disk, spawns one real
+// Most tests save a fragmented document to disk, spawn one real
 // `paxml_site` process per remote site on loopback (ephemeral ports, read
-// back from the child's stdout; tests/site_process.h), and drives
-// evaluations through EvaluateWorkload on a socket transport, or through
-// an Engine whose transport_options.remote_endpoints name the peers. The
-// acceptance bar is the in-process equality guarantee made end-to-end: a
-// multi-process run reproduces SyncTransport's *exact* RunStats — answers,
-// rounds, visits, byte totals, per-edge byte/message/envelope splits — for
-// PaX2, PaX3 and the naive baseline, including on the paper's four-machine
-// FT2 placement.
+// back from the child's stdout; tests/site_process.h), and drive
+// evaluations through a socket transport or an Engine whose
+// transport_options.remote_endpoints name the peers. That a socket run
+// reproduces SyncTransport's exact RunStats, in-process peers and real
+// processes alike, is the equivalence matrix's job
+// (equivalence_matrix_test.cc); this file pins the protocol around it: the
+// round cap, the wire version, round reports, the session API over
+// sockets and the paxml_site command line.
 //
 // Failure semantics (invariant 5) are pinned too: killing a site process
 // mid-session surfaces a clean NetworkError on runs that touch it, with no
@@ -26,7 +26,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <future>
@@ -41,10 +40,8 @@
 #include "core/workload.h"
 #include "fragment/fragmenter.h"
 #include "fragment/storage.h"
-#include "harness.h"
 #include "runtime/socket_server.h"
 #include "runtime/socket_transport.h"
-#include "serving/fragment_memo.h"
 #include "site_process.h"
 #include "test_util.h"
 
@@ -55,31 +52,6 @@ using testing::Deployment;
 using testing::EvaluateOn;
 using testing::ExpectContractEqual;
 
-// ---- CI smoke hooks ---------------------------------------------------------
-
-/// CI smoke hook: PAXML_SITE_THREADS=N re-runs every socket test in this
-/// file with intra-site parallel delivery at the peers — the stats
-/// assertions below then double as determinism checks (DESIGN.md §10).
-size_t EnvSiteThreads() {
-  if (const char* env = std::getenv("PAXML_SITE_THREADS")) {
-    const long v = std::atol(env);
-    if (v > 1) return static_cast<size_t>(v);
-  }
-  return 1;
-}
-
-/// CI smoke hook: PAXML_SPLIT_PCT=N re-runs every socket test with
-/// intra-fragment splitting offered at that threshold (DESIGN.md §14) —
-/// combined with PAXML_SITE_THREADS the whole file pins split determinism
-/// over real processes.
-uint64_t EnvSplitPct() {
-  if (const char* env = std::getenv("PAXML_SPLIT_PCT")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<uint64_t>(v);
-  }
-  return 0;
-}
-
 EngineOptions Options(DistributedAlgorithm algo, bool annotations) {
   EngineOptions options;
   options.algorithm = algo;
@@ -87,22 +59,19 @@ EngineOptions Options(DistributedAlgorithm algo, bool annotations) {
   return options;
 }
 
-/// The client side of a deployment, with the CI smoke hooks applied.
+/// The client side of a deployment.
 TransportOptions SocketOptions(const std::map<SiteId, std::string>& endpoints) {
   TransportOptions options;
   options.remote_endpoints = endpoints;
-  options.site_threads = EnvSiteThreads();
-  options.split_threshold_pct = EnvSplitPct();
   return options;
 }
 
 /// `query` on the in-process reference backend.
 Result<DistributedResult> RunSync(const Cluster& cluster,
                                   const std::string& query,
-                                  DistributedAlgorithm algo, bool annotations,
-                                  TransportOptions options = {}) {
+                                  DistributedAlgorithm algo, bool annotations) {
   return EvaluateOn(cluster, query, Options(algo, annotations),
-                    TransportKind::kSync, std::move(options));
+                    TransportKind::kSync);
 }
 
 /// `query` over the peers `options.remote_endpoints` names.
@@ -115,7 +84,7 @@ Result<DistributedResult> RunSocket(const Cluster& cluster,
                     TransportKind::kSocket, std::move(options));
 }
 
-// ---- Clientele: every algorithm, with and without annotations ---------------
+// ---- The clientele deployment -----------------------------------------------
 
 struct ClienteleWorld {
   std::shared_ptr<FragmentedDocument> doc;
@@ -142,180 +111,7 @@ ClienteleWorld MakeClienteleWorld() {
   return w;
 }
 
-TEST(SocketTransportTest, ClienteleReproducesSyncExactly) {
-  ClienteleWorld w = MakeClienteleWorld();
-  Deployment deployment(*w.doc, *w.cluster);
-
-  const std::vector<std::string> queries = {
-      "clientele/client[country/text() = \"US\"]/"
-      "broker[market/name/text() = \"NASDAQ\"]/name",
-      "clientele/client/broker/name",
-      "//stock/code",
-      "//market[name/text() = \"NASDAQ\"]//buy",
-  };
-  for (const std::string& query : queries) {
-    for (auto algo : {DistributedAlgorithm::kPaX2, DistributedAlgorithm::kPaX3,
-                      DistributedAlgorithm::kNaiveCentralized}) {
-      for (bool annotations : {false, true}) {
-        const std::string label = std::string(AlgorithmName(algo)) +
-                                  (annotations ? "|xa|" : "|") + query;
-        auto sync = RunSync(*w.cluster, query, algo, annotations);
-        auto socket = RunSocket(*w.cluster, query, algo, annotations,
-                                SocketOptions(deployment.endpoints()));
-        ASSERT_TRUE(sync.ok()) << label << ": " << sync.status();
-        ASSERT_TRUE(socket.ok()) << label << ": " << socket.status();
-        EXPECT_EQ(socket->answers, sync->answers) << label;
-        ExpectContractEqual(socket->stats, sync->stats, label);
-      }
-    }
-  }
-}
-
-// Boolean queries delegate to ParBoX; its one-visit protocol must cross
-// the wire identically too.
-TEST(SocketTransportTest, BooleanQueryViaParBoX) {
-  ClienteleWorld w = MakeClienteleWorld();
-  Deployment deployment(*w.doc, *w.cluster);
-
-  const std::string query = ".[//market/name/text() = \"TSE\"]";
-  auto sync = RunSync(*w.cluster, query, DistributedAlgorithm::kPaX2, false);
-  auto socket = RunSocket(*w.cluster, query, DistributedAlgorithm::kPaX2,
-                          false, SocketOptions(deployment.endpoints()));
-  ASSERT_TRUE(sync.ok()) << sync.status();
-  ASSERT_TRUE(socket.ok()) << socket.status();
-  EXPECT_EQ(socket->answers, sync->answers);
-  ExpectContractEqual(socket->stats, sync->stats, "parbox");
-}
-
-// ---- The acceptance bar: FT2 on the paper's four machines -------------------
-
-TEST(SocketTransportTest, FT2PaperPlacementReproducesSyncExactly) {
-  // A scaled-down FT2 keeps the test fast; the placement and protocol are
-  // the paper's (bench/harness.h).
-  bench::Workload w = bench::MakeFT2Paper(0.05);
-  Deployment deployment(*w.doc, *w.cluster);
-
-  for (const auto& q : xmark::ExperimentQueries()) {
-    for (auto algo : {DistributedAlgorithm::kPaX2, DistributedAlgorithm::kPaX3,
-                      DistributedAlgorithm::kNaiveCentralized}) {
-      const std::string label = std::string(AlgorithmName(algo)) + "|" + q.name;
-      auto sync = RunSync(*w.cluster, q.text, algo, false);
-      auto socket = RunSocket(*w.cluster, q.text, algo, false,
-                              SocketOptions(deployment.endpoints()));
-      ASSERT_TRUE(sync.ok()) << label << ": " << sync.status();
-      ASSERT_TRUE(socket.ok()) << label << ": " << socket.status();
-      EXPECT_EQ(socket->answers, sync->answers) << label;
-      ExpectContractEqual(socket->stats, sync->stats, label);
-    }
-  }
-}
-
-// The tentpole acceptance bar: the same four-machine deployment with
-// intra-site parallel delivery (site_threads = 4, mirrored to the peers
-// via the Hello record) reproduces the serial SyncTransport's *exact*
-// RunStats — the capture-and-replay plane end-to-end over real processes.
-TEST(SocketTransportTest, FT2ParallelSitesReproduceSyncExactly) {
-  bench::Workload w = bench::MakeFT2Paper(0.05);
-  Deployment deployment(*w.doc, *w.cluster);
-
-  for (const auto& q : xmark::ExperimentQueries()) {
-    for (auto algo : {DistributedAlgorithm::kPaX2, DistributedAlgorithm::kPaX3,
-                      DistributedAlgorithm::kNaiveCentralized}) {
-      const std::string label =
-          std::string(AlgorithmName(algo)) + "|threads=4|" + q.name;
-      auto sync = RunSync(*w.cluster, q.text, algo, false);
-      TransportOptions parallel = SocketOptions(deployment.endpoints());
-      parallel.site_threads = 4;
-      auto socket = RunSocket(*w.cluster, q.text, algo, false, parallel);
-      ASSERT_TRUE(sync.ok()) << label << ": " << sync.status();
-      ASSERT_TRUE(socket.ok()) << label << ": " << socket.status();
-      EXPECT_EQ(socket->answers, sync->answers) << label;
-      ExpectContractEqual(socket->stats, sync->stats, label);
-    }
-  }
-}
-
-// ---- Intra-fragment splitting over real processes (DESIGN.md §14) -----------
-
-// The split threshold forced to 1% travels in the Hello, the peers fan
-// splittable requests out below the fragment grain, and the RunStats still
-// reproduce the serial SyncTransport's exactly. PaX2 with annotations on
-// qualifier-free selections is the splittable shape; the RoundDone records
-// carry the peers' pool counters back, proving the path fired.
-TEST(SocketTransportTest, ForcedSplitReproducesSyncExactly) {
-  ClienteleWorld w = MakeClienteleWorld();
-  Deployment deployment(*w.doc, *w.cluster);
-
-  uint64_t split_pool_tasks = 0;
-  for (const std::string& query :
-       {std::string("//stock/code"), std::string("clientele/client/broker"),
-        std::string("//market//buy")}) {
-    auto sync = RunSync(*w.cluster, query, DistributedAlgorithm::kPaX2, true);
-    TransportOptions split = SocketOptions(deployment.endpoints());
-    split.site_threads = 4;
-    split.split_threshold_pct = 1;
-    auto socket =
-        RunSocket(*w.cluster, query, DistributedAlgorithm::kPaX2, true, split);
-    ASSERT_TRUE(sync.ok()) << query << ": " << sync.status();
-    ASSERT_TRUE(socket.ok()) << query << ": " << socket.status();
-    EXPECT_EQ(socket->answers, sync->answers) << query;
-    ExpectContractEqual(socket->stats, sync->stats, query);
-    EXPECT_EQ(sync->stats.pool_tasks, 0u) << query;
-    split_pool_tasks += socket->stats.pool_tasks;
-  }
-  EXPECT_GT(split_pool_tasks, 0u);
-}
-
 // ---- Cross-run fan-out on one peer (DESIGN.md §14) --------------------------
-
-// Two independent runs over ONE SocketTransport — one connection per peer —
-// with peer_concurrent_rounds = 2: the peers deliver both runs' rounds
-// concurrently on their round pools, and each run still reproduces its solo
-// SyncTransport RunStats exactly (the per-run barrier never interleaves
-// rounds of one run, so nothing observable may change).
-TEST(SocketTransportTest, ConcurrentRunsOnOnePeerReproduceSoloStats) {
-  ClienteleWorld w = MakeClienteleWorld();
-  Deployment deployment(*w.doc, *w.cluster);
-
-  const std::string query_a =
-      "clientele/client[country/text() = \"US\"]/"
-      "broker[market/name/text() = \"NASDAQ\"]/name";
-  const std::string query_b = "//market[name/text() = \"NASDAQ\"]//buy";
-  const EngineOptions options = Options(DistributedAlgorithm::kPaX2, false);
-  auto solo_a = EvaluateOn(*w.cluster, query_a, options, TransportKind::kSync);
-  auto solo_b = EvaluateOn(*w.cluster, query_b, options, TransportKind::kSync);
-  ASSERT_TRUE(solo_a.ok()) << solo_a.status();
-  ASSERT_TRUE(solo_b.ok()) << solo_b.status();
-
-  TransportOptions topts;
-  topts.remote_endpoints = deployment.endpoints();
-  topts.site_threads = EnvSiteThreads();
-  topts.split_threshold_pct = EnvSplitPct();
-  topts.peer_concurrent_rounds = 2;
-  SocketTransport socket(topts);
-
-  // Several passes so the runs' rounds genuinely overlap on the shared
-  // connections rather than racing past each other once.
-  for (int pass = 0; pass < 3; ++pass) {
-    Result<DistributedResult> got_a = Status::Internal("unset");
-    Result<DistributedResult> got_b = Status::Internal("unset");
-    std::thread ta([&] {
-      got_a = EvaluateWorkload(*w.cluster, query_a, options, &socket);
-    });
-    std::thread tb([&] {
-      got_b = EvaluateWorkload(*w.cluster, query_b, options, &socket);
-    });
-    ta.join();
-    tb.join();
-    const std::string label = "pass " + std::to_string(pass);
-    ASSERT_TRUE(got_a.ok()) << label << ": " << got_a.status();
-    ASSERT_TRUE(got_b.ok()) << label << ": " << got_b.status();
-    EXPECT_EQ(got_a->answers, solo_a->answers) << label;
-    EXPECT_EQ(got_b->answers, solo_b->answers) << label;
-    ExpectContractEqual(got_a->stats, solo_a->stats, label + "|run A");
-    ExpectContractEqual(got_b->stats, solo_b->stats, label + "|run B");
-  }
-}
 
 // A client asking for cross-run fan-out against a server capped at one
 // round (paxml_site --rounds 1 semantics) degrades to the serial loop —
@@ -378,44 +174,6 @@ TEST(SocketTransportTest, ConcurrentRunsDegradeCleanlyWhenServerCapsRounds) {
 }
 
 // ---- One wire version ------------------------------------------------------
-
-/// In-process SiteServers for every non-query site of `cluster`, serving on
-/// loopback threads until Stop() — for tests that need a server knob the
-/// paxml_site harness does not pass.
-class InProcessPeers {
- public:
-  InProcessPeers(const Cluster* cluster, std::shared_ptr<FragmentMemo> memo) {
-    for (size_t s = 0; s < cluster->site_count(); ++s) {
-      const SiteId site = static_cast<SiteId>(s);
-      if (site == cluster->query_site()) continue;
-      auto server = std::make_unique<SiteServer>(
-          cluster, site, MakeSiteProgramFactory(cluster),
-          /*max_site_threads=*/0, memo);
-      auto port = server->Listen("127.0.0.1", 0);
-      PAXML_CHECK(port.ok());
-      endpoints_[site] = "127.0.0.1:" + std::to_string(*port);
-      threads_.emplace_back([srv = server.get()] {
-        const Status st = srv->Serve();
-        (void)st;  // shutdown races surface as benign accept errors
-      });
-      servers_.push_back(std::move(server));
-    }
-  }
-
-  /// Every client transport must be gone first: a server sits in a
-  /// blocking read on a live connection until its client hangs up.
-  ~InProcessPeers() {
-    for (auto& server : servers_) server->Shutdown();
-    for (auto& t : threads_) t.join();
-  }
-
-  const std::map<SiteId, std::string>& endpoints() const { return endpoints_; }
-
- private:
-  std::vector<std::unique_ptr<SiteServer>> servers_;
-  std::vector<std::thread> threads_;
-  std::map<SiteId, std::string> endpoints_;
-};
 
 /// Reads one whole record from `fd`: nullopt at EOF.
 std::optional<WireRecord> ReadRecord(int fd, RecordBuffer* buf) {
@@ -511,63 +269,6 @@ TEST(SocketTransportTest, RejectedHandshakeFailsTheFirstRoundCleanly) {
       << got.status();
   EXPECT_NE(got.status().message().find("version mismatch"), std::string::npos)
       << got.status();
-}
-
-// ---- Memo and lanes together on the peers -----------------------------------
-
-// Peers serving with a fragment memo (paxml_site --memo) at site_threads=4:
-// site 1 hosts two fragments, so its rounds fan out into lanes while the
-// memo records and then replays each fragment's replies. The client gives
-// its local query site a memo too, so every site memoizes exactly as in an
-// in-process run with one memo and the same site_threads: the repeated
-// query's hits and every run's pool tasks, which come home through the
-// peers' RoundDone reports, equal that run's exactly, and the contract
-// fields equal the plain sync run's.
-TEST(SocketTransportTest, MemoPeersWithLanesReproduceSyncExactly) {
-  ClienteleWorld w = MakeClienteleWorld();
-  ASSERT_GE(w.cluster->fragments_at(1).size(), 2u);
-  InProcessPeers peers(w.cluster.get(), std::make_shared<FragmentMemo>());
-  TransportOptions options = SocketOptions(peers.endpoints());
-  options.site_threads = 4;
-  options.split_threshold_pct = 0;
-  options.fragment_memo = std::make_shared<FragmentMemo>();
-  TransportOptions in_process;
-  in_process.site_threads = 4;
-  in_process.fragment_memo = std::make_shared<FragmentMemo>();
-
-  for (const std::string& query :
-       {std::string("//stock/code"),
-        std::string("clientele/client[country/text() = \"US\"]/broker/name")}) {
-    auto sync = RunSync(*w.cluster, query, DistributedAlgorithm::kPaX2, false);
-    ASSERT_TRUE(sync.ok()) << query << ": " << sync.status();
-    std::vector<RunStats> local;
-    std::vector<RunStats> remote;
-    for (const char* phase : {"recording", "replaying"}) {
-      const std::string label = query + "|" + phase;
-      auto in = RunSync(*w.cluster, query, DistributedAlgorithm::kPaX2, false,
-                        in_process);
-      auto got = RunSocket(*w.cluster, query, DistributedAlgorithm::kPaX2,
-                           false, options);
-      ASSERT_TRUE(in.ok()) << label << ": " << in.status();
-      ASSERT_TRUE(got.ok()) << label << ": " << got.status();
-      EXPECT_EQ(got->answers, sync->answers) << label;
-      ExpectContractEqual(got->stats, sync->stats, label);
-      ExpectContractEqual(in->stats, sync->stats, label);
-      local.push_back(in->stats);
-      remote.push_back(got->stats);
-    }
-    EXPECT_EQ(remote[0].memo_fragment_hits, 0u) << query;
-    EXPECT_GT(remote[1].memo_fragment_hits, 0u) << query;
-    for (size_t i = 0; i < 2; ++i) {
-      const std::string label = query + (i == 0 ? "|recording" : "|replaying");
-      EXPECT_EQ(remote[i].memo_fragment_hits, local[i].memo_fragment_hits)
-          << label;
-      EXPECT_EQ(remote[i].memo_saved_bytes, local[i].memo_saved_bytes)
-          << label;
-      EXPECT_GT(remote[i].pool_tasks, 0u) << label;
-      EXPECT_EQ(remote[i].pool_tasks, local[i].pool_tasks) << label;
-    }
-  }
 }
 
 // ---- Round reports ----------------------------------------------------------
@@ -722,7 +423,6 @@ TEST(SocketTransportTest, EngineSubmitWorksUnchangedOverSockets) {
   EngineConfig config;
   config.depth = 3;
   config.transport_options.remote_endpoints = deployment.endpoints();
-  config.transport_options.site_threads = EnvSiteThreads();
   Engine engine(*w.cluster, config);
 
   const std::vector<std::string> queries = {
@@ -799,7 +499,6 @@ TEST(SocketTransportTest, KilledSiteFailsItsRunsAndSparesOthers) {
   EngineConfig config;
   config.depth = 2;
   config.transport_options.remote_endpoints = deployment.endpoints();
-  config.transport_options.site_threads = EnvSiteThreads();
   Engine engine(*w.cluster, config);
 
   // Healthy first: both queries work over the deployment.

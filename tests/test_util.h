@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,7 +26,6 @@ namespace paxml::testing {
 
 /// Evaluates `query` on a fresh transport of `kind` (unset: the cluster's
 /// default, or sockets when `transport_options` names remote endpoints).
-/// The one call the backend- and knob-equivalence tests loop over.
 inline Result<DistributedResult> EvaluateOn(
     const Cluster& cluster, const std::string& query,
     const EngineOptions& options = {},
@@ -41,32 +41,66 @@ inline Result<DistributedResult> EvaluateOn(
 /// (each frame is priced by its one kFrame encoding, whichever backend
 /// sealed it) and the delta-codec fields (envelope-level, deterministic).
 /// Timing fields and the advisory memo_* / pool_* fields are excluded: they
-/// are the only ones a backend or knob may change. `got` is checked against
-/// the reference run `want`.
-inline void ExpectContractEqual(const RunStats& got, const RunStats& want,
-                                const std::string& label = "") {
-  EXPECT_EQ(got.rounds, want.rounds) << label;
-  EXPECT_EQ(got.total_messages, want.total_messages) << label;
-  EXPECT_EQ(got.total_envelopes, want.total_envelopes) << label;
-  EXPECT_EQ(got.total_bytes, want.total_bytes) << label;
-  EXPECT_EQ(got.answer_bytes, want.answer_bytes) << label;
-  EXPECT_EQ(got.data_bytes_shipped, want.data_bytes_shipped) << label;
-  EXPECT_EQ(got.delta_logical_bytes, want.delta_logical_bytes) << label;
-  EXPECT_EQ(got.delta_wire_bytes, want.delta_wire_bytes) << label;
-  EXPECT_EQ(got.wire_bytes, want.wire_bytes) << label;
-  EXPECT_EQ(got.wire_raw_bytes, want.wire_raw_bytes) << label;
-  EXPECT_EQ(got.edges, want.edges) << label;
-  ASSERT_EQ(got.per_site.size(), want.per_site.size()) << label;
+/// are the only ones a backend or knob may change. Returns the first field
+/// in which `got` differs from the reference run `want`, or "" when the
+/// contract holds. With `framed` false — `got` ran with batching off and
+/// `want` with it on — message counts and wire bytes are skipped: those
+/// are the fields frame batching exists to change.
+inline std::string ContractMismatch(const RunStats& got, const RunStats& want,
+                                    bool framed = true) {
+  std::ostringstream out;
+  auto check = [&](const std::string& field, uint64_t g, uint64_t w) {
+    if (out.tellp() == 0 && g != w) {
+      out << field << ": " << g << " != reference " << w;
+    }
+  };
+  check("rounds", got.rounds, want.rounds);
+  check("total_envelopes", got.total_envelopes, want.total_envelopes);
+  check("total_bytes", got.total_bytes, want.total_bytes);
+  check("answer_bytes", got.answer_bytes, want.answer_bytes);
+  check("data_bytes_shipped", got.data_bytes_shipped, want.data_bytes_shipped);
+  check("delta_logical_bytes", got.delta_logical_bytes,
+        want.delta_logical_bytes);
+  check("per_site.size", got.per_site.size(), want.per_site.size());
+  check("edges.size", got.edges.size(), want.edges.size());
+  if (framed) {
+    check("total_messages", got.total_messages, want.total_messages);
+    check("delta_wire_bytes", got.delta_wire_bytes, want.delta_wire_bytes);
+    check("wire_bytes", got.wire_bytes, want.wire_bytes);
+    check("wire_raw_bytes", got.wire_raw_bytes, want.wire_raw_bytes);
+  }
+  if (out.tellp() != 0) return out.str();
   for (size_t s = 0; s < want.per_site.size(); ++s) {
     const SiteStats& g = got.per_site[s];
     const SiteStats& w = want.per_site[s];
-    EXPECT_EQ(g.visits, w.visits) << label << " site " << s;
-    EXPECT_EQ(g.bytes_sent, w.bytes_sent) << label << " site " << s;
-    EXPECT_EQ(g.bytes_received, w.bytes_received) << label << " site " << s;
-    EXPECT_EQ(g.messages_sent, w.messages_sent) << label << " site " << s;
-    EXPECT_EQ(g.messages_received, w.messages_received)
-        << label << " site " << s;
+    const std::string site = "site " + std::to_string(s) + " ";
+    check(site + "visits", g.visits, w.visits);
+    check(site + "bytes_sent", g.bytes_sent, w.bytes_sent);
+    check(site + "bytes_received", g.bytes_received, w.bytes_received);
+    if (framed) {
+      check(site + "messages_sent", g.messages_sent, w.messages_sent);
+      check(site + "messages_received", g.messages_received,
+            w.messages_received);
+    }
   }
+  for (auto g = got.edges.begin(), w = want.edges.begin();
+       g != got.edges.end() && out.tellp() == 0; ++g, ++w) {
+    const std::string edge = "edge " + std::to_string(g->first.first) + "->" +
+                             std::to_string(g->first.second) + " ";
+    if (g->first != w->first) return edge + "is not a reference edge";
+    check(edge + "bytes", g->second.bytes, w->second.bytes);
+    check(edge + "envelopes", g->second.envelopes, w->second.envelopes);
+    if (framed) {
+      check(edge + "messages", g->second.messages, w->second.messages);
+    }
+  }
+  return out.str();
+}
+
+/// ContractMismatch as a test expectation: `got` must reproduce `want`.
+inline void ExpectContractEqual(const RunStats& got, const RunStats& want,
+                                const std::string& label = "") {
+  EXPECT_EQ(ContractMismatch(got, want), "") << label;
 }
 
 /// Builds the investment-clientele tree of Fig. 1 of the paper:
