@@ -4,11 +4,11 @@
 // rounds, visits, per-edge byte/message/envelope splits, wire bytes — bit-
 // identical to the serial order. These tests pin that equivalence on
 // randomized multi-fragment placements (the ones where lanes actually fan
-// out), plus the WorkerPool nesting guard the parallel path relies on.
+// out). The equivalence matrix crosses the same knob with every other
+// axis; the WorkerPool nesting guard is tested in scheduler_test.
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -18,17 +18,8 @@
 #include "common/rng.h"
 #include "core/engine.h"
 #include "fragment/fragmenter.h"
-#include "runtime/worker_pool.h"
 #include "sim/cluster.h"
 #include "test_util.h"
-
-#if defined(__SANITIZE_THREAD__)
-#define PAXML_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define PAXML_TSAN 1
-#endif
-#endif
 
 namespace paxml {
 namespace {
@@ -144,65 +135,6 @@ TEST(ParallelSiteTest, MoreThreadsThanFragmentsIsExact) {
   ASSERT_TRUE(parallel.ok()) << parallel.status();
   EXPECT_EQ(parallel->answers, serial->answers);
   ExpectContractEqual(parallel->stats, serial->stats, "threads>fragments");
-}
-
-// ---- WorkerPool nesting guard -----------------------------------------------
-
-TEST(WorkerPoolTest, OnWorkerThreadIdentifiesItsOwnWorkers) {
-  WorkerPool a(2);
-  WorkerPool b(2);
-  EXPECT_FALSE(a.OnWorkerThread());  // the test's main thread
-
-  bool on_a_from_a = false;
-  bool on_b_from_a = false;
-  std::vector<std::function<void()>> tasks;
-  tasks.emplace_back([&] {
-    on_a_from_a = a.OnWorkerThread();
-    on_b_from_a = b.OnWorkerThread();
-  });
-  a.RunAll(std::move(tasks));
-  EXPECT_TRUE(on_a_from_a);
-  EXPECT_FALSE(on_b_from_a);
-}
-
-// Cross-pool nesting is the sanctioned pattern (transport pool ->
-// site pool); it must complete, not die.
-TEST(WorkerPoolTest, CrossPoolNestingRuns) {
-  WorkerPool outer(2);
-  WorkerPool inner(2);
-  int ran = 0;
-  std::vector<std::function<void()>> outer_tasks;
-  outer_tasks.emplace_back([&] {
-    std::vector<std::function<void()>> inner_tasks;
-    inner_tasks.emplace_back([&] { ran = 1; });
-    inner.RunAll(std::move(inner_tasks));
-  });
-  outer.RunAll(std::move(outer_tasks));
-  EXPECT_EQ(ran, 1);
-}
-
-// Same-pool nesting would deadlock (a worker blocking on a batch only it
-// could run); the pool dies loudly instead.
-TEST(WorkerPoolDeathTest, SamePoolNestedRunAllAborts) {
-#if defined(PAXML_TSAN)
-  GTEST_SKIP() << "death tests are unreliable under ThreadSanitizer";
-#else
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // The pool is built inside the death statement: the death-test fork does
-  // not clone the parent's worker threads, so a pre-built pool would hang.
-  EXPECT_DEATH(
-      {
-        WorkerPool pool(2);
-        std::vector<std::function<void()>> outer;
-        outer.emplace_back([&pool] {
-          std::vector<std::function<void()>> inner;
-          inner.emplace_back([] {});
-          pool.RunAll(std::move(inner));
-        });
-        pool.RunAll(std::move(outer));
-      },
-      "PAXML_CHECK failed");
-#endif
 }
 
 }  // namespace
